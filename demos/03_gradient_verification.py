@@ -1,7 +1,8 @@
 """Finite-difference verification of every hand-written backward pass.
 
-Builds micro models (two experts, three hashed fields, batch of six) for
-every expert kind, pair-loss form, and loss location, then compares the
+Builds micro models (two or three experts, shared or per-expert tables,
+three hashed fields, batch of six) for every expert kind, pair-loss form,
+and loss location, then compares the
 analytic gradient of the total objective against central differences for
 every parameter: embedding tables, gating table, expert cores, alignment
 heads, gate MLP, and tower.

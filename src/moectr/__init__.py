@@ -20,7 +20,7 @@ from .data import (
 from .embedding import EmbeddingBank, EmbeddingTable, SparseGrad, apply_sparse_grads, init_bank, lookup
 from .experts import ExpertConfig, make_expert
 from .gating import GateOutput, GatingNetwork, aggregate_experts, gate_weights, gating_backward
-from .losses import LossConfig, PairLossValue, bce, corr_loss_pair, cov_loss_pair, decorrelation_pairs, decorrelation_total, total_objective
+from .losses import LossConfig, bce, corr_loss_pair, cov_loss_pair, decorrelation_total, total_objective
 from .metrics import CorrelationReport, EvalMetrics, auc, cec, cec_report, pearson_matrix
 from .model import ModelBundle, build_model, forward_full, load_model, named_params, param_count, predict, save_model
 from .numerics import GradCheckReport, central_diff_gradcheck, row_softmax, standardize_columns
@@ -44,7 +44,6 @@ __all__ = [
     "GradCheckReport",
     "LossConfig",
     "ModelBundle",
-    "PairLossValue",
     "SparseGrad",
     "SyntheticParams",
     "TrainConfig",
@@ -59,7 +58,6 @@ __all__ = [
     "central_diff_gradcheck",
     "corr_loss_pair",
     "cov_loss_pair",
-    "decorrelation_pairs",
     "decorrelation_total",
     "evaluate",
     "forward_full",

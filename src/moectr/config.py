@@ -2,12 +2,14 @@
 
 Format: one ``key = value`` per line, ``#`` starts a comment, blank lines
 ignored. Lists are comma-separated; layer widths inside one expert spec are
-dash-separated. See configs/default.cfg for a fully commented example.
+dash-separated. Run and synthetic-data configs reject unknown keys. See
+configs/default.cfg for a fully commented example.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Collection
 
 from .data import DatasetSchema, EncodedDataset, FeatureField, load_synthetic_csv, load_table, split_dataset
 from .experts import ExpertConfig
@@ -16,7 +18,9 @@ from .model import ModelBundle, build_model
 from .trainer import TrainConfig
 
 
-def parse_kv_text(text: str) -> dict[str, str]:
+def parse_kv_text(text: str, known: Collection[str] | None = None) -> dict[str, str]:
+    """Parse ``key = value`` lines; with ``known`` given, any other key is an
+    error naming the key and its line."""
     kv: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -25,7 +29,10 @@ def parse_kv_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
+        key = key.strip()
+        if known is not None and key not in known:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        kv[key] = value.strip()
     return kv
 
 
@@ -55,6 +62,15 @@ def parse_expert_spec(spec: str, out_dim: int) -> ExpertConfig:
             raise ValueError("cin expert spec needs map widths, e.g. cin:16-16")
         return ExpertConfig(kind="cin", out_dim=out_dim, cin_maps=_ints(rest))
     raise ValueError(f"unknown expert kind {kind!r}")
+
+
+RUN_KEYS = (
+    "train", "valid", "test", "fields", "label", "encoded", "split", "split_seed",
+    "mode", "experts", "embed_dim", "gate_embed_dim", "expert_out_dim", "gate_hidden",
+    "tower_hidden", "loss_form", "alpha", "loss_location", "lr", "batch_size", "epochs",
+    "patience", "seed",
+)
+SYNTH_KEYS = ("rows", "fields", "cardinality", "latent_dim", "seed", "c0")
 
 
 @dataclass
@@ -91,7 +107,7 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        kv = parse_kv_text(text)
+        kv = parse_kv_text(text, RUN_KEYS)
         cfg = cls()
         if "train" in kv:
             cfg.train_path = kv["train"]
@@ -207,7 +223,7 @@ class SynthSpec:
     @classmethod
     def from_file(cls, path) -> "SynthSpec":
         with open(path, encoding="utf-8") as fh:
-            kv = parse_kv_text(fh.read())
+            kv = parse_kv_text(fh.read(), SYNTH_KEYS)
         spec = cls()
         spec.rows = int(kv.get("rows", spec.rows))
         spec.num_fields = int(kv.get("fields", spec.num_fields))

@@ -1,10 +1,12 @@
 """Whole-model finite-difference verification on micro configurations.
 
-Each case builds a tiny model (B <= 8, F <= 4, d <= 4, M = 2), draws a
-seeded batch, and checks the analytic gradient of the total objective for
-every parameter group against central differences. Covers all four expert
-kinds, all three pair-loss forms, and all three loss locations; the gate
-MLP, gating table, and tower are exercised by every case.
+Each case builds a tiny model (B <= 8, F <= 4, d <= 4, M = 2 or 3) in the
+multi-embedding ("me") or shared-embedding ("se") mode, draws a seeded
+batch, and checks the analytic gradient of the total objective for every
+parameter group against central differences. Covers all four expert kinds,
+all three pair-loss forms, all three loss locations, the shared table that
+sums every expert's gradient, and three-expert Grams; the gate MLP, gating
+table, and tower are exercised by every case.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .data import DatasetSchema, FeatureField
 from .experts import ExpertConfig
 from .losses import LossConfig
 from .model import build_model, forward_full
-from .numerics import GradCheckReport
+from .numerics import GradCheckReport, cross_gram, gram_blocks
 from .trainer import gradcheck_model
 
 MICRO_FIELDS = 3
@@ -33,6 +35,7 @@ class SuiteCase:
     configs: list[ExpertConfig]
     loss: LossConfig
     seed: int
+    mode: str = "me"
 
 
 def _dnn(out=MICRO_OUT, final=None):
@@ -91,6 +94,23 @@ def suite_cases() -> list[SuiteCase]:
             LossConfig(form="corr", alpha=0.0, location="output"),
             seed=20,
         ),
+        SuiteCase(
+            "se hetero dnn+cin corr@output", [_dnn(), _cin()], corr_out, seed=21, mode="se"
+        ),
+        SuiteCase(
+            "se crossnet cov_l2@output",
+            [_crossnet(), _crossnet()],
+            LossConfig(form="cov_l2", alpha=0.7, location="output"),
+            seed=22,
+            mode="se",
+        ),
+        SuiteCase("M=3 dnn+fm+cin corr@output", [_dnn(), _fm(), _cin()], corr_out, seed=23),
+        SuiteCase(
+            "M=3 dnn+fm+crossnet cov_l1@output",
+            [_dnn(), _fm(), _crossnet()],
+            LossConfig(form="cov_l1", alpha=0.7, location="output"),
+            seed=24,
+        ),
     ]
 
 
@@ -112,7 +132,8 @@ def kink_margin(model, fc) -> float:
     Central differences are only meaningful where the objective is smooth
     in an h-neighborhood; this collects |pre-activation| for every ReLU
     site (experts, alignment heads, gate MLP, tower) and, for the L1
-    covariance form, |entry| of the centered cross matrices (sign kink).
+    covariance form, |entry| of the centered cross matrices (sign kink),
+    read from the off-diagonal blocks of the centered cross-expert Gram.
     """
     vals: list[float] = []
     _mlp_kink_margins(model.tower, fc.tower_cache, vals)
@@ -140,11 +161,9 @@ def kink_margin(model, fc) -> float:
                 [layers[l] for layers in layered] for l in range(len(layered[0]))
             ]
         for mats in sets:
-            centered = [m - m.mean(axis=0, keepdims=True) for m in mats]
-            for i in range(len(centered)):
-                for j in range(i + 1, len(centered)):
-                    cross = centered[i].T @ centered[j]
-                    vals.append(float(np.abs(cross).min()))
+            _, _, g = cross_gram(mats, standardize=False)
+            pairs = gram_blocks(g, len(mats))[np.triu_indices(len(mats), 1)]
+            vals.append(float(np.abs(pairs).min()))
     return min(vals)
 
 
@@ -167,7 +186,7 @@ def run_case(
         seed = case.seed + 101 * attempt
         model = build_model(
             micro_schema(),
-            "me",
+            case.mode,
             case.configs,
             case.loss,
             embed_dim=MICRO_EMBED,

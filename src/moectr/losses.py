@@ -1,11 +1,12 @@
 """Training losses: binary cross-entropy, cross-expert de-correlation in its
 correlation form and two covariance ablations, and the combined objective.
 
-All pair losses act on two (N, d) output matrices and return the scalar
-value together with exact gradients w.r.t. both inputs. The correlation
-form standardizes columns with the unbiased std, which makes the value on
-two identical single-column inputs exactly N - 1; the combined objective's
-1/(|B|-1) factor cancels that growth.
+decorrelation_total computes every pair loss of M same-shape (N, d) expert
+outputs from one cross-expert Gram, with exact gradients w.r.t. each
+output; the pair functions are that computation on two outputs. The
+correlation form standardizes columns with the unbiased std, which makes
+the value on two identical single-column inputs exactly N - 1; the combined
+objective's 1/(|B|-1) factor cancels that growth.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, standardize_backward, standardize_columns
+from .numerics import cross_gram, gram_blocks, standardize_backward
 
 LOSS_FORMS = ("corr", "cov_l1", "cov_l2", "none")
 LOSS_LOCATIONS = ("input", "intermediate", "output")
@@ -54,34 +55,67 @@ def bce(y_hat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return value, grad
 
 
+def decorrelation_total(
+    outputs: list[np.ndarray], form: str
+) -> tuple[float, list[np.ndarray]]:
+    """Sum of the ``form`` pair loss over all expert pairs p < q.
+
+    Every pair is a block of one cross-expert Gram G = Z^T Z
+    (numerics.cross_gram), so each output is standardized (corr) or
+    centered (cov_l1, cov_l2) once. Pair (p, q) contributes the entrywise
+    L2 (corr, cov_l2) or L1 (cov_l1) norm of block G[p, q], over d^2. The
+    gradient w.r.t. Z is the single GEMM Z @ G_hat, where G_hat holds each
+    block's norm gradient and is symmetric with zero diagonal blocks; one
+    standardization or centering adjoint then maps it back to the outputs.
+
+    Returns (total, per-expert gradient list). One expert means no pairs
+    and a zero total.
+    """
+    if form not in LOSS_FORMS:
+        raise ValueError(f"unknown loss form {form!r}")
+    m = len(outputs)
+    if form == "none" or m < 2:
+        return 0.0, [np.zeros_like(np.asarray(o, dtype=np.float64)) for o in outputs]
+    z, std, g = cross_gram(outputs, standardize=form == "corr")
+    d = z.shape[1] // m
+    blocks = gram_blocks(g, m)
+    if form == "cov_l1":
+        norms = np.abs(blocks).sum(axis=(2, 3))
+        g_blocks = np.sign(blocks)
+    else:
+        norms = np.sqrt((blocks**2).sum(axis=(2, 3)))
+        # an all-zero block (a constant output) contributes no gradient
+        inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+        g_blocks = blocks * inv[:, :, None, None]
+    off_diagonal = (1.0 - np.eye(m)) / (d * d)
+    g_hat = (g_blocks * off_diagonal[:, :, None, None]).swapaxes(1, 2).reshape(g.shape)
+    d_z = z @ g_hat
+    if std is None:  # centering adjoint: subtract the column mean
+        d_x = d_z - d_z.mean(axis=0, keepdims=True)
+    else:
+        d_x = standardize_backward(d_z, z, std)
+    total = float(norms[np.triu_indices(m, 1)].sum()) / (d * d)
+    return total, np.hsplit(d_x, m)
+
+
+def pair_loss(
+    o_p: np.ndarray, o_q: np.ndarray, form: str
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """decorrelation_total on one pair: (value, d/do_p, d/do_q)."""
+    if form == "none":
+        raise ValueError(f"unknown loss form {form!r}")
+    value, (d_p, d_q) = decorrelation_total([o_p, o_q], form)
+    return value, d_p, d_q
+
+
 def corr_loss_pair(
     o_p: np.ndarray, o_q: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Frobenius norm (scaled by 1/d^2) of the standardized cross matrix.
+    """||Z_p^T Z_q||_F / d^2 for column-standardized (unbiased std) inputs.
 
-    Both inputs are column-standardized (unbiased std); the value is
-    ||Z_p^T Z_q||_F / d^2. Constant columns standardize to zero and
-    contribute zero gradient.
+    Constant columns standardize to zero and contribute zero gradient.
     """
-    o_p, o_q = as_matrix(o_p), as_matrix(o_q)
-    if o_p.shape != o_q.shape:
-        raise ValueError("pair loss inputs must share one shape")
-    d = o_p.shape[1]
-    z_p, _, std_p = standardize_columns(o_p)
-    z_q, _, std_q = standardize_columns(o_q)
-    cross = z_p.T @ z_q  # (d, d)
-    s = float(np.sqrt((cross**2).sum()))
-    value = s / (d * d)
-    if s == 0.0:
-        return 0.0, np.zeros_like(o_p), np.zeros_like(o_q)
-    g_cross = cross / (s * d * d)
-    d_zp = z_q @ g_cross.T
-    d_zq = z_p @ g_cross
-    return (
-        value,
-        standardize_backward(d_zp, z_p, std_p),
-        standardize_backward(d_zq, z_q, std_q),
-    )
+    return pair_loss(o_p, o_q, "corr")
 
 
 def cov_loss_pair(
@@ -91,84 +125,7 @@ def cov_loss_pair(
     matrix C_p^T C_q, where C centers columns without scaling."""
     if norm not in ("l1", "l2"):
         raise ValueError(f"unknown norm {norm!r}")
-    o_p, o_q = as_matrix(o_p), as_matrix(o_q)
-    if o_p.shape != o_q.shape:
-        raise ValueError("pair loss inputs must share one shape")
-    d = o_p.shape[1]
-    c_p = o_p - o_p.mean(axis=0, keepdims=True)
-    c_q = o_q - o_q.mean(axis=0, keepdims=True)
-    cross = c_p.T @ c_q
-    if norm == "l1":
-        value = float(np.abs(cross).sum()) / (d * d)
-        g_cross = np.sign(cross) / (d * d)
-    else:
-        s = float(np.sqrt((cross**2).sum()))
-        value = s / (d * d)
-        if s == 0.0:
-            return 0.0, np.zeros_like(o_p), np.zeros_like(o_q)
-        g_cross = cross / (s * d * d)
-    d_cp = c_q @ g_cross.T
-    d_cq = c_p @ g_cross
-    # centering adjoint: subtract the column mean of the upstream gradient
-    d_op = d_cp - d_cp.mean(axis=0, keepdims=True)
-    d_oq = d_cq - d_cq.mean(axis=0, keepdims=True)
-    return value, d_op, d_oq
-
-
-def pair_loss(
-    o_p: np.ndarray, o_q: np.ndarray, form: str
-) -> tuple[float, np.ndarray, np.ndarray]:
-    if form == "corr":
-        return corr_loss_pair(o_p, o_q)
-    if form == "cov_l1":
-        return cov_loss_pair(o_p, o_q, "l1")
-    if form == "cov_l2":
-        return cov_loss_pair(o_p, o_q, "l2")
-    raise ValueError(f"unknown loss form {form!r}")
-
-
-@dataclass
-class PairLossValue:
-    """Per-pair de-correlation losses, keyed by (m1, m2) with m1 < m2."""
-
-    pairs: dict[tuple[int, int], float]
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.pairs.values()))
-
-
-def decorrelation_pairs(outputs: list[np.ndarray], form: str) -> PairLossValue:
-    """Pair-by-pair view of the de-correlation total (values only)."""
-    m = len(outputs)
-    values: dict[tuple[int, int], float] = {}
-    if form != "none":
-        for m1 in range(m):
-            for m2 in range(m1 + 1, m):
-                values[(m1, m2)] = pair_loss(outputs[m1], outputs[m2], form)[0]
-    return PairLossValue(values)
-
-
-def decorrelation_total(
-    outputs: list[np.ndarray], form: str
-) -> tuple[float, list[np.ndarray]]:
-    """Sum of the selected pair loss over all expert pairs m1 < m2.
-
-    Returns (total, per-expert gradient list). One expert means no pairs
-    and a zero total.
-    """
-    m = len(outputs)
-    grads = [np.zeros_like(np.asarray(o, dtype=np.float64)) for o in outputs]
-    if form == "none" or m < 2:
-        return 0.0, grads
-    total = 0.0
-    for m1 in range(m):
-        for m2 in range(m1 + 1, m):
-            value, d_p, d_q = pair_loss(outputs[m1], outputs[m2], form)
-            total += value
-            grads[m1] += d_p
-            grads[m2] += d_q
-    return total, grads
+    return pair_loss(o_p, o_q, f"cov_{norm}")
 
 
 def total_objective(

@@ -6,11 +6,12 @@ ties counted as half-concordant.
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import as_matrix, standardize_columns
+from .numerics import as_matrix, cross_gram, gram_blocks, standardize_columns
 
 
 def pearson_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -96,19 +97,20 @@ class CorrelationReport:
 def cec_report(
     expert_outputs: list[np.ndarray], retain_matrices: bool = False
 ) -> CorrelationReport:
-    """Cross-expert correlation for every pair m1 < m2 of output matrices."""
+    """Cross-expert correlation for every pair m1 < m2 of output matrices.
+
+    The Pearson matrix of pair (m1, m2) is block (m1, m2) of the
+    standardized cross-expert Gram over N - 1, clamped into [-1, 1] as in
+    pearson_matrix.
+    """
     m = len(expert_outputs)
     if m < 2:
         raise ValueError("need at least 2 experts for a correlation report")
-    shape = np.asarray(expert_outputs[0]).shape
-    for o in expert_outputs:
-        if np.asarray(o).shape != shape:
-            raise ValueError("expert outputs must share one shape")
+    z, _, g = cross_gram(expert_outputs, standardize=True)
+    r = gram_blocks(np.clip(g / (z.shape[0] - 1.0), -1.0, 1.0), m)
     report = CorrelationReport(num_experts=m, pairs={})
-    for m1 in range(m):
-        for m2 in range(m1 + 1, m):
-            r = pearson_matrix(expert_outputs[m1], expert_outputs[m2])
-            report.pairs[(m1, m2)] = float(np.abs(r).mean())
-            if retain_matrices:
-                report.matrices[(m1, m2)] = r
+    for pair in itertools.combinations(range(m), 2):
+        report.pairs[pair] = float(np.abs(r[pair]).mean())
+        if retain_matrices:
+            report.matrices[pair] = r[pair]
     return report

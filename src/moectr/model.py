@@ -274,8 +274,10 @@ def _read_exact(fh, n: int) -> bytes:
 def load_model(path) -> ModelBundle:
     """Rebuild from the config echo, then overwrite every parameter block.
 
-    Loaded parameters are byte-for-byte what was saved, so evaluation
-    after a round trip is bit-identical.
+    Every parameter must appear in exactly one block and the file must end
+    after the last block; anything else is rejected. Loaded parameters are
+    byte-for-byte what was saved, so evaluation after a round trip is
+    bit-identical.
     """
     with open(path, "rb") as fh:
         if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
@@ -297,9 +299,11 @@ def load_model(path) -> ModelBundle:
             shape = tuple(
                 struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(ndim)
             )
-            arr = params.get(name)
+            arr = params.pop(name, None)
             if arr is None or arr.shape != shape:
-                raise ValueError(f"unexpected parameter block {name!r}")
+                raise ValueError(f"unexpected or repeated parameter block {name!r}")
             data = _read_exact(fh, arr.size * 8)
             arr[...] = np.frombuffer(data, dtype="<f8").reshape(shape)
+        if fh.read(1):
+            raise ValueError("trailing bytes after the last parameter block")
     return model

@@ -73,6 +73,33 @@ def standardize_backward(d_z: np.ndarray, z: np.ndarray, std: np.ndarray) -> np.
     return d_x
 
 
+def cross_gram(
+    mats: Sequence[np.ndarray], standardize: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Cross-expert Gram of M same-shape (N, d) matrices.
+
+    Stacks the inputs column-wise into Z (N, M*d), standardized per column
+    (unbiased std, as standardize_columns) or only centered, and forms
+    G = Z^T Z with one GEMM; block (p, q) of G is the d x d cross matrix
+    Z_p^T Z_q. Returns ``(z, std, g)`` with std None for the centered form.
+    """
+    mats = [as_matrix(a) for a in mats]
+    if any(a.shape != mats[0].shape for a in mats):
+        raise ValueError("cross-Gram inputs must share one shape")
+    x = np.hstack(mats)
+    if standardize:
+        z, _, std = standardize_columns(x)
+    else:
+        z, std = x - x.mean(axis=0, keepdims=True), None
+    return z, std, z.T @ z
+
+
+def gram_blocks(g: np.ndarray, m: int) -> np.ndarray:
+    """(M*d, M*d) Gram viewed as (M, M, d, d): ``blocks[p, q]`` is block (p, q)."""
+    d = g.shape[0] // m
+    return g.reshape(m, d, m, d).swapaxes(1, 2)
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     out = np.empty_like(z, dtype=np.float64)

@@ -122,6 +122,18 @@ def batch_objective(
     return losses, BatchGrads(dense, table_grads, gating_grads), fc
 
 
+def _check_finite(grads: BatchGrads) -> None:
+    """Raise naming the first gradient group that holds a NaN or inf."""
+    groups = [
+        *grads.dense.items(),
+        *((f"bank.table{t}", sparse.vecs) for t, sparse in grads.table_grads.items()),
+        ("bank.gating", grads.gating_grads.vecs),
+    ]
+    for name, g in groups:
+        if not np.isfinite(g).all():
+            raise ValueError(f"non-finite gradient in {name}")
+
+
 def train_step(
     model: ModelBundle,
     indices: np.ndarray,
@@ -129,10 +141,15 @@ def train_step(
     adam: Adam,
     params: dict[str, np.ndarray] | None = None,
 ) -> StepLosses:
-    """One optimizer step on one batch; t advances once for all groups."""
+    """One optimizer step on one batch; t advances once for all groups.
+
+    Every gradient is checked before anything moves, so a step either
+    applies in full or raises with parameters, moments and t untouched.
+    """
     if params is None:
         params = dict(named_params(model))
     losses, grads, _ = batch_objective(model, indices, labels)
+    _check_finite(grads)
     adam.begin_step()
     for name, g in grads.dense.items():
         adam.update(name, params[name], g)
@@ -257,6 +274,8 @@ def train_loop(
     """
     if len(train_ds) == 0 or len(valid_ds) == 0:
         raise ValueError("train and valid sets must be nonempty")
+    if valid_ds.labels.min() == valid_ds.labels.max():
+        raise ValueError("validation set needs both classes (0 and 1) for AUC")
     if model.loss.active:
         if config.batch_size < 2:
             raise ValueError("batch too small for de-correlation")

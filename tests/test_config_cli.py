@@ -72,6 +72,10 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="fields"):
             RunConfig.from_text("lr = 0.1\n").schema()
 
+    def test_unknown_key_rejected_with_line(self):
+        with pytest.raises(ValueError, match=r"line 2: unknown key 'learning_rate'"):
+            RunConfig.from_text("fields = a:10\nlearning_rate = 0.01\n")
+
     def test_build_model_from_config(self):
         cfg = RunConfig.from_text(
             "fields = a:10, b:10\nexperts = fm, crossnet:2\nembed_dim = 4\n"
@@ -96,6 +100,13 @@ class TestSynthSpec:
         path = tmp_path / "spec.cfg"
         path.write_text("rows = 10\nfields = 3\ncardinality = 4,5,6\n")
         assert SynthSpec.from_file(path).cardinalities == [4, 5, 6]
+
+    def test_unknown_key_rejected_with_line(self, tmp_path):
+        assert SynthSpec.from_file(REPO_ROOT / "configs" / "synth_small.cfg").rows == 20000
+        path = tmp_path / "spec.cfg"
+        path.write_text("rows = 10\n# comment\ncardinalty = 4\n")
+        with pytest.raises(ValueError, match=r"line 3: unknown key 'cardinalty'"):
+            SynthSpec.from_file(path)
 
 
 @pytest.fixture
@@ -174,5 +185,5 @@ class TestCli:
     def test_gradcheck_command(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 10
+        assert out.count("PASS") == 14
         assert "FAIL" not in out

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+
+from moectr import trainer
 
 from moectr.data import DatasetSchema, EncodedDataset, FeatureField, gen_synthetic, split_dataset
 from moectr.embedding import lookup, lookup_gating
@@ -250,6 +254,31 @@ class TestTrainStep:
             losses.bce + 0.5 * losses.decorrelation / 7.0
         )
 
+    def test_non_finite_late_group_moves_nothing(self, monkeypatch):
+        model = micro_model(LossConfig(form="corr", alpha=0.5), seed=18)
+        adam = Adam(lr=0.01)
+        idx, y = micro_batch(8, seed=19)
+        train_step(model, idx, y, adam)  # every parameter now has moments
+        params_before = {name: arr.copy() for name, arr in named_params(model)}
+        moments_before = {key: (s.m.copy(), s.v.copy()) for key, s in adam.slots.items()}
+        real = trainer.batch_objective
+
+        def poisoned(*args):
+            losses, grads, fc = real(*args)
+            grads.gating_grads.vecs[-1, 0] = np.nan  # the last group applied
+            return losses, grads, fc
+
+        monkeypatch.setattr(trainer, "batch_objective", poisoned)
+        with pytest.raises(ValueError, match="non-finite gradient in bank.gating"):
+            train_step(model, idx, y, adam)
+        assert adam.t == 1
+        for name, arr in named_params(model):
+            np.testing.assert_array_equal(arr, params_before[name])
+        assert adam.slots.keys() == moments_before.keys()
+        for key, state in adam.slots.items():
+            np.testing.assert_array_equal(state.m, moments_before[key][0])
+            np.testing.assert_array_equal(state.v, moments_before[key][1])
+
 
 def _tiny_dataset(n=60, seed=0):
     ds, _ = gen_synthetic(3, 5, 2, n, seed=seed)
@@ -291,6 +320,18 @@ class TestTrainLoop:
         empty = EncodedDataset(ds.schema, ds.indices[:0], ds.labels[:0])
         with pytest.raises(ValueError, match="nonempty"):
             train_loop(micro_model(), empty, ds, TrainConfig())
+
+    def test_one_class_validation_rejected_before_training(self):
+        ds = _tiny_dataset(60, seed=15)
+        negatives = ds.labels == 0
+        one_class = EncodedDataset(ds.schema, ds.indices[negatives], ds.labels[negatives])
+        model = micro_model(seed=16)
+        before = [arr.copy() for _, arr in named_params(model)]
+        cfg = TrainConfig(learning_rate=0.05, batch_size=16, epochs=1)
+        with pytest.raises(ValueError, match="validation set needs both classes"):
+            train_loop(model, ds, one_class, cfg)
+        for (_, arr), old in zip(named_params(model), before):
+            np.testing.assert_array_equal(arr, old)
 
     def test_final_batch_of_one_rejected_upfront(self):
         ds = _tiny_dataset(65, seed=12)  # 65 % 16 == 1
@@ -409,6 +450,20 @@ class TestPersistence:
         with pytest.raises(ValueError, match="truncated"):
             load_model(path)
 
+    def test_repeated_block_and_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(micro_model(seed=29), path)
+        data = path.read_bytes()
+        header, blocks = _model_file_blocks(data)
+        first = next(iter(blocks.values()))
+        swapped = b"".join(first if name == "tower.b1" else raw for name, raw in blocks.items())
+        path.write_bytes(header + swapped + b"\0")
+        with pytest.raises(ValueError, match="repeated parameter block"):
+            load_model(path)
+        path.write_bytes(data + b"\0")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_model(path)
+
     def test_bad_version(self, tmp_path):
         path = tmp_path / "model.bin"
         save_model(micro_model(seed=28), path)
@@ -417,3 +472,21 @@ class TestPersistence:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="version"):
             load_model(path)
+
+
+def _model_file_blocks(data: bytes) -> tuple[bytes, dict[str, bytes]]:
+    """Split a model file into its header (through the block count) and
+    its raw parameter blocks, keyed by name in file order."""
+    (blob_len,) = struct.unpack_from("<Q", data, 12)  # after magic + version
+    pos = 20 + blob_len + 4
+    header, blocks = data[:pos], {}
+    while pos < len(data):
+        (name_len,) = struct.unpack_from("<H", data, pos)
+        name = data[pos + 2 : pos + 2 + name_len].decode("utf-8")
+        end = pos + 2 + name_len
+        ndim = data[end]
+        shape = struct.unpack_from(f"<{ndim}Q", data, end + 1)
+        end += 1 + 8 * ndim + 8 * int(np.prod(shape))
+        blocks[name] = data[pos:end]
+        pos = end
+    return header, blocks
