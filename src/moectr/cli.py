@@ -48,9 +48,7 @@ def _cmd_train(args) -> int:
 
 
 def _load_eval_data(args, model):
-    if args.encoded:
-        return load_synthetic_csv(args.data, model.schema)
-    return load_table(args.data, model.schema)
+    return (load_synthetic_csv if args.encoded else load_table)(args.data, model.schema)
 
 
 def _metrics_record(metrics, corr) -> dict:
@@ -118,7 +116,7 @@ def _cmd_gradcheck(args) -> int:
     h, tol = 1e-5, 1e-4
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            kv = parse_kv_text(fh.read())
+            kv = parse_kv_text(fh.read(), ("gradcheck_h", "gradcheck_tol"))
         h = float(kv.get("gradcheck_h", h))
         tol = float(kv.get("gradcheck_tol", tol))
     failed = 0

@@ -19,9 +19,10 @@ from .trainer import TrainConfig
 
 
 def parse_kv_text(text: str, known: Collection[str] | None = None) -> dict[str, str]:
-    """Parse ``key = value`` lines; with ``known`` given, any other key is an
-    error naming the key and its line."""
+    """Parse ``key = value`` lines; a repeated key is an error naming both
+    lines, and with ``known`` given, so is any other key."""
     kv: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -32,6 +33,9 @@ def parse_kv_text(text: str, known: Collection[str] | None = None) -> dict[str, 
         key = key.strip()
         if known is not None and key not in known:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"config line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         kv[key] = value.strip()
     return kv
 
@@ -64,13 +68,60 @@ def parse_expert_spec(spec: str, out_dim: int) -> ExpertConfig:
     raise ValueError(f"unknown expert kind {kind!r}")
 
 
-RUN_KEYS = (
-    "train", "valid", "test", "fields", "label", "encoded", "split", "split_seed",
-    "mode", "experts", "embed_dim", "gate_embed_dim", "expert_out_dim", "gate_hidden",
-    "tower_hidden", "loss_form", "alpha", "loss_location", "lr", "batch_size", "epochs",
-    "patience", "seed",
-)
-SYNTH_KEYS = ("rows", "fields", "cardinality", "latent_dim", "seed", "c0")
+def _fields(value: str) -> tuple[FeatureField, ...]:
+    pairs = (tok.strip().partition(":") for tok in value.split(","))
+    return tuple(FeatureField(name.strip(), int(card)) for name, _, card in pairs)
+
+
+def _split(value: str) -> tuple[float, float, float]:
+    parts = [float(tok) for tok in value.split(",")]
+    if len(parts) != 3:
+        raise ValueError("split needs three fractions")
+    return (parts[0], parts[1], parts[2])
+
+
+# config key -> (RunConfig attribute, parser of the value text)
+RUN_KEYS = {
+    "train": ("train_path", str),
+    "valid": ("valid_path", str),
+    "test": ("test_path", str),
+    "fields": ("fields", _fields),
+    "label": ("label", str),
+    "encoded": ("encoded", lambda value: value.lower() in ("1", "true", "yes")),
+    "split": ("split", _split),
+    "split_seed": ("split_seed", int),
+    "mode": ("mode", str.lower),
+    "experts": ("expert_specs", lambda value: tuple(t.strip() for t in value.split(",") if t.strip())),
+    "embed_dim": ("embed_dim", int),
+    "gate_embed_dim": ("gate_embed_dim", int),
+    "expert_out_dim": ("expert_out_dim", int),
+    "gate_hidden": ("gate_hidden", _ints),
+    "tower_hidden": ("tower_hidden", _ints),
+    "loss_form": ("loss_form", str.lower),
+    "alpha": ("alpha", float),
+    "loss_location": ("loss_location", str.lower),
+    "lr": ("lr", float),
+    "batch_size": ("batch_size", int),
+    "epochs": ("epochs", int),
+    "patience": ("patience", int),
+    "seed": ("seed", int),
+}
+SYNTH_KEYS = {
+    "rows": ("rows", int),
+    "fields": ("num_fields", int),
+    "cardinality": ("cardinalities", lambda value: [int(tok) for tok in value.split(",")]),
+    "latent_dim": ("latent_dim", int),
+    "seed": ("seed", int),
+    "c0": ("c0", float),
+}
+
+
+def _apply_keys(obj, table: dict, text: str):
+    """Set obj's attribute for every key of the text through its table row."""
+    for key, value in parse_kv_text(text, table).items():
+        attr, parse = table[key]
+        setattr(obj, attr, parse(value))
+    return obj
 
 
 @dataclass
@@ -107,51 +158,7 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        kv = parse_kv_text(text, RUN_KEYS)
-        cfg = cls()
-        if "train" in kv:
-            cfg.train_path = kv["train"]
-        if "valid" in kv:
-            cfg.valid_path = kv["valid"]
-        if "test" in kv:
-            cfg.test_path = kv["test"]
-        if "fields" in kv:
-            parsed = []
-            for tok in kv["fields"].split(","):
-                name, _, card = tok.strip().partition(":")
-                parsed.append(FeatureField(name.strip(), int(card)))
-            cfg.fields = tuple(parsed)
-        cfg.label = kv.get("label", cfg.label)
-        if "encoded" in kv:
-            cfg.encoded = kv["encoded"].lower() in ("1", "true", "yes")
-        if "split" in kv:
-            parts = [float(tok) for tok in kv["split"].split(",")]
-            if len(parts) != 3:
-                raise ValueError("split needs three fractions")
-            cfg.split = (parts[0], parts[1], parts[2])
-        cfg.split_seed = int(kv.get("split_seed", cfg.split_seed))
-        cfg.mode = kv.get("mode", cfg.mode).lower()
-        if "experts" in kv:
-            cfg.expert_specs = tuple(
-                tok.strip() for tok in kv["experts"].split(",") if tok.strip()
-            )
-        cfg.embed_dim = int(kv.get("embed_dim", cfg.embed_dim))
-        if "gate_embed_dim" in kv:
-            cfg.gate_embed_dim = int(kv["gate_embed_dim"])
-        cfg.expert_out_dim = int(kv.get("expert_out_dim", cfg.expert_out_dim))
-        if "gate_hidden" in kv:
-            cfg.gate_hidden = _ints(kv["gate_hidden"])
-        if "tower_hidden" in kv:
-            cfg.tower_hidden = _ints(kv["tower_hidden"])
-        cfg.loss_form = kv.get("loss_form", cfg.loss_form).lower()
-        cfg.alpha = float(kv.get("alpha", cfg.alpha))
-        cfg.loss_location = kv.get("loss_location", cfg.loss_location).lower()
-        cfg.lr = float(kv.get("lr", cfg.lr))
-        cfg.batch_size = int(kv.get("batch_size", cfg.batch_size))
-        cfg.epochs = int(kv.get("epochs", cfg.epochs))
-        cfg.patience = int(kv.get("patience", cfg.patience))
-        cfg.seed = int(kv.get("seed", cfg.seed))
-        return cfg
+        return _apply_keys(cls(), RUN_KEYS, text)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -192,10 +199,7 @@ class RunConfig:
         )
 
     def _load_csv(self, path) -> EncodedDataset:
-        schema = self.schema()
-        if self.encoded:
-            return load_synthetic_csv(path, schema)
-        return load_table(path, schema)
+        return (load_synthetic_csv if self.encoded else load_table)(path, self.schema())
 
     def load_datasets(self) -> tuple[EncodedDataset, EncodedDataset, EncodedDataset]:
         """Explicit valid/test paths win; otherwise split the train file."""
@@ -222,19 +226,10 @@ class SynthSpec:
 
     @classmethod
     def from_file(cls, path) -> "SynthSpec":
+        """An absent cardinality means 100 per field; one value applies to
+        every field."""
         with open(path, encoding="utf-8") as fh:
-            kv = parse_kv_text(fh.read(), SYNTH_KEYS)
-        spec = cls()
-        spec.rows = int(kv.get("rows", spec.rows))
-        spec.num_fields = int(kv.get("fields", spec.num_fields))
-        if "cardinality" in kv:
-            cards = [int(tok) for tok in kv["cardinality"].split(",")]
-            if len(cards) == 1:
-                cards = cards * spec.num_fields
-            spec.cardinalities = cards
-        else:
-            spec.cardinalities = [100] * spec.num_fields
-        spec.latent_dim = int(kv.get("latent_dim", spec.latent_dim))
-        spec.seed = int(kv.get("seed", spec.seed))
-        spec.c0 = float(kv.get("c0", spec.c0))
+            spec = _apply_keys(cls(cardinalities=[]), SYNTH_KEYS, fh.read())
+        if len(spec.cardinalities) <= 1:
+            spec.cardinalities = (spec.cardinalities or [100]) * spec.num_fields
         return spec

@@ -10,6 +10,7 @@ hashed into its field's bucket range. Empty cells map to the sentinel token
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -121,37 +122,89 @@ class Batch:
         return self.rows.shape[0]
 
 
+CSV_CHUNK_ROWS = 4096  # rows held as text at once while reading
+
+
+def _read_csv(path, schema: DatasetSchema, encode) -> EncodedDataset:
+    """Shared body of the two readers: header check, then per chunk of rows
+    the label check and one ``encode(cells, cardinality)`` per feature column.
+
+    Blank lines are skipped and a short row's missing cells read as empty.
+    ``encode`` returns the column's bucket ids, -1 where a cell is not one.
+    """
+    index_parts, label_parts = [], []
+    done = 0  # data rows read before the current chunk
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        position = {name: j for j, name in enumerate(header)}
+        for col in schema.field_names + [schema.label_column]:
+            if col not in position:
+                raise ValueError(f"missing column {col!r} in {path}")
+        while chunk := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
+            rows = [row for row in chunk if row]
+            if rows and min(map(len, rows)) < len(header):
+                rows = [row + [""] * (len(header) - len(row)) for row in rows]
+            raw = np.array([row[position[schema.label_column]] for row in rows], dtype=str)
+            bad = np.flatnonzero((raw != "0") & (raw != "1"))
+            if bad.size:
+                raise ValueError(f"invalid label at line {_line_of(path, done + bad[0] + 1)}")
+            label_parts.append((raw == "1").astype(np.float64))
+            part = np.empty((len(rows), schema.num_fields), dtype=np.int64)
+            for j, fld in enumerate(schema.fields):
+                cells = [row[position[fld.name]] for row in rows]
+                part[:, j] = ids = encode(cells, fld.cardinality)
+                bad = np.flatnonzero((ids < 0) | (ids >= fld.cardinality))
+                if bad.size:
+                    row_no = done + int(bad[0]) + 1
+                    raise ValueError(
+                        f"column {fld.name!r}, data row {row_no} (line "
+                        f"{_line_of(path, row_no)}): {cells[bad[0]]!r} is not a "
+                        f"bucket id in [0, {fld.cardinality})"
+                    )
+            index_parts.append(part)
+            done += len(rows)
+    indices = np.concatenate([np.empty((0, schema.num_fields), np.int64), *index_parts])
+    return EncodedDataset(schema, indices, np.concatenate([np.empty(0), *label_parts]))
+
+
+def _line_of(path, data_row: int) -> int:
+    """Line on which the given 1-based data row ends (for error messages)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = (row for row in itertools.islice(reader, 1, None) if row)
+        next(itertools.islice(rows, data_row - 1, None))
+        return reader.line_num
+
+
+def _hash_cells(cells: list[str], cardinality: int) -> np.ndarray:
+    """FNV-1a bucket per cell, hashing each distinct token of the chunk once."""
+    memo = {token: hash_token(token or MISSING_TOKEN, cardinality) for token in set(cells)}
+    return np.fromiter(map(memo.__getitem__, cells), np.int64, len(cells))
+
+
+def _bucket_cells(cells: list[str], cardinality: int) -> np.ndarray:
+    """Cells taken as literal bucket ids."""
+    try:
+        return np.fromiter(map(int, cells), np.int64, len(cells))
+    except (ValueError, OverflowError):
+        return np.array([_bucket_id(cell, cardinality) for cell in cells], dtype=np.int64)
+
+
+def _bucket_id(cell: str, cardinality: int) -> int:
+    try:
+        return int(cell) if 0 <= int(cell) < cardinality else -1
+    except ValueError:
+        return -1
+
+
 def load_table(path, schema: DatasetSchema) -> EncodedDataset:
     """Read a CSV file and hash every categorical cell into its field range.
 
     Missing/empty cells become the "__MISSING__" sentinel. The label column
     must hold the literal strings "0" or "1". Row order is preserved.
     """
-    names = schema.field_names
-    cards = schema.cardinalities
-    index_rows: list[list[int]] = []
-    labels: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in names + [schema.label_column]:
-            if col not in header:
-                raise ValueError(f"missing column {col!r} in {path}")
-        for row in reader:
-            raw_label = row.get(schema.label_column)
-            if raw_label not in ("0", "1"):
-                raise ValueError(f"invalid label at line {reader.line_num}")
-            labels.append(float(raw_label))
-            encoded = []
-            for name, card in zip(names, cards):
-                token = row.get(name)
-                if token is None or token == "":
-                    token = MISSING_TOKEN
-                encoded.append(hash_token(token, card))
-            index_rows.append(encoded)
-    n = len(labels)
-    indices = np.asarray(index_rows, dtype=np.int64).reshape(n, schema.num_fields)
-    return EncodedDataset(schema, indices, np.asarray(labels))
+    return _read_csv(path, schema, _hash_cells)
 
 
 def save_table(ds: EncodedDataset, path) -> None:
@@ -173,23 +226,7 @@ def save_table(ds: EncodedDataset, path) -> None:
 
 def load_synthetic_csv(path, schema: DatasetSchema) -> EncodedDataset:
     """Read a CSV written by save_table, taking cells as literal bucket ids."""
-    index_rows: list[list[int]] = []
-    labels: list[float] = []
-    names = schema.field_names
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in names + [schema.label_column]:
-            if col not in header:
-                raise ValueError(f"missing column {col!r} in {path}")
-        for row in reader:
-            raw_label = row[schema.label_column]
-            if raw_label not in ("0", "1"):
-                raise ValueError(f"invalid label at line {reader.line_num}")
-            labels.append(float(raw_label))
-            index_rows.append([int(row[name]) for name in names])
-    indices = np.asarray(index_rows, dtype=np.int64).reshape(len(labels), len(names))
-    return EncodedDataset(schema, indices, np.asarray(labels))
+    return _read_csv(path, schema, _bucket_cells)
 
 
 def split_dataset(

@@ -14,13 +14,18 @@ from typing import Callable
 import numpy as np
 
 from .data import DatasetSchema
+from .nnet import Module
 
 
 @dataclass
-class EmbeddingTable:
+class EmbeddingTable(Module):
     """Per-field lookup arrays sharing one embedding width."""
 
     fields: list[np.ndarray]  # field f: (D_f, d)
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        return {f"field{f}": arr for f, arr in enumerate(self.fields)}
 
     @property
     def dim(self) -> int:

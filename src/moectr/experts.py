@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nnet import AlignmentHead, Mlp
+from .nnet import AlignmentHead, Mlp, Module, layer_params, prefixed
 
 EXPERT_KINDS = ("dnn", "fm", "crossnet", "cin")
 
@@ -58,8 +58,9 @@ class ExpertConfig:
                 raise ValueError("cin map widths must be >= 1")
 
 
-class Expert:
-    """Base contract: forward caches what backward needs, nothing else."""
+class Expert(Module):
+    """Base contract: forward caches what backward needs, nothing else;
+    params and backward's grads carry the alignment head as ``align.*``."""
 
     kind: str = ""
 
@@ -70,23 +71,16 @@ class Expert:
         self.in_dim = num_fields * embed_dim
         self.align: AlignmentHead
 
-    @property
-    def out_dim(self) -> int:
-        return self.config.out_dim
-
     def forward(self, embeds: np.ndarray):
         """Returns (aligned output (B, out_dim), cache)."""
         raise NotImplementedError
 
     def backward(self, cache, d_out: np.ndarray, layer_grads=None):
-        """Returns (param grads dict, d_embeds (B, F*d)).
+        """Returns (param grads keyed like params, d_embeds (B, F*d)).
 
         layer_grads injects extra gradients on intermediate layer outputs;
         only the crossnet kind supports it.
         """
-        raise NotImplementedError
-
-    def param_items(self, prefix: str) -> list[tuple[str, np.ndarray]]:
         raise NotImplementedError
 
     def _check_input(self, embeds: np.ndarray) -> None:
@@ -114,6 +108,10 @@ class DnnExpert(Expert):
         self.core = Mlp.build(self.in_dim, config.hidden, config.dnn_out, rng)
         self.align = AlignmentHead.build(self.core.out_dim, config.out_dim, rng)
 
+    @property
+    def params(self):
+        return {**prefixed("core", self.core.params), **prefixed("align", self.align.params)}
+
     def forward(self, embeds):
         self._check_input(embeds)
         raw, core_cache = self.core.forward(embeds)
@@ -123,19 +121,9 @@ class DnnExpert(Expert):
     def backward(self, cache, d_out, layer_grads=None):
         self._reject_layer_grads(layer_grads)
         core_cache, align_cache = cache
-        d_aw, d_ab, d_raw = self.align.backward(align_cache, d_out)
-        d_ws, d_bs, d_in = self.core.backward(core_cache, d_raw)
-        grads = {f"core.w{i}": w for i, w in enumerate(d_ws)}
-        grads.update({f"core.b{i}": b for i, b in enumerate(d_bs)})
-        grads["align.w"] = d_aw
-        grads["align.b"] = d_ab
-        return grads, d_in
-
-    def param_items(self, prefix):
-        return self.core.param_items(f"{prefix}.core") + [
-            (f"{prefix}.align.w", self.align.w),
-            (f"{prefix}.align.b", self.align.b),
-        ]
+        align_grads, d_raw = self.align.backward(align_cache, d_out)
+        core_grads, d_in = self.core.backward(core_cache, d_raw)
+        return {**prefixed("core", core_grads), **prefixed("align", align_grads)}, d_in
 
 
 class FmExpert(Expert):
@@ -154,6 +142,10 @@ class FmExpert(Expert):
         super().__init__(config, num_fields, embed_dim)
         self.align = AlignmentHead.build(embed_dim, config.out_dim, rng)
 
+    @property
+    def params(self):
+        return prefixed("align", self.align.params)
+
     def forward(self, embeds):
         self._check_input(embeds)
         e = embeds.reshape(-1, self.num_fields, self.embed_dim)  # (B, F, d)
@@ -165,17 +157,10 @@ class FmExpert(Expert):
     def backward(self, cache, d_out, layer_grads=None):
         self._reject_layer_grads(layer_grads)
         e, total, align_cache = cache
-        d_aw, d_ab, d_s = self.align.backward(align_cache, d_out)
+        align_grads, d_s = self.align.backward(align_cache, d_out)
         # ds/de_{i,k} = total_k - e_{i,k}
         d_e = d_s[:, None, :] * (total[:, None, :] - e)
-        grads = {"align.w": d_aw, "align.b": d_ab}
-        return grads, d_e.reshape(e.shape[0], self.in_dim)
-
-    def param_items(self, prefix):
-        return [
-            (f"{prefix}.align.w", self.align.w),
-            (f"{prefix}.align.b", self.align.b),
-        ]
+        return prefixed("align", align_grads), d_e.reshape(e.shape[0], self.in_dim)
 
 
 class CrossNetExpert(Expert):
@@ -197,6 +182,10 @@ class CrossNetExpert(Expert):
         ]
         self.bs = [np.zeros(d) for _ in range(config.cross_layers)]
         self.align = AlignmentHead.build(d, config.out_dim, rng)
+
+    @property
+    def params(self):
+        return {**layer_params(self.ws, self.bs), **prefixed("align", self.align.params)}
 
     @property
     def num_layers(self) -> int:
@@ -225,7 +214,7 @@ class CrossNetExpert(Expert):
         xs, us, align_cache = cache
         if layer_grads is not None and len(layer_grads) != self.num_layers:
             raise ValueError("one layer gradient per cross layer required")
-        d_aw, d_ab, d_x = self.align.backward(align_cache, d_out)
+        align_grads, d_x = self.align.backward(align_cache, d_out)
         x0 = xs[0]
         d_x0_gate = np.zeros_like(x0)
         d_wl = [None] * self.num_layers
@@ -239,20 +228,7 @@ class CrossNetExpert(Expert):
             d_bl[l] = d_u.sum(axis=0)
             d_x = d_u @ self.ws[l] + d_x
         d_in = d_x + d_x0_gate
-        grads = {f"w{l}": d_wl[l] for l in range(self.num_layers)}
-        grads.update({f"b{l}": d_bl[l] for l in range(self.num_layers)})
-        grads["align.w"] = d_aw
-        grads["align.b"] = d_ab
-        return grads, d_in
-
-    def param_items(self, prefix):
-        items = []
-        for l, (w, b) in enumerate(zip(self.ws, self.bs)):
-            items.append((f"{prefix}.w{l}", w))
-            items.append((f"{prefix}.b{l}", b))
-        items.append((f"{prefix}.align.w", self.align.w))
-        items.append((f"{prefix}.align.b", self.align.b))
-        return items
+        return {**layer_params(d_wl, d_bl), **prefixed("align", align_grads)}, d_in
 
 
 class CinExpert(Expert):
@@ -280,6 +256,10 @@ class CinExpert(Expert):
             )
         self.align = AlignmentHead.build(sum(self.maps), config.out_dim, rng)
 
+    @property
+    def params(self):
+        return {**layer_params(self.ws), **prefixed("align", self.align.params)}
+
     def forward(self, embeds):
         self._check_input(embeds)
         x0 = embeds.reshape(-1, self.num_fields, self.embed_dim)  # (B, F, d)
@@ -302,7 +282,7 @@ class CinExpert(Expert):
         xs, zs, align_cache = cache
         x0 = xs[0]
         n = x0.shape[0]
-        d_aw, d_ab, d_pooled = self.align.backward(align_cache, d_out)
+        align_grads, d_pooled = self.align.backward(align_cache, d_out)
         # split pooled gradient per layer, broadcast back over d
         d_xs = [np.zeros_like(x) for x in xs]
         offset = 0
@@ -322,16 +302,7 @@ class CinExpert(Expert):
             d_xs[k] += (d_z4 * x0[:, None, :, :]).sum(axis=2)
             d_xs[0] += (d_z4 * xs[k][:, :, None, :]).sum(axis=1)
         d_wl.reverse()
-        grads = {f"w{k}": d_wl[k] for k in range(len(self.maps))}
-        grads["align.w"] = d_aw
-        grads["align.b"] = d_ab
-        return grads, d_xs[0].reshape(n, self.in_dim)
-
-    def param_items(self, prefix):
-        items = [(f"{prefix}.w{k}", w) for k, w in enumerate(self.ws)]
-        items.append((f"{prefix}.align.w", self.align.w))
-        items.append((f"{prefix}.align.b", self.align.b))
-        return items
+        return {**layer_params(d_wl), **prefixed("align", align_grads)}, d_xs[0].reshape(n, self.in_dim)
 
 
 _EXPERT_CLASSES = {

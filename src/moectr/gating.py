@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nnet import Mlp
+from .nnet import Mlp, Module
 from .numerics import row_softmax, softmax_backward
 
 
 @dataclass
-class GatingNetwork:
+class GatingNetwork(Module):
     """MLP from the gating embedding to one logit per expert."""
 
     mlp: Mlp
@@ -37,11 +37,8 @@ class GatingNetwork:
         return cls(mlp)
 
     @property
-    def num_experts(self) -> int:
-        return self.mlp.out_dim
-
-    def param_items(self, prefix: str) -> list[tuple[str, np.ndarray]]:
-        return self.mlp.param_items(prefix)
+    def params(self) -> dict[str, np.ndarray]:
+        return self.mlp.params
 
 
 @dataclass
@@ -80,7 +77,8 @@ def gating_backward(
 ) -> tuple[dict[str, np.ndarray], np.ndarray, list[np.ndarray]]:
     """Adjoint through aggregation, softmax, and the gate MLP.
 
-    Returns (gate param grads, d gating-embeds, per-expert d outputs).
+    Returns (gate param grads keyed like params, d gating-embeds,
+    per-expert d outputs).
     """
     gn, mlp_cache, g = gate_cache
     g_agg, outputs = agg_cache
@@ -89,7 +87,5 @@ def gating_backward(
     d_g = np.stack([(d_h * o).sum(axis=1) for o in outputs], axis=1)  # (B, M)
     d_outputs = [g[:, m : m + 1] * d_h for m in range(len(outputs))]
     d_logits = softmax_backward(g, d_g)
-    d_ws, d_bs, d_gate_embeds = gn.mlp.backward(mlp_cache, d_logits)
-    grads = {f"w{i}": w for i, w in enumerate(d_ws)}
-    grads.update({f"b{i}": b for i, b in enumerate(d_bs)})
+    grads, d_gate_embeds = gn.mlp.backward(mlp_cache, d_logits)
     return grads, d_gate_embeds, d_outputs

@@ -18,7 +18,7 @@ import numpy as np
 from .data import DatasetSchema, FeatureField
 from .experts import ExpertConfig
 from .losses import LossConfig
-from .model import build_model, forward_full
+from .model import build_model, forward_full, loss_targets, named_params
 from .numerics import GradCheckReport, cross_gram, gram_blocks
 from .trainer import gradcheck_model
 
@@ -148,19 +148,7 @@ def kink_margin(model, fc) -> float:
         _, z = align_cache
         vals.append(float(np.abs(z).min()))
     if model.loss.active and model.loss.form == "cov_l1":
-        if model.loss.location == "output":
-            sets = [fc.outputs]
-        elif model.loss.location == "input":
-            sets = [fc.embeds]
-        else:
-            layered = [
-                model.experts[m].layer_outputs(fc.expert_caches[m])
-                for m in range(model.num_experts)
-            ]
-            sets = [
-                [layers[l] for layers in layered] for l in range(len(layered[0]))
-            ]
-        for mats in sets:
+        for mats in loss_targets(model, fc):
             _, _, g = cross_gram(mats, standardize=False)
             pairs = gram_blocks(g, len(mats))[np.triu_indices(len(mats), 1)]
             vals.append(float(np.abs(pairs).min()))
@@ -180,8 +168,6 @@ def run_case(
     The seed advance looks only at forward quantities, never at the
     gradient comparison, so a wrong backward pass cannot slip through.
     """
-    from .model import named_params
-
     for attempt in range(max_tries):
         seed = case.seed + 101 * attempt
         model = build_model(

@@ -1,22 +1,22 @@
 """Model assembly: embedding bank + experts + gating + tower as one bundle,
-the full forward pass, a flat parameter registry, and versioned binary
-persistence.
+the full forward pass, the parameter registry (every module under its name
+prefix), the de-correlation loss targets, and versioned binary persistence.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import DatasetSchema, FeatureField
-from .embedding import EmbeddingBank, init_bank, lookup, lookup_gating
+from .embedding import EmbeddingBank, EmbeddingTable, init_bank, lookup, lookup_gating
 from .experts import Expert, ExpertConfig, make_expert
 from .gating import GateOutput, GatingNetwork, aggregate_experts, gate_weights
 from .losses import LossConfig
-from .nnet import Mlp
+from .nnet import Mlp, Module
 from .numerics import sigmoid
 
 MODEL_MAGIC = b"MOECTRBN"
@@ -105,19 +105,32 @@ def build_model(
     )
 
 
+def table_modules(model: ModelBundle) -> list[tuple[str, EmbeddingTable]]:
+    """(name prefix, table): expert tables by physical index, then gating."""
+    bank = model.bank
+    return [
+        *((f"bank.table{t}", table) for t, table in enumerate(bank.tables)),
+        ("bank.gating", bank.gating_table),
+    ]
+
+
+def dense_modules(model: ModelBundle) -> list[tuple[str, Module]]:
+    """(name prefix, module): every expert in order, the gate, the tower."""
+    return [
+        *((f"expert.{m}", expert) for m, expert in enumerate(model.experts)),
+        ("gate", model.gate),
+        ("tower", model.tower),
+    ]
+
+
 def named_params(model: ModelBundle) -> list[tuple[str, np.ndarray]]:
-    """Every trainable array with a stable name, in a stable order."""
-    items: list[tuple[str, np.ndarray]] = []
-    for t, table in enumerate(model.bank.tables):
-        for f, arr in enumerate(table.fields):
-            items.append((f"bank.table{t}.field{f}", arr))
-    for f, arr in enumerate(model.bank.gating_table.fields):
-        items.append((f"bank.gating.field{f}", arr))
-    for m, expert in enumerate(model.experts):
-        items.extend(expert.param_items(f"expert.{m}"))
-    items.extend(model.gate.param_items("gate"))
-    items.extend(model.tower.param_items("tower"))
-    return items
+    """Every trainable array with a stable name, in a stable order; the
+    names are the model file's block names."""
+    return [
+        item
+        for prefix, module in table_modules(model) + dense_modules(model)
+        for item in module.param_items(prefix)
+    ]
 
 
 def param_count(model: ModelBundle) -> int:
@@ -170,6 +183,16 @@ def forward_full(model: ModelBundle, indices: np.ndarray) -> FullCache:
     )
 
 
+def loss_targets(model: ModelBundle, fc: FullCache) -> list[list[np.ndarray]]:
+    """The matrix sets the de-correlation loss reads at model.loss.location:
+    [aligned outputs] ("output"), [embedding matrices] ("input"), or one
+    set per cross layer ("intermediate", crossnet only)."""
+    if model.loss.location == "intermediate":
+        layered = (e.layer_outputs(c) for e, c in zip(model.experts, fc.expert_caches))
+        return [list(layer) for layer in zip(*layered)]
+    return [fc.outputs if model.loss.location == "output" else fc.embeds]
+
+
 def predict(model: ModelBundle, indices: np.ndarray, batch_size: int = 8192) -> np.ndarray:
     """Click probabilities without retaining any caches."""
     parts = []
@@ -179,28 +202,16 @@ def predict(model: ModelBundle, indices: np.ndarray, batch_size: int = 8192) -> 
 
 
 def _config_echo(model: ModelBundle) -> dict:
+    """The build arguments; the expert and loss entries are the config
+    dataclasses field by field."""
     return {
         "schema": {
             "fields": [[f.name, f.cardinality] for f in model.schema.fields],
             "label": model.schema.label_column,
         },
         "mode": model.mode,
-        "experts": [
-            {
-                "kind": c.kind,
-                "out_dim": c.out_dim,
-                "hidden": list(c.hidden),
-                "dnn_out": c.dnn_out,
-                "cross_layers": c.cross_layers,
-                "cin_maps": list(c.cin_maps),
-            }
-            for c in (e.config for e in model.experts)
-        ],
-        "loss": {
-            "form": model.loss.form,
-            "alpha": model.loss.alpha,
-            "location": model.loss.location,
-        },
+        "experts": [asdict(e.config) for e in model.experts],
+        "loss": asdict(model.loss),
         "embed_dim": model.embed_dim,
         "gate_dim": model.gate_dim,
         "gate_hidden": list(model.gate_hidden),
@@ -215,21 +226,10 @@ def _model_from_echo(echo: dict) -> ModelBundle:
         label_column=echo["schema"]["label"],
     )
     configs = [
-        ExpertConfig(
-            kind=e["kind"],
-            out_dim=e["out_dim"],
-            hidden=tuple(e["hidden"]),
-            dnn_out=e["dnn_out"],
-            cross_layers=e["cross_layers"],
-            cin_maps=tuple(e["cin_maps"]),
-        )
+        ExpertConfig(**{**e, "hidden": tuple(e["hidden"]), "cin_maps": tuple(e["cin_maps"])})
         for e in echo["experts"]
     ]
-    loss = LossConfig(
-        form=echo["loss"]["form"],
-        alpha=echo["loss"]["alpha"],
-        location=echo["loss"]["location"],
-    )
+    loss = LossConfig(**echo["loss"])
     return build_model(
         schema,
         echo["mode"],

@@ -1,8 +1,13 @@
-"""Small affine-stack building blocks with explicit backward passes.
+"""Small affine-stack building blocks with explicit backward passes, and
+the parameter contract every module of the model follows.
 
 Used by the DNN expert, gate network, prediction tower, and the alignment
 heads. Weight convention: layer computes x @ W.T + b with W of shape
 (out, in), so rows of W are output units.
+
+Contract: a Module's ``params`` maps local names to its live arrays in
+save order and its ``backward`` returns gradients under the same names; a
+composite nests its children's names with ``prefixed`` (``core.w0``).
 """
 
 from __future__ import annotations
@@ -16,13 +21,39 @@ def relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
+def prefixed(prefix: str, named: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """{"w": a} -> {"prefix.w": a}, keeping the order."""
+    return {f"{prefix}.{name}": arr for name, arr in named.items()}
+
+
+def layer_params(ws: list[np.ndarray], bs: list[np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Per-layer names w0, b0, w1, b1, ...; layers without bias give w0, w1, ..."""
+    named = {}
+    for i, w in enumerate(ws):
+        named[f"w{i}"] = w
+        if bs is not None:
+            named[f"b{i}"] = bs[i]
+    return named
+
+
+class Module:
+    """Parameter holder; subclasses define ``params`` from live attributes."""
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        raise NotImplementedError
+
+    def param_items(self, prefix: str) -> list[tuple[str, np.ndarray]]:
+        return list(prefixed(prefix, self.params).items())
+
+
 def init_affine(in_dim: int, out_dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     scale = 1.0 / np.sqrt(in_dim)
     return rng.uniform(-scale, scale, size=(out_dim, in_dim)), np.zeros(out_dim)
 
 
 @dataclass
-class Mlp:
+class Mlp(Module):
     """Affine layers with per-layer ReLU flags (True = rectified)."""
 
     weights: list[np.ndarray]
@@ -55,6 +86,10 @@ class Mlp:
         return cls(weights, biases, acts)
 
     @property
+    def params(self) -> dict[str, np.ndarray]:
+        return layer_params(self.weights, self.biases)
+
+    @property
     def in_dim(self) -> int:
         return self.weights[0].shape[1]
 
@@ -75,8 +110,8 @@ class Mlp:
             x = relu(z) if act else z
         return x, cache
 
-    def backward(self, cache: list, d_out: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-        """Returns (d_weights, d_biases, d_input)."""
+    def backward(self, cache: list, d_out: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """Returns (grads keyed like params, d_input)."""
         if len(cache) != len(self.weights):
             raise ValueError("cache does not match layer count")
         d_ws: list[np.ndarray] = [None] * len(self.weights)  # type: ignore[list-item]
@@ -88,18 +123,11 @@ class Mlp:
             d_ws[i] = dz.T @ x
             d_bs[i] = dz.sum(axis=0)
             d = dz @ self.weights[i]
-        return d_ws, d_bs, d
-
-    def param_items(self, prefix: str) -> list[tuple[str, np.ndarray]]:
-        items = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            items.append((f"{prefix}.w{i}", w))
-            items.append((f"{prefix}.b{i}", b))
-        return items
+        return layer_params(d_ws, d_bs), d
 
 
 @dataclass
-class AlignmentHead:
+class AlignmentHead(Module):
     """Affine + ReLU map bringing a raw expert output to the common width."""
 
     w: np.ndarray  # (d_out, raw)
@@ -110,6 +138,10 @@ class AlignmentHead:
         w, b = init_affine(raw_dim, out_dim, rng)
         return cls(w, b)
 
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        return {"w": self.w, "b": self.b}
+
     def forward(self, raw: np.ndarray) -> tuple[np.ndarray, tuple]:
         if raw.shape[1] != self.w.shape[1]:
             raise ValueError(
@@ -118,8 +150,8 @@ class AlignmentHead:
         z = raw @ self.w.T + self.b
         return relu(z), (raw, z)
 
-    def backward(self, cache: tuple, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (d_w, d_b, d_raw)."""
+    def backward(self, cache: tuple, d_out: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """Returns (grads keyed like params, d_raw)."""
         raw, z = cache
         dz = d_out * (z > 0.0)
-        return dz.T @ raw, dz.sum(axis=0), dz @ self.w
+        return {"w": dz.T @ raw, "b": dz.sum(axis=0)}, dz @ self.w

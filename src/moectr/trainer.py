@@ -11,11 +11,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import EncodedDataset, make_batches
-from .embedding import SparseGrad, apply_sparse_to_table
+from .embedding import EmbeddingTable, SparseGrad, apply_sparse_to_table
 from .gating import gating_backward
 from .losses import bce, decorrelation_total, total_objective
 from .metrics import CorrelationReport, EvalMetrics, auc, cec_report
-from .model import FullCache, ModelBundle, forward_full, named_params
+from .model import FullCache, ModelBundle, dense_modules, forward_full, loss_targets, named_params, table_modules
+from .nnet import prefixed
 from .numerics import GradCheckReport, central_diff_gradcheck, flatten_arrays, write_arrays
 from .optim import Adam
 
@@ -48,86 +49,73 @@ def batch_objective(
 
     Location routing: "output" regularizes the aligned expert outputs,
     "input" the per-expert embedding matrices, "intermediate" every cross
-    layer's output across experts (crossnet only, enforced at build time).
+    layer's output across experts (crossnet only, enforced at build time);
+    model.loss_targets picks the matrix sets.
     """
     fc = forward_full(model, indices)
     batch = int(labels.size)
     bce_val, d_yhat = bce(fc.y_hat, labels)
 
-    decor_val = 0.0
-    d_outputs_extra = None
-    d_embeds_extra = None
-    layer_injections = None
     loss = model.loss
     if loss.active and batch < 2:
         raise ValueError("batch too small for de-correlation")
+    decor_val = 0.0
+    extra: list[list[np.ndarray]] = []  # per target set, per expert
     if loss.active:
-        if loss.location == "output":
-            decor_val, d_outputs_extra = decorrelation_total(fc.outputs, loss.form)
-        elif loss.location == "input":
-            decor_val, d_embeds_extra = decorrelation_total(fc.embeds, loss.form)
-        else:  # intermediate: every cross layer, summed over layers
-            per_expert_layers = [
-                model.experts[m].layer_outputs(fc.expert_caches[m])
-                for m in range(model.num_experts)
-            ]
-            n_layers = len(per_expert_layers[0])
-            layer_injections = [
-                [np.zeros_like(x) for x in layers] for layers in per_expert_layers
-            ]
-            for l in range(n_layers):
-                value, grads = decorrelation_total(
-                    [layers[l] for layers in per_expert_layers], loss.form
-                )
-                decor_val += value
-                for m in range(model.num_experts):
-                    layer_injections[m][l] += grads[m]
+        for mats in loss_targets(model, fc):
+            value, grads = decorrelation_total(mats, loss.form)
+            decor_val += value
+            extra.append(grads)
     total = total_objective(bce_val, decor_val, loss.alpha if loss.active else 0.0, batch)
     coef = loss.alpha / (batch - 1) if loss.active else 0.0
 
     # ----- backward -----
     p = fc.y_hat
     d_logits = (d_yhat * p * (1.0 - p)).reshape(-1, 1)
-    tower_dws, tower_dbs, d_h = model.tower.backward(fc.tower_cache, d_logits)
+    tower_grads, d_h = model.tower.backward(fc.tower_cache, d_logits)
     gate_grads, d_gate_embeds, d_outputs = gating_backward(
         fc.gate_cache, fc.agg_cache, d_h
     )
 
-    dense: dict[str, np.ndarray] = {}
-    for i, (dw, db) in enumerate(zip(tower_dws, tower_dbs)):
-        dense[f"tower.w{i}"] = dw
-        dense[f"tower.b{i}"] = db
-    for name, g in gate_grads.items():
-        dense[f"gate.{name}"] = g
-
+    expert_grads = []
     table_parts: dict[int, list[SparseGrad]] = {}
     for m, expert in enumerate(model.experts):
         d_o = d_outputs[m]
-        if d_outputs_extra is not None:
-            d_o = d_o + coef * d_outputs_extra[m]
         injections = None
-        if layer_injections is not None:
-            injections = [coef * g for g in layer_injections[m]]
+        if extra and loss.location == "output":
+            d_o = d_o + coef * extra[0][m]
+        elif extra and loss.location == "intermediate":
+            injections = [coef * grads[m] for grads in extra]
         grads_m, d_e = expert.backward(fc.expert_caches[m], d_o, layer_grads=injections)
-        for name, g in grads_m.items():
-            dense[f"expert.{m}.{name}"] = g
-        if d_embeds_extra is not None:
-            d_e = d_e + coef * d_embeds_extra[m]
+        expert_grads.append(grads_m)
+        if extra and loss.location == "input":
+            d_e = d_e + coef * extra[0][m]
         t = model.bank.table_for_expert(m)
         table_parts.setdefault(t, []).append(SparseGrad.from_dense_rows(indices, d_e))
 
+    dense: dict[str, np.ndarray] = {}
+    module_grads = [*expert_grads, gate_grads, tower_grads]  # dense_modules order
+    for (prefix, _), grads in zip(dense_modules(model), module_grads, strict=True):
+        dense.update(prefixed(prefix, grads))
     table_grads = {t: SparseGrad.concat(parts) for t, parts in table_parts.items()}
     gating_grads = SparseGrad.from_dense_rows(indices, d_gate_embeds)
     losses = StepLosses(total=total, bce=bce_val, decorrelation=decor_val)
     return losses, BatchGrads(dense, table_grads, gating_grads), fc
 
 
-def _check_finite(grads: BatchGrads) -> None:
+def _sparse_groups(model: ModelBundle, grads: BatchGrads) -> list[tuple[str, EmbeddingTable, SparseGrad]]:
+    """(name prefix, table, sparse grad) for every embedding table, the
+    gating table last."""
+    *tables, gating = table_modules(model)
+    groups = [(*tables[t], sparse) for t, sparse in grads.table_grads.items()]
+    return groups + [(*gating, grads.gating_grads)]
+
+
+def _check_finite(model: ModelBundle, grads: BatchGrads) -> None:
     """Raise naming the first gradient group that holds a NaN or inf."""
     groups = [
         *grads.dense.items(),
-        *((f"bank.table{t}", sparse.vecs) for t, sparse in grads.table_grads.items()),
-        ("bank.gating", grads.gating_grads.vecs),
+        *((prefix, sparse.vecs) for prefix, _, sparse in _sparse_groups(model, grads)),
     ]
     for name, g in groups:
         if not np.isfinite(g).all():
@@ -149,24 +137,17 @@ def train_step(
     if params is None:
         params = dict(named_params(model))
     losses, grads, _ = batch_objective(model, indices, labels)
-    _check_finite(grads)
+    _check_finite(model, grads)
     adam.begin_step()
     for name, g in grads.dense.items():
         adam.update(name, params[name], g)
-    for t, sparse in grads.table_grads.items():
-        table = model.bank.tables[t]
+    for prefix, table, sparse in _sparse_groups(model, grads):
 
-        def rule(f, rows, grad_rows, _t=t, _table=table):
-            adam.update_rows(f"bank.table{_t}.field{f}", _table.fields[f], rows, grad_rows)
+        def rule(f, rows, grad_rows, _items=table.param_items(prefix)):
+            name, param = _items[f]
+            adam.update_rows(name, param, rows, grad_rows)
 
         apply_sparse_to_table(table, sparse, rule)
-
-    def gating_rule(f, rows, grad_rows):
-        adam.update_rows(
-            f"bank.gating.field{f}", model.bank.gating_table.fields[f], rows, grad_rows
-        )
-
-    apply_sparse_to_table(model.bank.gating_table, grads.gating_grads, gating_rule)
     return losses
 
 
@@ -270,7 +251,8 @@ def train_loop(
 
     The epoch shuffle is reseeded as seed + epoch; the best-AUC parameters
     are restored into the model before returning. Identical (model seed,
-    config, data) reruns produce identical numeric trajectories.
+    config, data) reruns produce identical numeric trajectories. A step
+    that raises ValueError is re-raised with its epoch and batch in front.
     """
     if len(train_ds) == 0 or len(valid_ds) == 0:
         raise ValueError("train and valid sets must be nonempty")
@@ -299,14 +281,17 @@ def train_loop(
         batches = make_batches(train_ds, config.batch_size, shuffle_seed=config.seed + epoch)
         loss_sum = 0.0
         objective_sum = 0.0
-        for batch in batches:
-            losses = train_step(
-                model,
-                train_ds.indices[batch.rows],
-                train_ds.labels[batch.rows],
-                adam,
-                params,
-            )
+        for b, batch in enumerate(batches):
+            try:
+                losses = train_step(
+                    model,
+                    train_ds.indices[batch.rows],
+                    train_ds.labels[batch.rows],
+                    adam,
+                    params,
+                )
+            except ValueError as err:
+                raise ValueError(f"epoch {epoch} batch {b}: {err}") from err
             loss_sum += losses.bce * batch.size
             objective_sum += losses.total * batch.size
         metrics, corr = evaluate(model, valid_ds, cec_row_cap=config.cec_row_cap)
@@ -344,15 +329,8 @@ def model_objective_and_grads(
     (embedding grads scattered into full-table zero arrays)."""
     losses, grads, _ = batch_objective(model, indices, labels)
     out = dict(grads.dense)
-    for t, sparse in grads.table_grads.items():
-        dense_fields = sparse.to_dense(model.bank.tables[t])
-        for f, arr in enumerate(dense_fields):
-            out[f"bank.table{t}.field{f}"] = arr
-    for f, arr in enumerate(grads.gating_grads.to_dense(model.bank.gating_table)):
-        out[f"bank.gating.field{f}"] = arr
-    for name, param in named_params(model):
-        if name not in out:
-            out[name] = np.zeros_like(param)
+    for prefix, table, sparse in _sparse_groups(model, grads):
+        out.update(prefixed(prefix, dict(zip(table.params, sparse.to_dense(table)))))
     return losses.total, out
 
 

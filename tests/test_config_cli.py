@@ -16,6 +16,12 @@ class TestKvParsing:
         kv = parse_kv_text("# top\n\nkey = value  # trailing\nother=x\n")
         assert kv == {"key": "value", "other": "x"}
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ValueError, match=r"line 3: key 'lr' repeats line 2"):
+            parse_kv_text("a = 1\nlr = 0.5\nlr = 0.01\n")
+        with pytest.raises(ValueError, match="key 'lr' repeats line 2"):
+            RunConfig.from_text("fields = a:10\nlr = 0.5\nlr = 0.01\n")
+
     def test_bad_line(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_kv_text("a = 1\nnot a pair\n")
@@ -181,6 +187,12 @@ class TestCli:
         assert (tmp_path / "synth.csv.params").exists()
         header = out.read_text().split("\n", 1)[0]
         assert header == "f0,f1,f2,label"
+
+    def test_gradcheck_config_rejects_unknown_key(self, tmp_path):
+        path = tmp_path / "gc.cfg"
+        path.write_text("gradcheck_h = 1e-5\ngradcheck_tl = 1e-12\n")
+        with pytest.raises(ValueError, match=r"line 2: unknown key 'gradcheck_tl'"):
+            main(["gradcheck", "--config", str(path)])
 
     def test_gradcheck_command(self, capsys):
         assert main(["gradcheck"]) == 0

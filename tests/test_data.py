@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from moectr import data
 from moectr.data import (
     Batch,
     DatasetSchema,
@@ -87,6 +88,19 @@ class TestLoadTable:
         path.write_text("site,device,click,junk\na,b,1,zzz\n")
         ds = load_table(path, SCHEMA)
         assert len(ds) == 1
+
+    def test_hashes_every_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 3)
+        path = tmp_path / "t.csv"
+        tokens = [(f"s{i % 4}", f"d{i}" if i % 5 else "") for i in range(11)]
+        body = "".join(f"{a},{b},{i % 2}\n" for i, (a, b) in enumerate(tokens))
+        path.write_text("site,device,click\n" + body)
+        ds = load_table(path, SCHEMA)
+        expected = [
+            [hash_token(a, 50), hash_token(b or "__MISSING__", 30)] for a, b in tokens
+        ]
+        assert ds.indices.tolist() == expected
+        assert ds.labels.tolist() == [float(i % 2) for i in range(11)]
 
     def test_indices_below_cardinality(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -222,6 +236,43 @@ class TestGenSynthetic:
         back = load_synthetic_csv(path, ds.schema)
         np.testing.assert_array_equal(back.indices, ds.indices)
         np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+class TestLoadSyntheticCsv:
+    @pytest.mark.parametrize(
+        "cell,shown",
+        [("", "''"), ("7x", "'7x'"), ("2.0", "'2.0'"), ("30", "'30'"), ("-1", "'-1'")],
+    )
+    def test_bad_bucket_id_names_column_and_row(self, tmp_path, cell, shown):
+        path = tmp_path / "t.csv"
+        path.write_text(f"site,device,click\n1,2,0\n3,4,1\n\n5,{cell},0\n")
+        with pytest.raises(
+            ValueError, match=rf"column 'device', data row 3 \(line 5\): {shown} is not a bucket id"
+        ):
+            load_synthetic_csv(path, SCHEMA)
+
+    def test_short_row_reads_an_empty_cell(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("site,device,click\n1,2,0\n3\n")
+        with pytest.raises(ValueError, match="invalid label at line 3"):
+            load_synthetic_csv(path, SCHEMA)
+        path.write_text("site,click,device\n1,0,2\n3,1\n")
+        with pytest.raises(ValueError, match=r"column 'device', data row 2 \(line 3\): ''"):
+            load_synthetic_csv(path, SCHEMA)
+
+    def test_reads_across_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 4)
+        ds, _ = gen_synthetic(3, 9, 2, 23, seed=3)
+        path = tmp_path / "synth.csv"
+        save_table(ds, path)
+        back = load_synthetic_csv(path, ds.schema)
+        np.testing.assert_array_equal(back.indices, ds.indices)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        rows = path.read_text().splitlines()
+        rows[15] = rows[15].replace(",", ",x", 1)  # data row 15, field f1
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=r"column 'f1', data row 15 \(line 16\)"):
+            load_synthetic_csv(path, ds.schema)
 
 
 class TestEncodedDatasetValidation:

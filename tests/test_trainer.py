@@ -340,6 +340,24 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="batch too small"):
             train_loop(model, ds, ds, cfg)
 
+    def test_step_error_names_epoch_and_batch(self, monkeypatch):
+        ds = _tiny_dataset(64, seed=17)
+        model = micro_model(LossConfig(form="corr", alpha=0.4), seed=18)
+        cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=2, seed=19)
+        real = trainer.batch_objective
+        calls = []
+
+        def poisoned(*args):
+            losses, grads, fc = real(*args)
+            calls.append(None)
+            if len(calls) == 6:  # second batch of the second epoch
+                grads.gating_grads.vecs[0, 0] = np.inf
+            return losses, grads, fc
+
+        monkeypatch.setattr(trainer, "batch_objective", poisoned)
+        with pytest.raises(ValueError, match="^epoch 1 batch 1: non-finite gradient in bank.gating"):
+            train_loop(model, ds, ds, cfg)
+
     def test_learns_above_permutation_null(self):
         # trained valid AUC must beat 0.5 by more than 3 sigma of a
         # 100-shuffle permutation null on the same scores
@@ -490,3 +508,55 @@ def _model_file_blocks(data: bytes) -> tuple[bytes, dict[str, bytes]]:
         blocks[name] = data[pos:end]
         pos = end
     return header, blocks
+
+
+def all_kinds_model(mode: str, loss=None):
+    """One expert of every kind: dnn with two hidden layers and a final
+    layer, fm, crossnet with two layers, cin with maps (3, 2)."""
+    cfgs = [
+        ExpertConfig(kind="dnn", out_dim=3, hidden=(4, 3), dnn_out=2),
+        ExpertConfig(kind="fm", out_dim=3),
+        ExpertConfig(kind="crossnet", out_dim=3, cross_layers=2),
+        ExpertConfig(kind="cin", out_dim=3, cin_maps=(3, 2)),
+    ]
+    loss = loss or LossConfig(form="corr", alpha=0.5, location="output")
+    return build_model(
+        SCHEMA, mode, cfgs, loss, embed_dim=2, gate_hidden=(4,), tower_hidden=(4,), seed=31
+    )
+
+
+ALL_KINDS_DENSE_NAMES = [
+    "expert.0.core.w0", "expert.0.core.b0",
+    "expert.0.core.w1", "expert.0.core.b1",
+    "expert.0.core.w2", "expert.0.core.b2",
+    "expert.0.align.w", "expert.0.align.b",
+    "expert.1.align.w", "expert.1.align.b",
+    "expert.2.w0", "expert.2.b0", "expert.2.w1", "expert.2.b1",
+    "expert.2.align.w", "expert.2.align.b",
+    "expert.3.w0", "expert.3.w1",
+    "expert.3.align.w", "expert.3.align.b",
+    "gate.w0", "gate.b0", "gate.w1", "gate.b1",
+    "tower.w0", "tower.b0", "tower.w1", "tower.b1",
+]
+
+
+class TestParamContract:
+    """Parameter names are the model-file block names: pin them exactly."""
+
+    @pytest.mark.parametrize("mode,tables", [("me", 4), ("se", 1)])
+    def test_named_params_order_is_pinned(self, mode, tables):
+        bank = [f"bank.table{t}.field{f}" for t in range(tables) for f in range(3)]
+        bank += [f"bank.gating.field{f}" for f in range(3)]
+        names = [name for name, _ in named_params(all_kinds_model(mode))]
+        assert names == bank + ALL_KINDS_DENSE_NAMES
+
+    @pytest.mark.parametrize("mode", ["me", "se"])
+    def test_dense_grad_keys_are_the_non_embedding_params(self, mode):
+        model = all_kinds_model(mode)
+        idx, y = micro_batch(n=8, seed=32)
+        _, grads, _ = batch_objective(model, idx, y)
+        dense_names = [n for n, _ in named_params(model) if not n.startswith("bank.")]
+        assert sorted(grads.dense) == sorted(dense_names)
+        for name, arr in named_params(model):
+            if name in grads.dense:
+                assert grads.dense[name].shape == arr.shape
