@@ -179,8 +179,33 @@ def _line_of(path, data_row: int) -> int:
 
 def _hash_cells(cells: list[str], cardinality: int) -> np.ndarray:
     """FNV-1a bucket per cell, hashing each distinct token of the chunk once."""
-    memo = {token: hash_token(token or MISSING_TOKEN, cardinality) for token in set(cells)}
+    tokens = list(set(cells))
+    encoded = [(token or MISSING_TOKEN).encode("utf-8") for token in tokens]
+    memo = dict(zip(tokens, fnv1a_buckets(encoded, cardinality).tolist()))
     return np.fromiter(map(memo.__getitem__, cells), np.int64, len(cells))
+
+
+def fnv1a_buckets(tokens: list[bytes], cardinality: int) -> np.ndarray:
+    """``hash_token`` of every token at once, in wrapping uint64 arithmetic.
+
+    The tokens are sorted longest first and padded to the longest, so byte
+    position p updates only the leading tokens that are longer than p.
+    """
+    if cardinality < 1:
+        raise ValueError("cardinality must be >= 1")
+    lengths = np.fromiter(map(len, tokens), np.int64, len(tokens))
+    order = np.argsort(-lengths, kind="stable")
+    padded = np.array([tokens[i] for i in order], dtype=bytes)
+    width = padded.dtype.itemsize
+    columns = np.ascontiguousarray(padded.view(np.uint8).reshape(-1, width).T)
+    longer = np.searchsorted(-lengths[order], -np.arange(width), side="left")
+    h = np.full(len(tokens), FNV_OFFSET, dtype=np.uint64)
+    for column, k in zip(columns, longer):
+        h[:k] ^= column[:k]
+        h[:k] *= np.uint64(FNV_PRIME)
+    buckets = np.empty(len(tokens), dtype=np.int64)
+    buckets[order] = h % np.uint64(cardinality)
+    return buckets
 
 
 def _bucket_cells(cells: list[str], cardinality: int) -> np.ndarray:

@@ -89,7 +89,12 @@ def init_bank(
 
 
 def _gather(table: EmbeddingTable, indices: np.ndarray) -> np.ndarray:
+    """Rows not below a field's cardinality fail in numpy's indexing; a
+    negative row would silently read from the end, so it is rejected."""
     n, f = indices.shape
+    if n and indices.min() < 0:
+        i, j = np.argwhere(indices < 0)[0]
+        raise ValueError(f"lookup of field {j}, row {indices[i, j]}: rows must be >= 0")
     d = table.dim
     out = np.empty((n, f * d), dtype=np.float64)
     for j in range(f):
@@ -154,25 +159,44 @@ UpdateRule = Callable[[int, np.ndarray, np.ndarray], None]
 
 def apply_sparse_to_table(table: EmbeddingTable, grads: SparseGrad, update: UpdateRule) -> None:
     """Sum duplicate (field, row) entries, then hand each field's unique
-    rows to the update rule as ``update(field, rows, summed_grads)``.
+    rows, ascending, to the update rule as ``update(field, rows, summed_grads)``.
 
+    Duplicates are summed in entry order, one ``np.bincount`` per embedding
+    column, so every sum is bit-identical to a sequential ``np.add.at``.
     The rule mutates the table rows (the optimizer step lives in the
-    trainer); rows that received no gradient are never touched.
+    trainer); rows that received no gradient are never touched. An entry
+    outside the table (negative row, unknown field, row not below its
+    field's cardinality) raises ValueError before any rule runs.
     """
     if not np.isfinite(grads.vecs).all():
         raise ValueError("non-finite gradient")
     if grads.rows.size == 0:
         return
-    key = grads.fields * (grads.rows.max() + 1) + grads.rows
-    uniq, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    summed = np.zeros((uniq.size, grads.vecs.shape[1]))
-    np.add.at(summed, inverse, grads.vecs)
-    u_fields = grads.fields[first]
-    u_rows = grads.rows[first]
-    for f in range(len(table.fields)):
-        mask = u_fields == f
-        if mask.any():
-            update(f, u_rows[mask], summed[mask])
+    _check_entries_in_table(table, grads.fields, grads.rows)
+    stride = int(grads.rows.max()) + 1
+    uniq, inverse = np.unique(grads.fields * stride + grads.rows, return_inverse=True)
+    u_fields, u_rows = np.divmod(uniq, stride)
+    summed = np.empty((uniq.size, grads.vecs.shape[1]))
+    for j, column in enumerate(np.ascontiguousarray(grads.vecs.T)):
+        summed[:, j] = np.bincount(inverse, weights=column, minlength=uniq.size)
+    bounds = np.searchsorted(u_fields, np.arange(len(table.fields) + 1))
+    for f, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if hi > lo:
+            update(f, u_rows[lo:hi], summed[lo:hi])
+
+
+def _check_entries_in_table(table: EmbeddingTable, fields: np.ndarray, rows: np.ndarray) -> None:
+    """Raise naming the first entry whose (field, row) is not in the table."""
+    cards = np.array([a.shape[0] for a in table.fields])
+    bad = (fields < 0) | (fields >= cards.size) | (rows < 0)
+    if not bad.any():
+        bad = rows >= cards[fields]
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"sparse gradient entry for field {fields[k]}, row {rows[k]} is "
+            f"outside the table ({cards.size} fields, cardinalities {cards.tolist()})"
+        )
 
 
 def apply_sparse_grads(

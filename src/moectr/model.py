@@ -142,7 +142,7 @@ class FullCache:
     """Everything the backward pass and the loss-location routing need."""
 
     indices: np.ndarray
-    embeds: list[np.ndarray]  # e^(m), (B, F*d) per expert
+    embeds: list[np.ndarray]  # e^(m), (B, F*d) per expert; one array per physical table
     expert_caches: list
     outputs: list[np.ndarray]  # aligned O^(m), (B, out_dim)
     gate_embeds: np.ndarray
@@ -155,8 +155,18 @@ class FullCache:
 
 
 def forward_full(model: ModelBundle, indices: np.ndarray) -> FullCache:
-    """lookup -> experts (+alignment) -> gating -> tower -> sigmoid."""
-    embeds = [lookup(model.bank, m, indices) for m in range(model.num_experts)]
+    """lookup -> experts (+alignment) -> gating -> tower -> sigmoid.
+
+    Each physical table is gathered once; experts that share it (every
+    expert in "se") read the same array, which no expert writes to.
+    """
+    gathered: dict[int, np.ndarray] = {}
+    embeds = []
+    for m in range(model.num_experts):
+        t = model.bank.table_for_expert(m)
+        if t not in gathered:
+            gathered[t] = lookup(model.bank, m, indices)
+        embeds.append(gathered[t])
     outputs = []
     expert_caches = []
     for m, expert in enumerate(model.experts):

@@ -47,25 +47,47 @@ class Adam:
         if not np.isfinite(grad).all():
             raise ValueError("non-finite gradient")
         state = self._slot(key, param)
-        state.m *= self.beta1
-        state.m += (1.0 - self.beta1) * grad
-        state.v *= self.beta2
-        state.v += (1.0 - self.beta2) * grad**2
-        m_hat = state.m / (1.0 - self.beta1**self.t)
+        scratch = self._accumulate(state.m, state.v, grad)
+        m_hat = np.divide(state.m, 1.0 - self.beta1**self.t, out=scratch)
         v_hat = state.v / (1.0 - self.beta2**self.t)
-        param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        param -= self._direction(m_hat, v_hat)
 
     def update_rows(
         self, key: str, param: np.ndarray, rows: np.ndarray, grad_rows: np.ndarray
     ) -> None:
-        """Lazy sparse update: only the given rows move (or decay moments)."""
+        """Lazy sparse update: only the given rows move (or decay moments).
+
+        ``rows`` must not repeat; the gathered moment rows are updated in
+        place, written back, then reused for the step.
+        """
         if not np.isfinite(grad_rows).all():
             raise ValueError("non-finite gradient")
         state = self._slot(key, param)
-        m = state.m[rows] * self.beta1 + (1.0 - self.beta1) * grad_rows
-        v = state.v[rows] * self.beta2 + (1.0 - self.beta2) * grad_rows**2
+        m = state.m[rows]
+        v = state.v[rows]
+        self._accumulate(m, v, grad_rows)
         state.m[rows] = m
         state.v[rows] = v
-        m_hat = m / (1.0 - self.beta1**self.t)
-        v_hat = v / (1.0 - self.beta2**self.t)
-        param[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m /= 1.0 - self.beta1**self.t
+        v /= 1.0 - self.beta2**self.t
+        param[rows] -= self._direction(m, v)
+
+    def _accumulate(self, m: np.ndarray, v: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g^2, in place, with the
+        operations in that order; returns the scratch buffer it used."""
+        m *= self.beta1
+        scratch = np.multiply(1.0 - self.beta1, grad)
+        m += scratch
+        v *= self.beta2
+        np.square(grad, out=scratch)
+        scratch *= 1.0 - self.beta2
+        v += scratch
+        return scratch
+
+    def _direction(self, m_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
+        """lr * m_hat / (sqrt(v_hat) + eps), overwriting both inputs."""
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self.eps
+        m_hat *= self.lr
+        m_hat /= v_hat
+        return m_hat

@@ -25,6 +25,8 @@ from moectr.trainer import TrainConfig, evaluate, train_loop
 from test_config_cli import REPO_ROOT
 from test_metrics import brute_force_pearson
 
+pytestmark = pytest.mark.slow
+
 
 def _report(criterion: str, passed: bool, detail: str = "") -> bool:
     status = "PASS" if passed else "FAIL"

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from moectr.data import (
     DatasetSchema,
     EncodedDataset,
     FeatureField,
+    fnv1a_buckets,
     gen_synthetic,
     hash_token,
     load_synthetic_csv,
@@ -47,6 +50,28 @@ class TestHashToken:
     def test_bad_cardinality(self):
         with pytest.raises(ValueError):
             hash_token("x", 0)
+
+
+EDGE_TOKENS = ["", "a", "a\0", "\0", "abc\0\0", "é", "日本語", "x" * 40, "y" * 39 + "\0", "a,b"]
+
+
+class TestFnv1aBuckets:
+    """The vectorised hash must equal hash_token, the scalar reference."""
+
+    def test_matches_hash_token(self):
+        rng = np.random.default_rng(5)
+        tokens = [t.encode("utf-8") for t in EDGE_TOKENS]
+        tokens += [bytes(rng.integers(0, 256, rng.integers(0, 45)).tolist()) for _ in range(2000)]
+        for d in [1, 7, 100_000, 2**63 - 1]:
+            expected = [hash_token(t, d) for t in tokens]
+            assert fnv1a_buckets(tokens, d).tolist() == expected
+
+    def test_empty_list(self):
+        assert fnv1a_buckets([], 5).tolist() == []
+
+    def test_bad_cardinality(self):
+        with pytest.raises(ValueError):
+            fnv1a_buckets([b"x"], 0)
 
 
 SCHEMA = DatasetSchema(
@@ -101,6 +126,24 @@ class TestLoadTable:
         ]
         assert ds.indices.tolist() == expected
         assert ds.labels.tolist() == [float(i % 2) for i in range(11)]
+
+    def test_edge_tokens_hash_as_scalar_across_chunks(self, tmp_path, monkeypatch):
+        # empty, NUL-ended, non-ASCII and 40-byte tokens, repeated in other
+        # chunks and beside other lengths; each cell must equal hash_token
+        monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 4)
+        sites = EDGE_TOKENS * 2 + ["s1"]
+        devices = EDGE_TOKENS[::-1] + ["d", "dd"] + EDGE_TOKENS[:9]
+        path = tmp_path / "t.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["site", "device", "click"])
+            writer.writerows([a, b, i % 2] for i, (a, b) in enumerate(zip(sites, devices)))
+        ds = load_table(path, SCHEMA)
+        expected = [
+            [hash_token(a or "__MISSING__", 50), hash_token(b or "__MISSING__", 30)]
+            for a, b in zip(sites, devices)
+        ]
+        assert ds.indices.tolist() == expected
 
     def test_indices_below_cardinality(self, tmp_path):
         path = tmp_path / "t.csv"

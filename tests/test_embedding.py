@@ -84,6 +84,12 @@ class TestLookup:
         with pytest.raises(ValueError, match="out of range"):
             lookup(bank, 5, np.array([[0, 0]]))
 
+    def test_negative_row_rejected(self):
+        bank = init_bank(SCHEMA, "me", 2, 2, 2, seed=0)
+        for gather in (lambda idx: lookup(bank, 1, idx), lambda idx: lookup_gating(bank, idx)):
+            with pytest.raises(ValueError, match="field 1, row -2"):
+                gather(np.array([[0, 0], [3, -2]]))
+
     def test_gating_lookup_uses_gating_table(self):
         bank = init_bank(SCHEMA, "me", 2, 2, 3, seed=2)
         out = lookup_gating(bank, np.array([[1, 2]]))
@@ -154,6 +160,74 @@ class TestApplySparseGrads:
         grads = SparseGrad(np.array([0]), np.array([0]), np.array([[np.nan, 0.0]]))
         with pytest.raises(ValueError, match="non-finite gradient"):
             apply_sparse_grads(bank, 0, grads, _sgd_rule(bank.tables[0]))
+
+
+def _add_at_reference(grads: SparseGrad) -> list[tuple[int, list[int], np.ndarray]]:
+    """Sequential np.add.at over (field, row) groups, as (field, rows
+    ascending, summed grads) per field with entries."""
+    key = grads.fields * (grads.rows.max() + 1) + grads.rows
+    uniq, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    summed = np.zeros((uniq.size, grads.vecs.shape[1]))
+    np.add.at(summed, inverse, grads.vecs)
+    u_fields, u_rows = grads.fields[first], grads.rows[first]
+    return [
+        (f, u_rows[u_fields == f].tolist(), summed[u_fields == f])
+        for f in np.unique(u_fields).tolist()
+    ]
+
+
+def _recorded_updates(table: EmbeddingTable, grads: SparseGrad):
+    calls = []
+    apply_sparse_to_table(table, grads, lambda f, rows, g: calls.append((f, rows.tolist(), g.copy())))
+    return calls
+
+
+class TestScatterBitIdentity:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_sequential_add_at_exactly(self, seed):
+        # duplicate-heavy, unsorted fields of mixed cardinality, magnitudes
+        # 1e-8..1e8 so that any change of summation order shows
+        rng = np.random.default_rng(seed)
+        cards = [1, 3, 50, 2000, 7]
+        table = EmbeddingTable([np.zeros((c, 4)) for c in cards])
+        k = 3000
+        fields = rng.integers(0, len(cards), k)
+        rows = (rng.zipf(1.5, k) - 1) % np.array(cards)[fields]
+        scale = 10.0 ** rng.uniform(-8, 8, size=(k, 1))
+        vecs = rng.standard_normal((k, 4)) * scale
+        grads = SparseGrad(fields, rows, vecs)
+        got = _recorded_updates(table, grads)
+        expected = _add_at_reference(grads)
+        assert [(f, r) for f, r, _ in got] == [(f, r) for f, r, _ in expected]
+        for (_, _, g), (_, _, e) in zip(got, expected):
+            assert g.tobytes() == e.tobytes()
+
+    def test_skips_fields_without_entries(self):
+        table = EmbeddingTable([np.zeros((4, 2)), np.zeros((3, 2)), np.zeros((2, 2))])
+        grads = SparseGrad(np.array([2, 0, 2]), np.array([1, 3, 1]), np.ones((3, 2)))
+        calls = _recorded_updates(table, grads)
+        assert [(f, r) for f, r, _ in calls] == [(0, [3]), (2, [1])]
+        np.testing.assert_array_equal(calls[1][2], [[2.0, 2.0]])
+
+
+class TestScatterRejectsEntriesOutsideTable:
+    """No rule may run when any entry is outside the table."""
+
+    @pytest.mark.parametrize(
+        "field,row",
+        [(0, -1), (1, -2), (2, 0), (-1, 0), (0, 4), (1, 3)],
+        ids=["negative-row", "negative-row-field1", "unknown-field", "negative-field",
+             "row-at-cardinality", "row-beyond-field1"],
+    )
+    def test_rejected_naming_field_and_row(self, field, row):
+        table = EmbeddingTable([np.zeros((4, 2)), np.zeros((3, 2))])
+        grads = SparseGrad(
+            np.array([0, field, 1]), np.array([1, row, 2]), np.ones((3, 2))
+        )
+        calls = []
+        with pytest.raises(ValueError, match=f"field {field}, row {row}"):
+            apply_sparse_to_table(table, grads, lambda *a: calls.append(a))
+        assert calls == []
 
 
 class TestLookupAdjoint:

@@ -323,3 +323,31 @@ class TestExpertBackward:
         _, cache = e.forward(x)
         with pytest.raises(ValueError):
             e.backward(cache, np.zeros((3, 2)), layer_grads=[np.zeros((3, 4))])
+
+
+class TestInputIsReadOnly:
+    """Experts that share an embedding table read one shared input array,
+    so no expert may write to it in forward or backward."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExpertConfig(kind="dnn", out_dim=3, hidden=(4, 3), dnn_out=2),
+            ExpertConfig(kind="fm", out_dim=3),
+            ExpertConfig(kind="crossnet", out_dim=3, cross_layers=2),
+            ExpertConfig(kind="cin", out_dim=3, cin_maps=(3, 2)),
+        ],
+        ids=lambda c: c.kind,
+    )
+    def test_forward_and_backward_leave_input_unchanged(self, cfg):
+        rng = _rng(21)
+        e = make_expert(cfg, 3, 2, rng)
+        x = rng.normal(size=(5, 6))
+        before = x.copy()
+        x.flags.writeable = False
+        out, cache = e.forward(x)
+        layer_grads = None
+        if cfg.kind == "crossnet":
+            layer_grads = [rng.normal(size=(5, 6)) for _ in range(cfg.cross_layers)]
+        e.backward(cache, rng.normal(size=out.shape), layer_grads=layer_grads)
+        assert x.tobytes() == before.tobytes()

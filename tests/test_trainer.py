@@ -1,8 +1,10 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
+from moectr import model as model_module
 from moectr import trainer
 
 from moectr.data import DatasetSchema, EncodedDataset, FeatureField, gen_synthetic, split_dataset
@@ -207,6 +209,22 @@ class TestForwardFull:
         idx, _ = micro_batch(9, seed=11)
         np.testing.assert_allclose(predict(model, idx, batch_size=4), forward_full(model, idx).y_hat)
 
+    @pytest.mark.parametrize("mode,gathers", [("se", 1), ("me", 4)])
+    def test_one_lookup_per_physical_table(self, mode, gathers, monkeypatch):
+        calls = []
+
+        def counting_lookup(bank, m, indices):
+            calls.append(m)
+            return lookup(bank, m, indices)
+
+        monkeypatch.setattr(model_module, "lookup", counting_lookup)
+        model = all_kinds_model(mode)
+        fc = forward_full(model, micro_batch(8, seed=12)[0])
+        assert len(calls) == gathers
+        assert len({id(e) for e in fc.embeds}) == gathers
+        for m, e in enumerate(fc.embeds):
+            np.testing.assert_array_equal(e, lookup(model.bank, m, fc.indices))
+
 
 class TestTrainStep:
     def test_alpha_zero_invariant_to_loss_form(self):
@@ -253,6 +271,20 @@ class TestTrainStep:
         assert losses.total == pytest.approx(
             losses.bce + 0.5 * losses.decorrelation / 7.0
         )
+
+    def test_negative_index_moves_nothing(self):
+        # a negative row would read the table's last row; the lookup
+        # rejects it before any parameter or moment moves
+        model = all_kinds_model("se")
+        idx, y = micro_batch(8, seed=1)
+        idx[3, 2] = -1
+        before = [arr.copy() for _, arr in named_params(model)]
+        adam = Adam(lr=0.1)
+        with pytest.raises(ValueError, match="field 2, row -1"):
+            train_step(model, idx, y, adam)
+        assert adam.t == 0 and not adam.slots
+        for (_, arr), old in zip(named_params(model), before):
+            np.testing.assert_array_equal(arr, old)
 
     def test_non_finite_late_group_moves_nothing(self, monkeypatch):
         model = micro_model(LossConfig(form="corr", alpha=0.5), seed=18)
@@ -560,3 +592,42 @@ class TestParamContract:
         for name, arr in named_params(model):
             if name in grads.dense:
                 assert grads.dense[name].shape == arr.shape
+
+
+def _trained_state_digest(model, steps=6) -> str:
+    """sha256 over every parameter and its two Adam moments after `steps`
+    train_steps on duplicate-heavy batches (64 rows over 5 ids per field)."""
+    adam = Adam(lr=0.05)
+    rng = np.random.default_rng(7)
+    for _ in range(steps):
+        idx = rng.integers(0, 5, size=(64, 3))
+        y = (rng.random(64) < 0.5).astype(float)
+        train_step(model, idx, y, adam)
+    h = hashlib.sha256()
+    for name, arr in named_params(model):
+        slot = adam.slots[name]
+        for a in (arr, slot.m, slot.v):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestTrainedStateIsPinned:
+    """Training numbers are pinned bit for bit: a change that reorders a
+    sum in the scatter or an operation in Adam changes these digests. They
+    hold for float64 numpy with OpenBLAS on x86-64; another BLAS may round
+    the GEMMs differently."""
+
+    @pytest.mark.parametrize(
+        "make,digest",
+        [
+            (lambda: all_kinds_model("se"),
+             "ad4d632f412228c84571a109750fc42aaa7429e16460ed9abee2497967a7e167"),
+            (lambda: all_kinds_model("se", LossConfig(form="corr", alpha=0.5, location="input")),
+             "43c134a8b3507404af8541c9635b83b8d39d9a1076174566707ca1b935e81b71"),
+            (lambda: micro_model(LossConfig(form="corr", alpha=0.5), kinds=("cin", "cin")),
+             "5fa8b404185e734e511ed4afb30c7352fe44711b7947c5c918d8aa9c22daf040"),
+        ],
+        ids=["se-all-kinds", "se-all-kinds-input-loss", "me-cin"],
+    )
+    def test_digest_after_steps(self, make, digest):
+        assert _trained_state_digest(make()) == digest
