@@ -17,9 +17,9 @@ from .data import (
     make_batches,
     split_dataset,
 )
-from .embedding import EmbeddingBank, EmbeddingTable, SparseGrad, apply_sparse_grads, init_bank, lookup
+from .embedding import EmbeddingBank, EmbeddingTable, SparseGrad, init_bank, lookup
 from .experts import ExpertConfig, make_expert
-from .gating import GateOutput, GatingNetwork, aggregate_experts, gate_weights, gating_backward
+from .gating import aggregate_experts, build_gate, gate_weights, gating_backward
 from .losses import LossConfig, bce, corr_loss_pair, cov_loss_pair, decorrelation_total, total_objective
 from .metrics import CorrelationReport, EvalMetrics, auc, cec, cec_report, pearson_matrix
 from .model import ModelBundle, build_model, forward_full, load_model, named_params, param_count, predict, save_model
@@ -39,8 +39,6 @@ __all__ = [
     "EvalMetrics",
     "ExpertConfig",
     "FeatureField",
-    "GateOutput",
-    "GatingNetwork",
     "GradCheckReport",
     "LossConfig",
     "ModelBundle",
@@ -49,9 +47,9 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "aggregate_experts",
-    "apply_sparse_grads",
     "auc",
     "bce",
+    "build_gate",
     "build_model",
     "cec",
     "cec_report",

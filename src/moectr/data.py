@@ -325,9 +325,6 @@ class SyntheticParams:
         triple = (p1**3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
         return self.c0 + pair + triple
 
-    def click_probabilities(self, indices: np.ndarray) -> np.ndarray:
-        return sigmoid(self.logits(indices))
-
 
 def gen_synthetic(
     num_fields: int,
@@ -405,21 +402,23 @@ def save_synthetic_params(params: SyntheticParams, path) -> None:
 
 
 def load_synthetic_params(path) -> SyntheticParams:
-    """Inverse of save_synthetic_params."""
-    kv: dict[str, str] = {}
+    """Inverse of save_synthetic_params; a missing key is a ValueError
+    naming it."""
+    from .config import parse_kv_text  # config imports this module
+
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
-    num_fields = int(kv["fields"])
-    latent_dim = int(kv["latent_dim"])
-    params = SyntheticParams(seed=int(kv["seed"]), c0=float(kv["c0"]))
-    for j in range(num_fields):
-        card = int(kv[f"cardinality.{j}"])
-        u = np.array([float(x) for x in kv[f"u.{j}"].split(",")])
+        kv = parse_kv_text(fh.read())
+
+    def value(key: str) -> str:
+        if key not in kv:
+            raise ValueError(f"{path}: missing key {key!r}")
+        return kv[key]
+
+    latent_dim = int(value("latent_dim"))
+    params = SyntheticParams(seed=int(value("seed")), c0=float(value("c0")))
+    for j in range(int(value("fields"))):
+        card = int(value(f"cardinality.{j}"))
+        u = np.array([float(x) for x in value(f"u.{j}").split(",")])
         params.u.append(u.reshape(card, latent_dim))
-        params.v.append(np.array([float(x) for x in kv[f"v.{j}"].split(",")]))
+        params.v.append(np.array([float(x) for x in value(f"v.{j}").split(",")]))
     return params

@@ -31,9 +31,6 @@ class EmbeddingTable(Module):
     def dim(self) -> int:
         return self.fields[0].shape[1]
 
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable([a.copy() for a in self.fields])
-
 
 @dataclass
 class EmbeddingBank:
@@ -89,12 +86,15 @@ def init_bank(
 
 
 def _gather(table: EmbeddingTable, indices: np.ndarray) -> np.ndarray:
-    """Rows not below a field's cardinality fail in numpy's indexing; a
-    negative row would silently read from the end, so it is rejected."""
+    """A row outside [0, cardinality) of its field is rejected naming the
+    field and row (numpy would read a negative row from the end)."""
     n, f = indices.shape
-    if n and indices.min() < 0:
-        i, j = np.argwhere(indices < 0)[0]
-        raise ValueError(f"lookup of field {j}, row {indices[i, j]}: rows must be >= 0")
+    cards = np.array([a.shape[0] for a in table.fields])
+    if n and (indices.min() < 0 or (indices.max(axis=0) >= cards).any()):
+        i, j = np.argwhere((indices < 0) | (indices >= cards))[0]
+        raise ValueError(
+            f"lookup of field {j}, row {indices[i, j]}: rows must be in [0, {cards[j]})"
+        )
     d = table.dim
     out = np.empty((n, f * d), dtype=np.float64)
     for j in range(f):
@@ -198,9 +198,3 @@ def _check_entries_in_table(table: EmbeddingTable, fields: np.ndarray, rows: np.
             f"outside the table ({cards.size} fields, cardinalities {cards.tolist()})"
         )
 
-
-def apply_sparse_grads(
-    bank: EmbeddingBank, table_index: int, grads: SparseGrad, update: UpdateRule
-) -> None:
-    """apply_sparse_to_table on one of the bank's expert tables."""
-    apply_sparse_to_table(bank.tables[table_index], grads, update)

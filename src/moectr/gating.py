@@ -7,51 +7,32 @@ gating table so no expert is favored by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .nnet import Mlp, Module
+from .nnet import Mlp
 from .numerics import row_softmax, softmax_backward
 
 
-@dataclass
-class GatingNetwork(Module):
+def build_gate(
+    gate_dim: int,
+    hidden: tuple[int, ...],
+    num_experts: int,
+    rng: np.random.Generator,
+) -> Mlp:
     """MLP from the gating embedding to one logit per expert."""
-
-    mlp: Mlp
-
-    @classmethod
-    def build(
-        cls,
-        gate_dim: int,
-        hidden: tuple[int, ...],
-        num_experts: int,
-        rng: np.random.Generator,
-    ) -> "GatingNetwork":
-        mlp = Mlp.build(gate_dim, hidden, num_experts, rng)
-        # zero final layer: every expert starts at weight 1/M, which keeps
-        # early training from starving all but one expert
-        mlp.weights[-1][...] = 0.0
-        mlp.biases[-1][...] = 0.0
-        return cls(mlp)
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        return self.mlp.params
+    mlp = Mlp.build(gate_dim, hidden, num_experts, rng)
+    # zero final layer: every expert starts at weight 1/M, which keeps
+    # early training from starving all but one expert
+    mlp.weights[-1][...] = 0.0
+    mlp.biases[-1][...] = 0.0
+    return mlp
 
 
-@dataclass
-class GateOutput:
-    weights: np.ndarray  # (B, M), rows sum to 1
-    aggregated: np.ndarray  # (B, out_dim)
-
-
-def gate_weights(gn: GatingNetwork, gate_embeds: np.ndarray) -> tuple[np.ndarray, tuple]:
+def gate_weights(gate: Mlp, gate_embeds: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Softmax over the gate MLP's per-expert logits."""
-    logits, mlp_cache = gn.mlp.forward(gate_embeds)
+    logits, mlp_cache = gate.forward(gate_embeds)
     g = row_softmax(logits)
-    return g, (gn, mlp_cache, g)
+    return g, (gate, mlp_cache, g)
 
 
 def aggregate_experts(
@@ -80,12 +61,12 @@ def gating_backward(
     Returns (gate param grads keyed like params, d gating-embeds,
     per-expert d outputs).
     """
-    gn, mlp_cache, g = gate_cache
+    gate, mlp_cache, g = gate_cache
     g_agg, outputs = agg_cache
     if g_agg is not g:
         raise ValueError("gate and aggregation caches are from different forwards")
     d_g = np.stack([(d_h * o).sum(axis=1) for o in outputs], axis=1)  # (B, M)
     d_outputs = [g[:, m : m + 1] * d_h for m in range(len(outputs))]
     d_logits = softmax_backward(g, d_g)
-    grads, d_gate_embeds = gn.mlp.backward(mlp_cache, d_logits)
+    grads, d_gate_embeds = gate.backward(mlp_cache, d_logits)
     return grads, d_gate_embeds, d_outputs

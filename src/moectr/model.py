@@ -14,7 +14,7 @@ import numpy as np
 from .data import DatasetSchema, FeatureField
 from .embedding import EmbeddingBank, EmbeddingTable, init_bank, lookup, lookup_gating
 from .experts import Expert, ExpertConfig, make_expert
-from .gating import GateOutput, GatingNetwork, aggregate_experts, gate_weights
+from .gating import aggregate_experts, build_gate, gate_weights
 from .losses import LossConfig
 from .nnet import Mlp, Module
 from .numerics import sigmoid
@@ -29,14 +29,9 @@ class ModelBundle:
     mode: str  # "se" | "me"
     bank: EmbeddingBank
     experts: list[Expert]
-    gate: GatingNetwork
+    gate: Mlp
     tower: Mlp
     loss: LossConfig
-    embed_dim: int
-    gate_dim: int
-    out_dim: int
-    gate_hidden: tuple[int, ...]
-    tower_hidden: tuple[int, ...]
     seed: int
 
     @property
@@ -65,7 +60,6 @@ def build_model(
     out_dims = {c.out_dim for c in expert_configs}
     if len(out_dims) != 1:
         raise ValueError("all experts must share out_dim")
-    out_dim = out_dims.pop()
     if loss.location == "intermediate":
         if any(c.kind != "crossnet" for c in expert_configs):
             raise ValueError(
@@ -84,10 +78,10 @@ def build_model(
         make_expert(cfg, schema.num_fields, embed_dim, np.random.default_rng(children[1 + i]))
         for i, cfg in enumerate(expert_configs)
     ]
-    gate = GatingNetwork.build(
+    gate = build_gate(
         gate_dim * schema.num_fields, gate_hidden, m, np.random.default_rng(children[m + 1])
     )
-    tower = Mlp.build(out_dim, tower_hidden, 1, np.random.default_rng(children[m + 2]))
+    tower = Mlp.build(out_dims.pop(), tower_hidden, 1, np.random.default_rng(children[m + 2]))
     return ModelBundle(
         schema=schema,
         mode=mode,
@@ -96,11 +90,6 @@ def build_model(
         gate=gate,
         tower=tower,
         loss=loss,
-        embed_dim=embed_dim,
-        gate_dim=gate_dim,
-        out_dim=out_dim,
-        gate_hidden=tuple(gate_hidden),
-        tower_hidden=tuple(tower_hidden),
         seed=seed,
     )
 
@@ -145,12 +134,10 @@ class FullCache:
     embeds: list[np.ndarray]  # e^(m), (B, F*d) per expert; one array per physical table
     expert_caches: list
     outputs: list[np.ndarray]  # aligned O^(m), (B, out_dim)
-    gate_embeds: np.ndarray
     gate_cache: tuple
     agg_cache: tuple
-    gate_out: GateOutput
+    gate_weights: np.ndarray  # (B, M), rows sum to 1
     tower_cache: list
-    logits: np.ndarray  # (B, 1)
     y_hat: np.ndarray  # (B,)
 
 
@@ -173,8 +160,7 @@ def forward_full(model: ModelBundle, indices: np.ndarray) -> FullCache:
         o, cache = expert.forward(embeds[m])
         outputs.append(o)
         expert_caches.append(cache)
-    gate_embeds = lookup_gating(model.bank, indices)
-    g, gate_cache = gate_weights(model.gate, gate_embeds)
+    g, gate_cache = gate_weights(model.gate, lookup_gating(model.bank, indices))
     h, agg_cache = aggregate_experts(g, outputs)
     logits, tower_cache = model.tower.forward(h)
     y_hat = sigmoid(logits).ravel()
@@ -183,12 +169,10 @@ def forward_full(model: ModelBundle, indices: np.ndarray) -> FullCache:
         embeds=embeds,
         expert_caches=expert_caches,
         outputs=outputs,
-        gate_embeds=gate_embeds,
         gate_cache=gate_cache,
         agg_cache=agg_cache,
-        gate_out=GateOutput(weights=g, aggregated=h),
+        gate_weights=g,
         tower_cache=tower_cache,
-        logits=logits,
         y_hat=y_hat,
     )
 
@@ -213,7 +197,7 @@ def predict(model: ModelBundle, indices: np.ndarray, batch_size: int = 8192) -> 
 
 def _config_echo(model: ModelBundle) -> dict:
     """The build arguments; the expert and loss entries are the config
-    dataclasses field by field."""
+    dataclasses field by field, the widths are read off the modules."""
     return {
         "schema": {
             "fields": [[f.name, f.cardinality] for f in model.schema.fields],
@@ -222,10 +206,10 @@ def _config_echo(model: ModelBundle) -> dict:
         "mode": model.mode,
         "experts": [asdict(e.config) for e in model.experts],
         "loss": asdict(model.loss),
-        "embed_dim": model.embed_dim,
-        "gate_dim": model.gate_dim,
-        "gate_hidden": list(model.gate_hidden),
-        "tower_hidden": list(model.tower_hidden),
+        "embed_dim": model.bank.tables[0].dim,
+        "gate_dim": model.bank.gating_table.dim,
+        "gate_hidden": [w.shape[0] for w in model.gate.weights[:-1]],
+        "tower_hidden": [w.shape[0] for w in model.tower.weights[:-1]],
         "seed": model.seed,
     }
 

@@ -33,12 +33,13 @@ class BatchGrads:
     """Gradients of the total objective for one batch.
 
     dense: grads for every non-embedding parameter, keyed like
-    named_params. table_grads: per physical expert table, duplicate-bearing
-    sparse row grads. gating_grads: same for the gating table.
+    named_params. table_grads: per physical expert table in bank order,
+    duplicate-bearing sparse row grads. gating_grads: same for the gating
+    table.
     """
 
     dense: dict[str, np.ndarray]
-    table_grads: dict[int, SparseGrad]
+    table_grads: list[SparseGrad]
     gating_grads: SparseGrad
 
 
@@ -78,7 +79,7 @@ def batch_objective(
     )
 
     expert_grads = []
-    table_parts: dict[int, list[SparseGrad]] = {}
+    table_parts: list[list[SparseGrad]] = [[] for _ in model.bank.tables]
     for m, expert in enumerate(model.experts):
         d_o = d_outputs[m]
         injections = None
@@ -91,13 +92,13 @@ def batch_objective(
         if extra and loss.location == "input":
             d_e = d_e + coef * extra[0][m]
         t = model.bank.table_for_expert(m)
-        table_parts.setdefault(t, []).append(SparseGrad.from_dense_rows(indices, d_e))
+        table_parts[t].append(SparseGrad.from_dense_rows(indices, d_e))
 
     dense: dict[str, np.ndarray] = {}
     module_grads = [*expert_grads, gate_grads, tower_grads]  # dense_modules order
     for (prefix, _), grads in zip(dense_modules(model), module_grads, strict=True):
         dense.update(prefixed(prefix, grads))
-    table_grads = {t: SparseGrad.concat(parts) for t, parts in table_parts.items()}
+    table_grads = [SparseGrad.concat(parts) for parts in table_parts]
     gating_grads = SparseGrad.from_dense_rows(indices, d_gate_embeds)
     losses = StepLosses(total=total, bce=bce_val, decorrelation=decor_val)
     return losses, BatchGrads(dense, table_grads, gating_grads), fc
@@ -106,9 +107,8 @@ def batch_objective(
 def _sparse_groups(model: ModelBundle, grads: BatchGrads) -> list[tuple[str, EmbeddingTable, SparseGrad]]:
     """(name prefix, table, sparse grad) for every embedding table, the
     gating table last."""
-    *tables, gating = table_modules(model)
-    groups = [(*tables[t], sparse) for t, sparse in grads.table_grads.items()]
-    return groups + [(*gating, grads.gating_grads)]
+    sparse = [*grads.table_grads, grads.gating_grads]
+    return [(*module, g) for module, g in zip(table_modules(model), sparse, strict=True)]
 
 
 def _check_finite(model: ModelBundle, grads: BatchGrads) -> None:
@@ -158,10 +158,6 @@ class TrainConfig:
     epochs: int = 5
     patience: int = 2
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    cec_row_cap: int = 100000
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -265,12 +261,7 @@ def train_loop(
             raise ValueError(
                 "batch too small for de-correlation: final batch would have 1 row"
             )
-    adam = Adam(
-        lr=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.adam_eps,
-    )
+    adam = Adam(lr=config.learning_rate)
     params = dict(named_params(model))
     report = TrainReport()
     best_auc = -np.inf
@@ -294,7 +285,7 @@ def train_loop(
                 raise ValueError(f"epoch {epoch} batch {b}: {err}") from err
             loss_sum += losses.bce * batch.size
             objective_sum += losses.total * batch.size
-        metrics, corr = evaluate(model, valid_ds, cec_row_cap=config.cec_row_cap)
+        metrics, corr = evaluate(model, valid_ds)
         record = EpochRecord(
             epoch=epoch,
             train_logloss=loss_sum / len(train_ds),
@@ -325,12 +316,22 @@ def train_loop(
 def model_objective_and_grads(
     model: ModelBundle, indices: np.ndarray, labels: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Total objective and a dense gradient for every named parameter
-    (embedding grads scattered into full-table zero arrays)."""
+    """Total objective and a dense gradient for every named parameter.
+
+    Embedding grads go through the scatter train_step runs, with a rule
+    that writes each field's summed rows into a full-table zero array, so
+    a gradcheck also checks the scatter.
+    """
     losses, grads, _ = batch_objective(model, indices, labels)
     out = dict(grads.dense)
     for prefix, table, sparse in _sparse_groups(model, grads):
-        out.update(prefixed(prefix, dict(zip(table.params, sparse.to_dense(table)))))
+        dense = [np.zeros_like(a) for a in table.fields]
+
+        def rule(f, rows, grad_rows, _dense=dense):
+            _dense[f][rows] = grad_rows
+
+        apply_sparse_to_table(table, sparse, rule)
+        out.update(prefixed(prefix, dict(zip(table.params, dense))))
     return losses.total, out
 
 

@@ -272,6 +272,23 @@ class TestGenSynthetic:
         for a, b in zip(params.v, loaded.v):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda text: text + "seed = 99\n", "key 'seed' repeats line 2"),
+            (lambda text: text + "latent_dim 2\n", "expected 'key = value'"),
+            (lambda text: text.replace("\nv.2 = ", "\n# v.2 = "), "missing key 'v.2'"),
+        ],
+        ids=["repeated-key", "no-equals", "missing-key"],
+    )
+    def test_bad_params_file_rejected(self, tmp_path, edit, message):
+        _, params = gen_synthetic(3, [5, 6, 7], 2, 10, seed=21)
+        path = tmp_path / "gen.params"
+        save_synthetic_params(params, path)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ValueError, match=message):
+            load_synthetic_params(path)
+
     def test_csv_roundtrip(self, tmp_path):
         ds, _ = gen_synthetic(3, 9, 2, 50, seed=2)
         path = tmp_path / "synth.csv"

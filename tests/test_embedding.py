@@ -6,7 +6,6 @@ from moectr.embedding import (
     EmbeddingBank,
     EmbeddingTable,
     SparseGrad,
-    apply_sparse_grads,
     apply_sparse_to_table,
     init_bank,
     lookup,
@@ -90,6 +89,13 @@ class TestLookup:
             with pytest.raises(ValueError, match="field 1, row -2"):
                 gather(np.array([[0, 0], [3, -2]]))
 
+    def test_row_at_cardinality_rejected(self):
+        # field "b" has 3 rows; numpy would raise a bare IndexError
+        bank = init_bank(SCHEMA, "me", 2, 2, 2, seed=0)
+        for gather in (lambda idx: lookup(bank, 1, idx), lambda idx: lookup_gating(bank, idx)):
+            with pytest.raises(ValueError, match=r"field 1, row 3: rows must be in \[0, 3\)"):
+                gather(np.array([[0, 0], [3, 3]]))
+
     def test_gating_lookup_uses_gating_table(self):
         bank = init_bank(SCHEMA, "me", 2, 2, 3, seed=2)
         out = lookup_gating(bank, np.array([[1, 2]]))
@@ -111,7 +117,7 @@ class TestApplySparseGrads:
         grads = SparseGrad(
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, 2))
         )
-        apply_sparse_grads(bank, 0, grads, _sgd_rule(bank.tables[0]))
+        apply_sparse_to_table(bank.tables[0], grads, _sgd_rule(bank.tables[0]))
         for a, b in zip(bank.tables[0].fields, before):
             np.testing.assert_array_equal(a, b)
 
@@ -122,7 +128,7 @@ class TestApplySparseGrads:
         grads = SparseGrad(
             np.array([0, 0]), np.array([1, 1]), np.vstack([g, -g])
         )
-        apply_sparse_grads(bank, 0, grads, _sgd_rule(bank.tables[0]))
+        apply_sparse_to_table(bank.tables[0], grads, _sgd_rule(bank.tables[0]))
         for a, b in zip(bank.tables[0].fields, before):
             np.testing.assert_array_equal(a, b)
 
@@ -138,7 +144,7 @@ class TestApplySparseGrads:
         )
         dense = grads.to_dense(table)  # scatter-add oracle
         expected = [a - d for a, d in zip(table.fields, dense)]
-        apply_sparse_grads(bank, 0, grads, _sgd_rule(table))
+        apply_sparse_to_table(bank.tables[0], grads, _sgd_rule(table))
         for a, e in zip(table.fields, expected):
             np.testing.assert_allclose(a, e, atol=1e-15)
 
@@ -159,7 +165,7 @@ class TestApplySparseGrads:
         bank = init_bank(SCHEMA, "se", 1, 2, 2, seed=0)
         grads = SparseGrad(np.array([0]), np.array([0]), np.array([[np.nan, 0.0]]))
         with pytest.raises(ValueError, match="non-finite gradient"):
-            apply_sparse_grads(bank, 0, grads, _sgd_rule(bank.tables[0]))
+            apply_sparse_to_table(bank.tables[0], grads, _sgd_rule(bank.tables[0]))
 
 
 def _add_at_reference(grads: SparseGrad) -> list[tuple[int, list[int], np.ndarray]]:

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from moectr.gating import GatingNetwork, aggregate_experts, gate_weights, gating_backward
+from moectr.gating import aggregate_experts, build_gate, gate_weights, gating_backward
 from moectr.numerics import central_diff_gradcheck, flatten_arrays, row_softmax, write_arrays
 
 
 def _gn(gate_dim=4, hidden=(5,), m=3, seed=0, generic_point=False):
     rng = np.random.default_rng(seed)
-    gn = GatingNetwork.build(gate_dim, hidden, m, rng)
+    gn = build_gate(gate_dim, hidden, m, rng)
     if generic_point:
         # the final layer ships zero-initialized; gradient checks need a
         # generic point so the hidden-layer path carries signal
-        for w, b in zip(gn.mlp.weights, gn.mlp.biases):
+        for w, b in zip(gn.weights, gn.biases):
             w += rng.uniform(-0.3, 0.3, size=w.shape)
             b += rng.uniform(-0.3, 0.3, size=b.shape)
     return gn
@@ -26,7 +26,7 @@ class TestGateWeights:
     def test_equal_logits_uniform(self):
         gn = _gn(m=4)
         # final layer ships zeroed, so every expert logit equals the bias
-        gn.mlp.biases[-1][...] = 0.7
+        gn.biases[-1][...] = 0.7
         g, _ = gate_weights(gn, np.random.default_rng(2).normal(size=(3, 4)))
         np.testing.assert_allclose(g, np.full((3, 4), 0.25), atol=1e-15)
 
@@ -34,8 +34,8 @@ class TestGateWeights:
         gn = _gn(seed=3)
         x = np.random.default_rng(4).normal(size=(6, 4))
         g, _ = gate_weights(gn, x)
-        h1 = np.maximum(x @ gn.mlp.weights[0].T + gn.mlp.biases[0], 0.0)
-        logits = h1 @ gn.mlp.weights[1].T + gn.mlp.biases[1]
+        h1 = np.maximum(x @ gn.weights[0].T + gn.biases[0], 0.0)
+        logits = h1 @ gn.weights[1].T + gn.biases[1]
         np.testing.assert_allclose(g, row_softmax(logits), atol=1e-12)
 
     def test_rows_sum_to_one(self):

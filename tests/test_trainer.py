@@ -8,8 +8,9 @@ from moectr import model as model_module
 from moectr import trainer
 
 from moectr.data import DatasetSchema, EncodedDataset, FeatureField, gen_synthetic, split_dataset
-from moectr.embedding import lookup, lookup_gating
+from moectr.embedding import SparseGrad, lookup, lookup_gating
 from moectr.experts import ExpertConfig
+from moectr.gradsuite import run_case, suite_cases
 from moectr.losses import LossConfig, bce
 from moectr.metrics import auc, cec_report
 from moectr.model import (
@@ -179,7 +180,7 @@ class TestForwardFull:
             o, _ = expert.forward(e)
             outputs.append(o)
         ge = lookup_gating(model.bank, idx)
-        logits, _ = model.gate.mlp.forward(ge)
+        logits, _ = model.gate.forward(ge)
         g = row_softmax(logits)
         h = sum(g[:, m : m + 1] * outputs[m] for m in range(2))
         tower_out, _ = model.tower.forward(h)
@@ -190,7 +191,7 @@ class TestForwardFull:
         model = micro_model(seed=5, kinds=("dnn",))
         idx, _ = micro_batch(5, seed=6)
         fc = forward_full(model, idx)
-        np.testing.assert_allclose(fc.gate_out.weights, np.ones((5, 1)))
+        np.testing.assert_allclose(fc.gate_weights, np.ones((5, 1)))
         tower_out, _ = model.tower.forward(fc.outputs[0])
         np.testing.assert_allclose(fc.y_hat, sigmoid(tower_out).ravel(), atol=1e-12)
 
@@ -542,7 +543,7 @@ def _model_file_blocks(data: bytes) -> tuple[bytes, dict[str, bytes]]:
     return header, blocks
 
 
-def all_kinds_model(mode: str, loss=None):
+def all_kinds_model(mode: str, loss=None, gate_hidden=(4,), tower_hidden=(4,)):
     """One expert of every kind: dnn with two hidden layers and a final
     layer, fm, crossnet with two layers, cin with maps (3, 2)."""
     cfgs = [
@@ -553,7 +554,8 @@ def all_kinds_model(mode: str, loss=None):
     ]
     loss = loss or LossConfig(form="corr", alpha=0.5, location="output")
     return build_model(
-        SCHEMA, mode, cfgs, loss, embed_dim=2, gate_hidden=(4,), tower_hidden=(4,), seed=31
+        SCHEMA, mode, cfgs, loss, embed_dim=2, gate_hidden=gate_hidden,
+        tower_hidden=tower_hidden, seed=31,
     )
 
 
@@ -631,3 +633,85 @@ class TestTrainedStateIsPinned:
     )
     def test_digest_after_steps(self, make, digest):
         assert _trained_state_digest(make()) == digest
+
+
+def _model_file_digests(model, path, steps=5) -> tuple[str, str]:
+    """sha256 of the save_model bytes at init and after `steps` train_steps
+    on duplicate-heavy batches."""
+    def digest() -> str:
+        save_model(model, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    at_init = digest()
+    adam = Adam(lr=0.05)
+    rng = np.random.default_rng(11)
+    for _ in range(steps):
+        idx = rng.integers(0, 5, size=(32, 3))
+        y = (rng.random(32) < 0.5).astype(float)
+        train_step(model, idx, y, adam)
+    return at_init, digest()
+
+
+class TestModelFileIsPinned:
+    """The model-file bytes (config echo and every parameter block) are
+    pinned for all-kinds models in both modes, with gate/tower hidden
+    widths that include none at all; same platform caveat as above."""
+
+    @pytest.mark.parametrize(
+        "mode,gate_hidden,tower_hidden,digests",
+        [
+            ("me", (4,), (4,), (
+                "6a0a4326e0c33cb1289bfe4c8b0a70b11ce0ae718c17cec1af2363cad3ce9238",
+                "a251eadec126c8904773d30ae5a8794c073a0c7d0fb8251c53195c13448c38f3",
+            )),
+            ("me", (), (), (
+                "c8cc81a125c872add0cd6a673dba2d4c86962433d6d192d04feabcc6a01c20f5",
+                "9019187f6b5e2d480998880fc2bf7484919f456161883a696bf30c1c009af379",
+            )),
+            ("me", (5, 3), (6,), (
+                "3f2784684297f0651b7439503cc44e22427ec6ab65b2bf5ea6858a49ce369d3d",
+                "dbf2a9a9082dcd63295019d2861364880393e87e4a2ea365d2a774595256ccf6",
+            )),
+            ("se", (4,), (4,), (
+                "dabe6556cd3af5d65617fcab96d8e784a824aec2628193ccb7ea65d0ca503c02",
+                "18c60bf9172219bd2e653ca94df664104f8cf1556a3a1015f2420e8368883d01",
+            )),
+            ("se", (), (), (
+                "47f0c21e7c174c20a9916a0522c01ae44431367b02ed6136d60c02b0cc22df94",
+                "54298dc0ba68ec05e4ac8ab74b5dea697e35971b1a6c6bf38f5dea7d93f09ebf",
+            )),
+            ("se", (5, 3), (6,), (
+                "eca6c96838a60d8644dcacf9ca801097c07b1a7ea62a752e851b4bca0be9c710",
+                "f2b64a3f76245db13f5bc71576cbae1149e5587d97dcec361d911e4985e4b704",
+            )),
+        ],
+        ids=["me-4-4", "me-none", "me-5x3-6", "se-4-4", "se-none", "se-5x3-6"],
+    )
+    def test_save_model_digests(self, tmp_path, mode, gate_hidden, tower_hidden, digests):
+        model = all_kinds_model(mode, gate_hidden=gate_hidden, tower_hidden=tower_hidden)
+        assert _model_file_digests(model, tmp_path / "m.bin") == digests
+
+
+def _first_entry_only(scatter):
+    """A broken scatter that keeps only the first entry of every repeated
+    (field, row), dropping the duplicates it should sum."""
+    def broken(table, grads, update):
+        key = grads.fields * (grads.rows.max() + 1) + grads.rows
+        keep = np.sort(np.unique(key, return_index=True)[1])
+        scatter(table, SparseGrad(grads.fields[keep], grads.rows[keep], grads.vecs[keep]), update)
+
+    return broken
+
+
+class TestGradcheckCoversTheScatter:
+    """The analytic embedding gradients of gradcheck_model come through the
+    scatter train_step runs, so a broken scatter fails the check."""
+
+    @pytest.mark.parametrize("name", ["dnn corr@output", "se hetero dnn+cin corr@output"])
+    def test_duplicate_dropping_scatter_fails(self, monkeypatch, name):
+        case = next(c for c in suite_cases() if c.name == name)
+        assert run_case(case).passed
+        monkeypatch.setattr(
+            trainer, "apply_sparse_to_table", _first_entry_only(trainer.apply_sparse_to_table)
+        )
+        assert not run_case(case).passed
