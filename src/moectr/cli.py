@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .config import RunConfig, SynthSpec, parse_kv_text
+from .config import RunConfig, SynthSpec, parse_kv_file
 from .data import gen_synthetic, load_synthetic_csv, load_table, save_synthetic_params, save_table
 from .gradsuite import run_suite
 from .model import load_model, param_count, save_model
@@ -113,12 +113,9 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    h, tol = 1e-5, 1e-4
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            kv = parse_kv_text(fh.read(), ("gradcheck_h", "gradcheck_tol"))
-        h = float(kv.get("gradcheck_h", h))
-        tol = float(kv.get("gradcheck_tol", tol))
+    kv = parse_kv_file(args.config, ("gradcheck_h", "gradcheck_tol")) if args.config else {}
+    h = float(kv.get("gradcheck_h", 1e-5))
+    tol = float(kv.get("gradcheck_tol", 1e-4))
     failed = 0
     for name, report in run_suite(h=h, tol=tol):
         status = "PASS" if report.passed else "FAIL"

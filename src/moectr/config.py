@@ -18,9 +18,10 @@ from .model import ModelBundle, build_model
 from .trainer import TrainConfig
 
 
-def parse_kv_text(text: str, known: Collection[str] | None = None) -> dict[str, str]:
+def parse_kv_text(text: str, known: Collection[str] | None = None, source: str = "config") -> dict[str, str]:
     """Parse ``key = value`` lines; a repeated key is an error naming both
-    lines, and with ``known`` given, so is any other key."""
+    lines, and with ``known`` given, so is any other key. Errors read
+    ``<source> line N: ...``."""
     kv: dict[str, str] = {}
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -28,16 +29,22 @@ def parse_kv_text(text: str, known: Collection[str] | None = None) -> dict[str, 
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value'")
+            raise ValueError(f"{source} line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         if known is not None and key not in known:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            raise ValueError(f"{source} line {lineno}: unknown key {key!r}")
         if key in seen:
-            raise ValueError(f"config line {lineno}: key {key!r} repeats line {seen[key]}")
+            raise ValueError(f"{source} line {lineno}: key {key!r} repeats line {seen[key]}")
         seen[key] = lineno
         kv[key] = value.strip()
     return kv
+
+
+def parse_kv_file(path, known: Collection[str] | None = None) -> dict[str, str]:
+    """parse_kv_text over a file; errors name the path."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_kv_text(fh.read(), known, source=str(path))
 
 
 def _ints(value: str, sep: str = "-") -> tuple[int, ...]:
@@ -116,9 +123,9 @@ SYNTH_KEYS = {
 }
 
 
-def _apply_keys(obj, table: dict, text: str):
-    """Set obj's attribute for every key of the text through its table row."""
-    for key, value in parse_kv_text(text, table).items():
+def _apply_keys(obj, table: dict, kv: dict[str, str]):
+    """Set obj's attribute for every parsed key through its table row."""
+    for key, value in kv.items():
         attr, parse = table[key]
         setattr(obj, attr, parse(value))
     return obj
@@ -158,12 +165,11 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        return _apply_keys(cls(), RUN_KEYS, text)
+        return _apply_keys(cls(), RUN_KEYS, parse_kv_text(text, RUN_KEYS))
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        return _apply_keys(cls(), RUN_KEYS, parse_kv_file(path, RUN_KEYS))
 
     def schema(self) -> DatasetSchema:
         if not self.fields:
@@ -228,8 +234,7 @@ class SynthSpec:
     def from_file(cls, path) -> "SynthSpec":
         """An absent cardinality means 100 per field; one value applies to
         every field."""
-        with open(path, encoding="utf-8") as fh:
-            spec = _apply_keys(cls(cardinalities=[]), SYNTH_KEYS, fh.read())
+        spec = _apply_keys(cls(cardinalities=[]), SYNTH_KEYS, parse_kv_file(path, SYNTH_KEYS))
         if len(spec.cardinalities) <= 1:
             spec.cardinalities = (spec.cardinalities or [100]) * spec.num_fields
         return spec

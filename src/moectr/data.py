@@ -404,10 +404,9 @@ def save_synthetic_params(params: SyntheticParams, path) -> None:
 def load_synthetic_params(path) -> SyntheticParams:
     """Inverse of save_synthetic_params; a missing key is a ValueError
     naming it."""
-    from .config import parse_kv_text  # config imports this module
+    from .config import parse_kv_file  # config imports this module
 
-    with open(path, encoding="utf-8") as fh:
-        kv = parse_kv_text(fh.read())
+    kv = parse_kv_file(path)
 
     def value(key: str) -> str:
         if key not in kv:

@@ -60,7 +60,8 @@ class ExpertConfig:
 
 class Expert(Module):
     """Base contract: forward caches what backward needs, nothing else;
-    params and backward's grads carry the alignment head as ``align.*``."""
+    params and backward's grads carry the alignment head as ``align.*``.
+    Every kind keeps the alignment head's cache last in its own cache."""
 
     kind: str = ""
 
@@ -82,6 +83,10 @@ class Expert(Module):
         only the crossnet kind supports it.
         """
         raise NotImplementedError
+
+    def relu_inputs(self, cache) -> list[np.ndarray]:
+        """Pre-activation of every ReLU the forward pass applied."""
+        return self.align.relu_inputs(cache[-1])
 
     def _check_input(self, embeds: np.ndarray) -> None:
         if embeds.ndim != 2 or embeds.shape[1] != self.in_dim:
@@ -124,6 +129,9 @@ class DnnExpert(Expert):
         align_grads, d_raw = self.align.backward(align_cache, d_out)
         core_grads, d_in = self.core.backward(core_cache, d_raw)
         return {**prefixed("core", core_grads), **prefixed("align", align_grads)}, d_in
+
+    def relu_inputs(self, cache):
+        return self.core.relu_inputs(cache[0]) + super().relu_inputs(cache)
 
 
 class FmExpert(Expert):

@@ -28,16 +28,13 @@ def build_gate(
     return mlp
 
 
-def gate_weights(gate: Mlp, gate_embeds: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Softmax over the gate MLP's per-expert logits."""
+def gate_weights(gate: Mlp, gate_embeds: np.ndarray) -> tuple[np.ndarray, list]:
+    """Softmax over the gate MLP's per-expert logits, and the MLP's cache."""
     logits, mlp_cache = gate.forward(gate_embeds)
-    g = row_softmax(logits)
-    return g, (gate, mlp_cache, g)
+    return row_softmax(logits), mlp_cache
 
 
-def aggregate_experts(
-    g: np.ndarray, outputs: list[np.ndarray]
-) -> tuple[np.ndarray, tuple]:
+def aggregate_experts(g: np.ndarray, outputs: list[np.ndarray]) -> np.ndarray:
     """h_i = sum_m g[i, m] * O^(m)_i, rowwise over the batch."""
     if len(outputs) != g.shape[1]:
         raise ValueError(
@@ -50,21 +47,17 @@ def aggregate_experts(
     h = np.zeros(shape)
     for m, o in enumerate(outputs):
         h += g[:, m : m + 1] * o
-    return h, (g, outputs)
+    return h
 
 
 def gating_backward(
-    gate_cache: tuple, agg_cache: tuple, d_h: np.ndarray
+    gate: Mlp, mlp_cache: list, g: np.ndarray, outputs: list[np.ndarray], d_h: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray, list[np.ndarray]]:
     """Adjoint through aggregation, softmax, and the gate MLP.
 
     Returns (gate param grads keyed like params, d gating-embeds,
     per-expert d outputs).
     """
-    gate, mlp_cache, g = gate_cache
-    g_agg, outputs = agg_cache
-    if g_agg is not g:
-        raise ValueError("gate and aggregation caches are from different forwards")
     d_g = np.stack([(d_h * o).sum(axis=1) for o in outputs], axis=1)  # (B, M)
     d_outputs = [g[:, m : m + 1] * d_h for m in range(len(outputs))]
     d_logits = softmax_backward(g, d_g)

@@ -6,7 +6,9 @@ batch, and checks the analytic gradient of the total objective for every
 parameter group against central differences. Covers all four expert kinds,
 all three pair-loss forms, all three loss locations, the shared table that
 sums every expert's gradient, and three-expert Grams; the gate MLP, gating
-table, and tower are exercised by every case.
+table, and tower are exercised by every case. Seeds whose forward pass lies
+near a kink are skipped; the ReLU sites come from each module's
+``relu_inputs``, so no module's cache layout is read here.
 """
 
 from __future__ import annotations
@@ -122,33 +124,22 @@ def micro_schema() -> DatasetSchema:
     )
 
 
-def _mlp_kink_margins(mlp, cache, vals: list[float]) -> None:
-    for (x, z), act in zip(cache, mlp.activations):
-        if act:
-            vals.append(float(np.abs(z).min()))
-
-
 def kink_margin(model, fc) -> float:
     """Distance of the forward pass from the nearest non-differentiable point.
 
     Central differences are only meaningful where the objective is smooth
-    in an h-neighborhood; this collects |pre-activation| for every ReLU
-    site (experts, alignment heads, gate MLP, tower) and, for the L1
-    covariance form, |entry| of the centered cross matrices (sign kink),
-    read from the off-diagonal blocks of the centered cross-expert Gram.
+    in an h-neighborhood; this takes |pre-activation| at every ReLU site
+    each module reports through ``relu_inputs`` (tower, gate MLP, experts
+    with their alignment heads) and, for the L1 covariance form, |entry| of
+    the centered cross matrices (sign kink), read from the off-diagonal
+    blocks of the centered cross-expert Gram.
     """
-    vals: list[float] = []
-    _mlp_kink_margins(model.tower, fc.tower_cache, vals)
-    _, gate_mlp_cache, _ = fc.gate_cache
-    _mlp_kink_margins(model.gate, gate_mlp_cache, vals)
-    for expert, cache in zip(model.experts, fc.expert_caches):
-        if expert.kind == "dnn":
-            core_cache, align_cache = cache
-            _mlp_kink_margins(expert.core, core_cache, vals)
-        else:  # fm, crossnet, cin: alignment head is the only kink site
-            align_cache = cache[-1]
-        _, z = align_cache
-        vals.append(float(np.abs(z).min()))
+    modules = [
+        (model.tower, fc.tower_cache),
+        (model.gate, fc.gate_cache),
+        *zip(model.experts, fc.expert_caches),
+    ]
+    vals = [float(np.abs(z).min()) for module, cache in modules for z in module.relu_inputs(cache)]
     if model.loss.active and model.loss.form == "cov_l1":
         for mats in loss_targets(model, fc):
             _, _, g = cross_gram(mats, standardize=False)

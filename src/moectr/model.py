@@ -21,18 +21,22 @@ from .numerics import sigmoid
 
 MODEL_MAGIC = b"MOECTRBN"
 MODEL_VERSION = 1
+EVAL_BATCH_ROWS = 8192  # rows per forward pass when predicting or evaluating
 
 
 @dataclass
 class ModelBundle:
     schema: DatasetSchema
-    mode: str  # "se" | "me"
     bank: EmbeddingBank
     experts: list[Expert]
     gate: Mlp
     tower: Mlp
     loss: LossConfig
     seed: int
+
+    @property
+    def mode(self) -> str:  # "se" | "me", as the bank was built
+        return self.bank.mode
 
     @property
     def num_experts(self) -> int:
@@ -84,7 +88,6 @@ def build_model(
     tower = Mlp.build(out_dims.pop(), tower_hidden, 1, np.random.default_rng(children[m + 2]))
     return ModelBundle(
         schema=schema,
-        mode=mode,
         bank=bank,
         experts=experts,
         gate=gate,
@@ -128,14 +131,12 @@ def param_count(model: ModelBundle) -> int:
 
 @dataclass
 class FullCache:
-    """Everything the backward pass and the loss-location routing need."""
+    """Everything the backward pass and the loss-location routing need, each value once."""
 
-    indices: np.ndarray
     embeds: list[np.ndarray]  # e^(m), (B, F*d) per expert; one array per physical table
     expert_caches: list
     outputs: list[np.ndarray]  # aligned O^(m), (B, out_dim)
-    gate_cache: tuple
-    agg_cache: tuple
+    gate_cache: list  # the gate Mlp's cache
     gate_weights: np.ndarray  # (B, M), rows sum to 1
     tower_cache: list
     y_hat: np.ndarray  # (B,)
@@ -161,16 +162,14 @@ def forward_full(model: ModelBundle, indices: np.ndarray) -> FullCache:
         outputs.append(o)
         expert_caches.append(cache)
     g, gate_cache = gate_weights(model.gate, lookup_gating(model.bank, indices))
-    h, agg_cache = aggregate_experts(g, outputs)
+    h = aggregate_experts(g, outputs)
     logits, tower_cache = model.tower.forward(h)
     y_hat = sigmoid(logits).ravel()
     return FullCache(
-        indices=indices,
         embeds=embeds,
         expert_caches=expert_caches,
         outputs=outputs,
         gate_cache=gate_cache,
-        agg_cache=agg_cache,
         gate_weights=g,
         tower_cache=tower_cache,
         y_hat=y_hat,
@@ -187,11 +186,11 @@ def loss_targets(model: ModelBundle, fc: FullCache) -> list[list[np.ndarray]]:
     return [fc.outputs if model.loss.location == "output" else fc.embeds]
 
 
-def predict(model: ModelBundle, indices: np.ndarray, batch_size: int = 8192) -> np.ndarray:
-    """Click probabilities without retaining any caches."""
+def predict(model: ModelBundle, indices: np.ndarray) -> np.ndarray:
+    """Click probabilities, EVAL_BATCH_ROWS rows a pass, retaining no caches."""
     parts = []
-    for start in range(0, indices.shape[0], batch_size):
-        parts.append(forward_full(model, indices[start : start + batch_size]).y_hat)
+    for start in range(0, indices.shape[0], EVAL_BATCH_ROWS):
+        parts.append(forward_full(model, indices[start : start + EVAL_BATCH_ROWS]).y_hat)
     return np.concatenate(parts) if parts else np.zeros(0)
 
 

@@ -7,7 +7,9 @@ heads. Weight convention: layer computes x @ W.T + b with W of shape
 
 Contract: a Module's ``params`` maps local names to its live arrays in
 save order and its ``backward`` returns gradients under the same names; a
-composite nests its children's names with ``prefixed`` (``core.w0``).
+composite nests its children's names with ``prefixed`` (``core.w0``). A
+forward cache is opaque outside the module that wrote it: it goes back to
+that module's ``backward``, and ``relu_inputs`` reads its ReLU sites.
 """
 
 from __future__ import annotations
@@ -125,6 +127,10 @@ class Mlp(Module):
             d = dz @ self.weights[i]
         return layer_params(d_ws, d_bs), d
 
+    def relu_inputs(self, cache: list) -> list[np.ndarray]:
+        """Pre-activation of every rectified layer, from forward's cache."""
+        return [z for (_, z), act in zip(cache, self.activations) if act]
+
 
 @dataclass
 class AlignmentHead(Module):
@@ -155,3 +161,7 @@ class AlignmentHead(Module):
         raw, z = cache
         dz = d_out * (z > 0.0)
         return {"w": dz.T @ raw, "b": dz.sum(axis=0)}, dz @ self.w
+
+    def relu_inputs(self, cache: tuple) -> list[np.ndarray]:
+        """The pre-activation of the one rectified layer."""
+        return [cache[1]]

@@ -15,10 +15,12 @@ from .embedding import EmbeddingTable, SparseGrad, apply_sparse_to_table
 from .gating import gating_backward
 from .losses import bce, decorrelation_total, total_objective
 from .metrics import CorrelationReport, EvalMetrics, auc, cec_report
-from .model import FullCache, ModelBundle, dense_modules, forward_full, loss_targets, named_params, table_modules
+from .model import EVAL_BATCH_ROWS, FullCache, ModelBundle, dense_modules, forward_full, loss_targets, named_params, table_modules
 from .nnet import prefixed
 from .numerics import GradCheckReport, central_diff_gradcheck, flatten_arrays, write_arrays
 from .optim import Adam
+
+CEC_ROW_CAP = 100_000  # validation rows whose expert outputs the CEC report reads
 
 
 @dataclass
@@ -33,14 +35,12 @@ class BatchGrads:
     """Gradients of the total objective for one batch.
 
     dense: grads for every non-embedding parameter, keyed like
-    named_params. table_grads: per physical expert table in bank order,
-    duplicate-bearing sparse row grads. gating_grads: same for the gating
-    table.
+    named_params. sparse: duplicate-bearing sparse row grads, one per
+    embedding table in table_modules order (the gating table last).
     """
 
     dense: dict[str, np.ndarray]
-    table_grads: list[SparseGrad]
-    gating_grads: SparseGrad
+    sparse: list[SparseGrad]
 
 
 def batch_objective(
@@ -75,7 +75,7 @@ def batch_objective(
     d_logits = (d_yhat * p * (1.0 - p)).reshape(-1, 1)
     tower_grads, d_h = model.tower.backward(fc.tower_cache, d_logits)
     gate_grads, d_gate_embeds, d_outputs = gating_backward(
-        fc.gate_cache, fc.agg_cache, d_h
+        model.gate, fc.gate_cache, fc.gate_weights, fc.outputs, d_h
     )
 
     expert_grads = []
@@ -98,17 +98,16 @@ def batch_objective(
     module_grads = [*expert_grads, gate_grads, tower_grads]  # dense_modules order
     for (prefix, _), grads in zip(dense_modules(model), module_grads, strict=True):
         dense.update(prefixed(prefix, grads))
-    table_grads = [SparseGrad.concat(parts) for parts in table_parts]
-    gating_grads = SparseGrad.from_dense_rows(indices, d_gate_embeds)
+    sparse = [SparseGrad.concat(parts) for parts in table_parts]
+    sparse.append(SparseGrad.from_dense_rows(indices, d_gate_embeds))
     losses = StepLosses(total=total, bce=bce_val, decorrelation=decor_val)
-    return losses, BatchGrads(dense, table_grads, gating_grads), fc
+    return losses, BatchGrads(dense, sparse), fc
 
 
 def _sparse_groups(model: ModelBundle, grads: BatchGrads) -> list[tuple[str, EmbeddingTable, SparseGrad]]:
     """(name prefix, table, sparse grad) for every embedding table, the
     gating table last."""
-    sparse = [*grads.table_grads, grads.gating_grads]
-    return [(*module, g) for module, g in zip(table_modules(model), sparse, strict=True)]
+    return [(*module, g) for module, g in zip(table_modules(model), grads.sparse, strict=True)]
 
 
 def _check_finite(model: ModelBundle, grads: BatchGrads) -> None:
@@ -205,24 +204,21 @@ class TrainReport:
 
 
 def evaluate(
-    model: ModelBundle,
-    ds: EncodedDataset,
-    batch_size: int = 8192,
-    cec_row_cap: int = 100_000,
+    model: ModelBundle, ds: EncodedDataset
 ) -> tuple[EvalMetrics, CorrelationReport | None]:
-    """AUC and logloss over the full set; cross-expert correlations over
-    expert outputs accumulated up to cec_row_cap rows."""
+    """AUC and logloss over the full set, EVAL_BATCH_ROWS rows a pass;
+    cross-expert correlations over the first CEC_ROW_CAP rows' outputs."""
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     scores = np.empty(len(ds))
     kept: list[list[np.ndarray]] = [[] for _ in range(model.num_experts)]
     kept_rows = 0
-    for start in range(0, len(ds), batch_size):
-        stop = min(start + batch_size, len(ds))
+    for start in range(0, len(ds), EVAL_BATCH_ROWS):
+        stop = min(start + EVAL_BATCH_ROWS, len(ds))
         fc = forward_full(model, ds.indices[start:stop])
         scores[start:stop] = fc.y_hat
-        if kept_rows < cec_row_cap:
-            take = min(cec_row_cap - kept_rows, stop - start)
+        if kept_rows < CEC_ROW_CAP:
+            take = min(CEC_ROW_CAP - kept_rows, stop - start)
             for m in range(model.num_experts):
                 kept[m].append(fc.outputs[m][:take])
             kept_rows += take

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from moectr.cli import main
 from moectr.config import RunConfig, SynthSpec, parse_expert_spec, parse_kv_text
-from moectr.data import gen_synthetic, save_table
+from moectr.data import gen_synthetic, load_synthetic_params, save_synthetic_params, save_table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,6 +26,17 @@ class TestKvParsing:
     def test_bad_line(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_kv_text("a = 1\nnot a pair\n")
+
+    def test_file_errors_name_the_path(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("fields = a:10\nlearning_rate = 0.01\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(config))} line 2: unknown key"):
+            RunConfig.from_file(config)
+        sidecar = tmp_path / "gen.params"
+        save_synthetic_params(gen_synthetic(3, [5, 6, 7], 2, 10, seed=21)[1], sidecar)
+        sidecar.write_text(sidecar.read_text() + "seed = 3\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(sidecar))} line \d+: key 'seed' repeats"):
+            load_synthetic_params(sidecar)
 
 
 class TestExpertSpecParsing:

@@ -10,7 +10,7 @@ from moectr import trainer
 from moectr.data import DatasetSchema, EncodedDataset, FeatureField, gen_synthetic, split_dataset
 from moectr.embedding import SparseGrad, lookup, lookup_gating
 from moectr.experts import ExpertConfig
-from moectr.gradsuite import run_case, suite_cases
+from moectr.gradsuite import kink_margin, run_case, suite_cases
 from moectr.losses import LossConfig, bce
 from moectr.metrics import auc, cec_report
 from moectr.model import (
@@ -205,10 +205,11 @@ class TestForwardFull:
         fc = forward_full(model, idx)
         np.testing.assert_allclose(fc.y_hat, np.full(7, sigmoid(np.array([0.3]))[0]))
 
-    def test_predict_matches_forward(self):
+    def test_predict_matches_forward(self, monkeypatch):
+        monkeypatch.setattr(model_module, "EVAL_BATCH_ROWS", 4)
         model = micro_model(seed=10)
         idx, _ = micro_batch(9, seed=11)
-        np.testing.assert_allclose(predict(model, idx, batch_size=4), forward_full(model, idx).y_hat)
+        np.testing.assert_allclose(predict(model, idx), forward_full(model, idx).y_hat)
 
     @pytest.mark.parametrize("mode,gathers", [("se", 1), ("me", 4)])
     def test_one_lookup_per_physical_table(self, mode, gathers, monkeypatch):
@@ -220,11 +221,12 @@ class TestForwardFull:
 
         monkeypatch.setattr(model_module, "lookup", counting_lookup)
         model = all_kinds_model(mode)
-        fc = forward_full(model, micro_batch(8, seed=12)[0])
+        idx = micro_batch(8, seed=12)[0]
+        fc = forward_full(model, idx)
         assert len(calls) == gathers
         assert len({id(e) for e in fc.embeds}) == gathers
         for m, e in enumerate(fc.embeds):
-            np.testing.assert_array_equal(e, lookup(model.bank, m, fc.indices))
+            np.testing.assert_array_equal(e, lookup(model.bank, m, idx))
 
 
 class TestTrainStep:
@@ -298,7 +300,7 @@ class TestTrainStep:
 
         def poisoned(*args):
             losses, grads, fc = real(*args)
-            grads.gating_grads.vecs[-1, 0] = np.nan  # the last group applied
+            grads.sparse[-1].vecs[-1, 0] = np.nan  # the gating table, the last group applied
             return losses, grads, fc
 
         monkeypatch.setattr(trainer, "batch_objective", poisoned)
@@ -384,7 +386,7 @@ class TestTrainLoop:
             losses, grads, fc = real(*args)
             calls.append(None)
             if len(calls) == 6:  # second batch of the second epoch
-                grads.gating_grads.vecs[0, 0] = np.inf
+                grads.sparse[-1].vecs[0, 0] = np.inf
             return losses, grads, fc
 
         monkeypatch.setattr(trainer, "batch_objective", poisoned)
@@ -412,12 +414,13 @@ class TestTrainLoop:
 
 
 class TestEvaluate:
-    def test_perfect_scorer_auc_one(self):
+    def test_perfect_scorer_auc_one(self, monkeypatch):
         # force the model to output the label by overwriting predictions:
         # instead, check evaluate against direct metric recomputation
+        monkeypatch.setattr(trainer, "EVAL_BATCH_ROWS", 16)
         ds = _tiny_dataset(50, seed=15)
         model = micro_model(seed=16)
-        metrics, corr = evaluate(model, ds, batch_size=16)
+        metrics, corr = evaluate(model, ds)
         scores = predict(model, ds.indices)
         assert metrics.auc == auc(scores, ds.labels)
         assert metrics.logloss == pytest.approx(bce(scores, ds.labels)[0])
@@ -441,18 +444,21 @@ class TestEvaluate:
         _, corr = evaluate(model, ds)
         assert corr.pairs[(0, 1)] == pytest.approx(1.0, abs=1e-6)
 
-    def test_cec_report_matches_dumped_outputs(self):
+    def test_cec_report_matches_dumped_outputs(self, monkeypatch):
+        monkeypatch.setattr(trainer, "EVAL_BATCH_ROWS", 7)
         ds = _tiny_dataset(30, seed=19)
         model = micro_model(seed=20)
-        _, corr = evaluate(model, ds, batch_size=7)
+        _, corr = evaluate(model, ds)
         fc = forward_full(model, ds.indices)
         expected = cec_report(fc.outputs)
         assert corr.pairs == pytest.approx(expected.pairs)
 
-    def test_row_cap_limits_cec_rows(self):
+    def test_row_cap_limits_cec_rows(self, monkeypatch):
+        monkeypatch.setattr(trainer, "EVAL_BATCH_ROWS", 10)
+        monkeypatch.setattr(trainer, "CEC_ROW_CAP", 20)
         ds = _tiny_dataset(50, seed=21)
         model = micro_model(seed=22)
-        _, corr_capped = evaluate(model, ds, batch_size=10, cec_row_cap=20)
+        _, corr_capped = evaluate(model, ds)
         fc = forward_full(model, ds.indices[:20])
         expected = cec_report(fc.outputs)
         assert corr_capped.pairs == pytest.approx(expected.pairs)
@@ -715,3 +721,65 @@ class TestGradcheckCoversTheScatter:
             trainer, "apply_sparse_to_table", _first_entry_only(trainer.apply_sparse_to_table)
         )
         assert not run_case(case).passed
+
+
+def _relu_sites(model, idx):
+    """(bias, pre-activation) of every rectified layer, recomputed from the
+    parameters: gate hidden layer, each expert's core and alignment head,
+    tower hidden layer."""
+    def rows(table):
+        return np.concatenate([table.fields[f][idx[:, f]] for f in range(idx.shape[1])], axis=1)
+
+    def affine(x, w, b, sites):
+        z = x @ w.T + b
+        sites.append((b, z))
+        return np.maximum(z, 0.0)
+
+    sites = []
+    gate = model.gate
+    hidden = affine(rows(model.bank.gating_table), gate.weights[0], gate.biases[0], sites)
+    g = row_softmax(hidden @ gate.weights[1].T + gate.biases[1])
+    outputs = []
+    for m, expert in enumerate(model.experts):
+        e = rows(model.bank.tables[model.bank.table_for_expert(m)])
+        x0 = e.reshape(len(idx), expert.num_fields, expert.embed_dim)
+        if expert.kind == "dnn":
+            core = expert.core
+            raw = affine(e, core.weights[0], core.biases[0], sites)
+            raw = affine(raw, core.weights[1], core.biases[1], sites)
+            raw = raw @ core.weights[2].T + core.biases[2]
+        elif expert.kind == "fm":
+            raw = 0.5 * (x0.sum(axis=1) ** 2 - (x0**2).sum(axis=1))
+        elif expert.kind == "crossnet":
+            raw = e
+            for w, b in zip(expert.ws, expert.bs):
+                raw = e * (raw @ w.T + b) + raw
+        else:  # cin: X^k_h = sum_ij W[h, i, j] X^{k-1}_i * X^0_j, sum-pooled over d
+            xk, pooled = x0, []
+            for w in expert.ws:
+                xk = np.einsum("hij,nid,njd->nhd", w, xk, x0)
+                pooled.append(xk.sum(axis=2))
+            raw = np.concatenate(pooled, axis=1)
+        outputs.append(affine(raw, expert.align.w, expert.align.b, sites))
+    h = sum(g[:, m : m + 1] * o for m, o in enumerate(outputs))
+    affine(h, model.tower.weights[0], model.tower.biases[0], sites)
+    return sites
+
+
+class TestKinkMargin:
+    """kink_margin reads every ReLU site of the model through the modules'
+    relu_inputs: tower, gate, the dnn core and every alignment head."""
+
+    @pytest.mark.parametrize("mode", ["me", "se"])
+    def test_margin_is_the_smallest_relu_input(self, mode):
+        model = all_kinds_model(mode)
+        idx = micro_batch(8, seed=40)[0]
+        sites = _relu_sites(model, idx)
+        assert len(sites) == 8
+        expected = min(np.abs(z).min() for _, z in sites)
+        assert kink_margin(model, forward_full(model, idx)) == pytest.approx(expected, rel=1e-12)
+        for bias, z in sites:  # put one entry of this site on its kink
+            saved = bias.copy()
+            bias[0] -= z[0, 0]
+            assert kink_margin(model, forward_full(model, idx)) < 1e-12
+            bias[...] = saved
