@@ -1,6 +1,6 @@
 """Tour of the de-correlation losses and the correlation metrics.
 
-Run:  python3 demos/01_losses_and_metrics.py
+Run:  PYTHONPATH=src python3 demos/01_losses_and_metrics.py
 """
 
 import numpy as np

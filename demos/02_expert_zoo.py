@@ -4,7 +4,7 @@ Each expert maps the concatenated field embeddings (B, F*d) to an aligned
 output (B, out_dim); this script shows what each interaction core computes
 before alignment.
 
-Run:  python3 demos/02_expert_zoo.py
+Run:  PYTHONPATH=src python3 demos/02_expert_zoo.py
 """
 
 import numpy as np
@@ -34,7 +34,7 @@ print("brute-force sum_{i<j} e_i * e_j:\n", np.round(brute, 4), "\n")
 print("=== crossnet: x_{l+1} = x0 * (W x_l + b) + x_l ===")
 cn = make_expert(ExpertConfig(kind="crossnet", out_dim=4, cross_layers=2), F, d, rng)
 _, cache = cn.forward(E)
-xs, us, _ = cache
+xs = [E, *cn.layer_outputs(cache)]
 print("layer output magnitudes:", [float(np.abs(x).mean().round(4)) for x in xs])
 print("(layer 0 is the embedding itself; each layer adds gated interactions)\n")
 
@@ -45,7 +45,7 @@ _, cache = cin.forward(E)
 x0 = E.reshape(4, F, d)
 total = x0.sum(axis=1)
 print("with all-ones compression weights each map is (sum_i X0_i)^2:")
-print("map 0:\n", np.round(cache[0][1][:, 0, :], 4))
+print("map 0:\n", np.round(cin.feature_maps(cache)[0][:, 0, :], 4))
 print("(sum of fields)^2:\n", np.round(total**2, 4), "\n")
 
 print("=== dnn: rectified affine stack ===")

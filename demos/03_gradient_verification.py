@@ -7,7 +7,7 @@ analytic gradient of the total objective against central differences for
 every parameter: embedding tables, gating table, expert cores, alignment
 heads, gate MLP, and tower.
 
-Run:  python3 demos/03_gradient_verification.py
+Run:  PYTHONPATH=src python3 demos/03_gradient_verification.py
 """
 
 import time

@@ -11,7 +11,9 @@ and reports test AUC and the mean pairwise cross-expert correlation (CEC).
 Expect CEC to fall at each rung; a smaller version of the experiment the
 acceptance suite runs over three seeds.
 
-Run:  python3 demos/04_decorrelation_experiment.py   (~2 minutes)
+Run:  PYTHONPATH=src python3 demos/04_decorrelation_experiment.py
+
+Takes about a minute and a half.
 """
 
 import time

@@ -247,6 +247,17 @@ class CinExpert(Expert):
     feature maps:
         X^k_h = sum_{i,j} W^k[h,i,j] * (X^{k-1}_i * X^0_j)
     The raw output concatenates sum-pooling over d of every layer's maps.
+
+    Every X^k is kept batch-last, as a contiguous (H_k, B, d) array, so a
+    layer is one GEMM over B*d columns:
+        X^k = W^k (H_k, H_{k-1}*F) @ z^k (H_{k-1}*F, B*d),
+        z^k[(i,j), (b,e)] = X^{k-1}[i,b,e] * X^0[j,b,e],
+    and its backward is two: dW^k = dX^k @ z^k.T and dz^k = W^k.T @ dX^k.
+    The B*d axis runs b outer and e inner, the order in which a per-sample
+    (B, H, d) layout contracts over (b, e), so dW^k sums its terms in the
+    order that layout did. The cache holds the caller's input, not the X^0
+    copy, so an evaluation pass over several experts holds one copy at a
+    time.
     """
 
     kind = "cin"
@@ -268,49 +279,57 @@ class CinExpert(Expert):
     def params(self):
         return {**layer_params(self.ws), **prefixed("align", self.align.params)}
 
+    def _batch_last(self, embeds):
+        """X^0 as a contiguous (F, B, d) copy of the (B, F*d) input."""
+        n = embeds.shape[0]
+        x0 = embeds.reshape(n, self.num_fields, self.embed_dim)
+        return np.ascontiguousarray(x0.transpose(1, 0, 2))
+
     def forward(self, embeds):
         self._check_input(embeds)
-        x0 = embeds.reshape(-1, self.num_fields, self.embed_dim)  # (B, F, d)
+        x0 = self._batch_last(embeds)
+        f, n, d = x0.shape
         xs = [x0]
         zs = []
-        n = x0.shape[0]
         for w in self.ws:
-            h, prev_h, f = w.shape
-            # z[n,(i,j),:] = X^{k-1}[n,i,:] * X^0[n,j,:]; compress over (i,j)
-            z = (xs[-1][:, :, None, :] * x0[:, None, :, :]).reshape(n, prev_h * f, -1)
-            xk = np.matmul(w.reshape(h, prev_h * f), z)  # (B, H_k, d)
+            h, prev_h, _ = w.shape
+            z = (xs[-1][:, None] * x0[None]).reshape(prev_h * f, n * d)
+            xs.append((w.reshape(h, prev_h * f) @ z).reshape(h, n, d))
             zs.append(z)
-            xs.append(xk)
-        pooled = np.concatenate([x.sum(axis=2) for x in xs[1:]], axis=1)
+        pooled = np.concatenate([x.sum(axis=2).T for x in xs[1:]], axis=1)
         out, align_cache = self.align.forward(pooled)
-        return out, (xs, zs, align_cache)
+        return out, (embeds, xs[1:], zs, align_cache)
+
+    def feature_maps(self, cache) -> list[np.ndarray]:
+        """Feature maps X^1..X^K as (B, H_k, d) views."""
+        _, maps, _, _ = cache
+        return [x.transpose(1, 0, 2) for x in maps]
 
     def backward(self, cache, d_out, layer_grads=None):
         self._reject_layer_grads(layer_grads)
-        xs, zs, align_cache = cache
-        x0 = xs[0]
-        n = x0.shape[0]
+        embeds, maps, zs, align_cache = cache
+        x0 = self._batch_last(embeds)
+        xs = [x0, *maps]
+        f, n, d = x0.shape
         align_grads, d_pooled = self.align.backward(align_cache, d_out)
         # split pooled gradient per layer, broadcast back over d
         d_xs = [np.zeros_like(x) for x in xs]
         offset = 0
         for k, h in enumerate(self.maps):
-            d_xs[k + 1] += d_pooled[:, offset : offset + h, None]
+            d_xs[k + 1] += d_pooled[:, offset : offset + h].T[:, :, None]
             offset += h
         d_wl = []
         for k in range(len(self.maps) - 1, -1, -1):
             w = self.ws[k]
-            h, prev_h, f = w.shape
-            d_xk = d_xs[k + 1]  # (B, H_k, d)
-            z = zs[k]  # (B, H_{k-1}*F, d)
-            d_w2 = np.einsum("nhd,nzd->hz", d_xk, z, optimize=True)
-            d_wl.append(d_w2.reshape(h, prev_h, f))
-            d_z = np.matmul(w.reshape(h, prev_h * f).T, d_xk)  # (B, H_{k-1}*F, d)
-            d_z4 = d_z.reshape(n, prev_h, f, -1)
-            d_xs[k] += (d_z4 * x0[:, None, :, :]).sum(axis=2)
-            d_xs[0] += (d_z4 * xs[k][:, :, None, :]).sum(axis=1)
+            h, prev_h, _ = w.shape
+            d_xk = d_xs[k + 1].reshape(h, n * d)
+            d_wl.append((d_xk @ zs[k].T).reshape(h, prev_h, f))
+            d_z = (w.reshape(h, prev_h * f).T @ d_xk).reshape(prev_h, f, n, d)
+            d_xs[k] += (d_z * x0[None]).sum(axis=1)
+            d_xs[0] += (d_z * xs[k][:, None]).sum(axis=0)
         d_wl.reverse()
-        return {**layer_params(d_wl), **prefixed("align", align_grads)}, d_xs[0].reshape(n, self.in_dim)
+        d_in = d_xs[0].transpose(1, 0, 2).reshape(n, self.in_dim)
+        return {**layer_params(d_wl), **prefixed("align", align_grads)}, d_in
 
 
 _EXPERT_CLASSES = {

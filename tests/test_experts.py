@@ -189,7 +189,7 @@ class TestCinExpert:
             e = make_expert(cfg, f, d, rng)
             x = rng.normal(size=(3, f * d))
             _, cache = e.forward(x)
-            xs = cache[0]
+            maps_out = e.feature_maps(cache)
             x0 = x.reshape(3, f, d)
             prev = x0
             for k, h_k in enumerate(maps):
@@ -200,8 +200,71 @@ class TestCinExpert:
                         for i in range(prev.shape[1]):
                             for j in range(f):
                                 nxt[n, h] += w[h, i, j] * prev[n, i] * x0[n, j]
-                np.testing.assert_allclose(xs[k + 1], nxt, atol=1e-10)
+                np.testing.assert_allclose(maps_out[k], nxt, atol=1e-10)
                 prev = nxt
+
+
+def _per_sample_cin(e, x, d_out):
+    """CIN as B small per-sample products: (H_k, H_{k-1}*F) @ (H_{k-1}*F, d)
+    for each sample and an einsum over (B, d) for each dW. Returns the
+    output, the feature maps (B, H_k, d), d_in and the dW of each layer."""
+    n = x.shape[0]
+    x0 = x.reshape(n, e.num_fields, e.embed_dim)
+    xs, zs = [x0], []
+    for w in e.ws:
+        h, prev_h, f = w.shape
+        z = (xs[-1][:, :, None, :] * x0[:, None, :, :]).reshape(n, prev_h * f, -1)
+        xs.append(np.matmul(w.reshape(h, prev_h * f), z))
+        zs.append(z)
+    pooled = np.concatenate([m.sum(axis=2) for m in xs[1:]], axis=1)
+    out, align_cache = e.align.forward(pooled)
+    _, d_pooled = e.align.backward(align_cache, d_out)
+    d_xs = [np.zeros_like(m) for m in xs]
+    offset = 0
+    for k, h in enumerate(e.maps):
+        d_xs[k + 1] += d_pooled[:, offset : offset + h, None]
+        offset += h
+    d_ws = [None] * len(e.ws)
+    for k in range(len(e.ws) - 1, -1, -1):
+        w = e.ws[k]
+        h, prev_h, f = w.shape
+        d_ws[k] = np.einsum("nhd,nzd->hz", d_xs[k + 1], zs[k], optimize=True).reshape(w.shape)
+        d_z = np.matmul(w.reshape(h, prev_h * f).T, d_xs[k + 1]).reshape(n, prev_h, f, -1)
+        d_xs[k] += (d_z * x0[:, None, :, :]).sum(axis=2)
+        d_xs[0] += (d_z * xs[k][:, :, None, :]).sum(axis=1)
+    return out, xs[1:], d_xs[0].reshape(n, -1), d_ws
+
+
+def _assert_same_up_to_order(got, want):
+    """rtol 1e-12, with an absolute floor at 1e-12 of the array's largest
+    entry: an entry that cancels to far below its terms keeps only the
+    absolute error the terms' summation order leaves (at d=1 the
+    per-sample products run as matrix-vector products)."""
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestCinMatchesPerSampleFormulation:
+    """The one-GEMM-per-layer CIN against the per-sample formulation it
+    replaced: same output, maps and gradients up to summation order."""
+
+    @pytest.mark.parametrize("maps", [(8,), (3, 2), (4, 4, 4)], ids=str)
+    @pytest.mark.parametrize("batch", [1, 7, 64, 1024])
+    @pytest.mark.parametrize("fields,dim", [(6, 8), (1, 8), (6, 1)])
+    def test_output_maps_and_gradients(self, maps, batch, fields, dim):
+        rng = _rng(batch + 10 * len(maps) + fields + dim)
+        e = make_expert(ExpertConfig(kind="cin", out_dim=4, cin_maps=maps), fields, dim, rng)
+        e.align.b[...] = rng.uniform(-0.3, 0.3, size=e.align.b.shape)
+        x = rng.normal(size=(batch, fields * dim))
+        d_out = rng.normal(size=(batch, 4))
+        out, cache = e.forward(x)
+        grads, d_in = e.backward(cache, d_out)
+        ref_out, ref_maps, ref_d_in, ref_d_ws = _per_sample_cin(e, x, d_out)
+        _assert_same_up_to_order(out, ref_out)
+        for got, want in zip(e.feature_maps(cache), ref_maps, strict=True):
+            _assert_same_up_to_order(got, want)
+        _assert_same_up_to_order(d_in, ref_d_in)
+        for k, want in enumerate(ref_d_ws):
+            _assert_same_up_to_order(grads[f"w{k}"], want)
 
 
 class TestAlignmentHead:
