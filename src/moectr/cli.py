@@ -23,6 +23,7 @@ from .trainer import evaluate, train_loop
 
 def _cmd_train(args) -> int:
     cfg = RunConfig.from_file(args.config)
+    train_config = cfg.train_config()  # a run that cannot train fails before any CSV is read
     train_ds, valid_ds, test_ds = cfg.load_datasets()
     model = cfg.build()
     print(
@@ -30,7 +31,7 @@ def _cmd_train(args) -> int:
         f"params={param_count(model)}"
     )
     print(f"data: train={len(train_ds)} valid={len(valid_ds)} test={len(test_ds)}")
-    report = train_loop(model, train_ds, valid_ds, cfg.train_config())
+    report = train_loop(model, train_ds, valid_ds, train_config)
     for rec in report.epochs:
         print(
             f"epoch {rec.epoch}: train_logloss={rec.train_logloss:.6f} "

@@ -80,6 +80,16 @@ def _fields(value: str) -> tuple[FeatureField, ...]:
     return tuple(FeatureField(name.strip(), int(card)) for name, _, card in pairs)
 
 
+def _bool(value: str) -> bool:
+    """true/false, yes/no or 1/0, in any case."""
+    lowered = value.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected true/false, yes/no or 1/0, got {value!r}")
+
+
 def _split(value: str) -> tuple[float, float, float]:
     parts = [float(tok) for tok in value.split(",")]
     if len(parts) != 3:
@@ -94,7 +104,7 @@ RUN_KEYS = {
     "test": ("test_path", str),
     "fields": ("fields", _fields),
     "label": ("label", str),
-    "encoded": ("encoded", lambda value: value.lower() in ("1", "true", "yes")),
+    "encoded": ("encoded", _bool),
     "split": ("split", _split),
     "split_seed": ("split_seed", int),
     "mode": ("mode", str.lower),
@@ -123,11 +133,15 @@ SYNTH_KEYS = {
 }
 
 
-def _apply_keys(obj, table: dict, kv: dict[str, str]):
-    """Set obj's attribute for every parsed key through its table row."""
+def _apply_keys(obj, table: dict, kv: dict[str, str], source: str):
+    """Set obj's attribute for every parsed key through its table row; a
+    value its parser rejects raises ``<source>: key 'k': ...``."""
     for key, value in kv.items():
         attr, parse = table[key]
-        setattr(obj, attr, parse(value))
+        try:
+            setattr(obj, attr, parse(value))
+        except ValueError as err:
+            raise ValueError(f"{source}: key {key!r}: {err}") from err
     return obj
 
 
@@ -165,11 +179,11 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        return _apply_keys(cls(), RUN_KEYS, parse_kv_text(text, RUN_KEYS))
+        return _apply_keys(cls(), RUN_KEYS, parse_kv_text(text, RUN_KEYS), "config")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        return _apply_keys(cls(), RUN_KEYS, parse_kv_file(path, RUN_KEYS))
+        return _apply_keys(cls(), RUN_KEYS, parse_kv_file(path, RUN_KEYS), str(path))
 
     def schema(self) -> DatasetSchema:
         if not self.fields:
@@ -234,7 +248,8 @@ class SynthSpec:
     def from_file(cls, path) -> "SynthSpec":
         """An absent cardinality means 100 per field; one value applies to
         every field."""
-        spec = _apply_keys(cls(cardinalities=[]), SYNTH_KEYS, parse_kv_file(path, SYNTH_KEYS))
+        kv = parse_kv_file(path, SYNTH_KEYS)
+        spec = _apply_keys(cls(cardinalities=[]), SYNTH_KEYS, kv, str(path))
         if len(spec.cardinalities) <= 1:
             spec.cardinalities = (spec.cardinalities or [100]) * spec.num_fields
         return spec

@@ -141,6 +141,10 @@ def _read_csv(path, schema: DatasetSchema, encode) -> EncodedDataset:
         for col in schema.field_names + [schema.label_column]:
             if col not in position:
                 raise ValueError(f"missing column {col!r} in {path}")
+            if header.count(col) > 1:
+                raise ValueError(
+                    f"column {col!r} appears {header.count(col)} times in the header of {path}"
+                )
         while chunk := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
             rows = [row for row in chunk if row]
             if rows and min(map(len, rows)) < len(header):

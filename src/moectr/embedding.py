@@ -19,9 +19,21 @@ from .nnet import Module
 
 @dataclass
 class EmbeddingTable(Module):
-    """Per-field lookup arrays sharing one embedding width."""
+    """Every field's lookup rows in one array sharing one embedding width.
 
-    fields: list[np.ndarray]  # field f: (D_f, d)
+    Field f owns rows ``offsets[f]:offsets[f+1]`` of ``weight``, so a
+    (field, row) pair is table row ``offsets[field] + row``. ``fields`` and
+    ``params`` are per-field views of ``weight``: writing through them
+    writes the table.
+    """
+
+    weight: np.ndarray  # (sum of D_f, d)
+    offsets: np.ndarray  # (F+1,) int64, offsets[0] = 0, offsets[-1] = weight rows
+
+    @property
+    def fields(self) -> list[np.ndarray]:
+        """Field f's (D_f, d) block, as a view."""
+        return [self.weight[lo:hi] for lo, hi in zip(self.offsets[:-1], self.offsets[1:])]
 
     @property
     def params(self) -> dict[str, np.ndarray]:
@@ -29,7 +41,7 @@ class EmbeddingTable(Module):
 
     @property
     def dim(self) -> int:
-        return self.fields[0].shape[1]
+        return self.weight.shape[1]
 
 
 @dataclass
@@ -48,10 +60,11 @@ class EmbeddingBank:
 
 
 def _init_table(schema: DatasetSchema, dim: int, rng: np.random.Generator) -> EmbeddingTable:
+    """One draw for the whole table; it is bit-identical to one draw per
+    field in schema order, since the generator fills rows in sequence."""
     scale = 1.0 / np.sqrt(dim)
-    return EmbeddingTable(
-        [rng.uniform(-scale, scale, size=(card, dim)) for card in schema.cardinalities]
-    )
+    offsets = np.cumsum([0, *schema.cardinalities], dtype=np.int64)
+    return EmbeddingTable(rng.uniform(-scale, scale, size=(int(offsets[-1]), dim)), offsets)
 
 
 def init_bank(
@@ -86,20 +99,22 @@ def init_bank(
 
 
 def _gather(table: EmbeddingTable, indices: np.ndarray) -> np.ndarray:
-    """A row outside [0, cardinality) of its field is rejected naming the
-    field and row (numpy would read a negative row from the end)."""
-    n, f = indices.shape
-    cards = np.array([a.shape[0] for a in table.fields])
+    """One fancy index over table rows. An index array whose column count
+    is not the table's field count is rejected (it would broadcast against
+    the offsets), and so is a row outside [0, cardinality) of its field,
+    naming the field and row (numpy would read a neighbouring field's row)."""
+    cards = np.diff(table.offsets)
+    if indices.ndim != 2 or indices.shape[1] != cards.size:
+        raise ValueError(
+            f"lookup indices of shape {indices.shape} need {cards.size} columns, one per field"
+        )
+    n = indices.shape[0]
     if n and (indices.min() < 0 or (indices.max(axis=0) >= cards).any()):
         i, j = np.argwhere((indices < 0) | (indices >= cards))[0]
         raise ValueError(
             f"lookup of field {j}, row {indices[i, j]}: rows must be in [0, {cards[j]})"
         )
-    d = table.dim
-    out = np.empty((n, f * d), dtype=np.float64)
-    for j in range(f):
-        out[:, j * d : (j + 1) * d] = table.fields[j][indices[:, j]]
-    return out
+    return table.weight[indices + table.offsets[:-1]].reshape(n, cards.size * table.dim)
 
 
 def lookup(bank: EmbeddingBank, table_index: int, batch_indices: np.ndarray) -> np.ndarray:
@@ -154,12 +169,13 @@ class SparseGrad:
         return dense
 
 
-UpdateRule = Callable[[int, np.ndarray, np.ndarray], None]
+UpdateRule = Callable[[np.ndarray, np.ndarray], None]
 
 
 def apply_sparse_to_table(table: EmbeddingTable, grads: SparseGrad, update: UpdateRule) -> None:
-    """Sum duplicate (field, row) entries, then hand each field's unique
-    rows, ascending, to the update rule as ``update(field, rows, summed_grads)``.
+    """Sum duplicate (field, row) entries, then hand the unique table rows,
+    ascending, to the update rule as ``update(rows, summed_grads)``, one
+    call per field that has entries.
 
     Duplicates are summed in entry order, one ``np.bincount`` per embedding
     column, so every sum is bit-identical to a sequential ``np.add.at``.
@@ -173,21 +189,22 @@ def apply_sparse_to_table(table: EmbeddingTable, grads: SparseGrad, update: Upda
     if grads.rows.size == 0:
         return
     _check_entries_in_table(table, grads.fields, grads.rows)
-    stride = int(grads.rows.max()) + 1
-    uniq, inverse = np.unique(grads.fields * stride + grads.rows, return_inverse=True)
-    u_fields, u_rows = np.divmod(uniq, stride)
+    uniq, inverse = np.unique(table.offsets[grads.fields] + grads.rows, return_inverse=True)
     summed = np.empty((uniq.size, grads.vecs.shape[1]))
     for j, column in enumerate(np.ascontiguousarray(grads.vecs.T)):
         summed[:, j] = np.bincount(inverse, weights=column, minlength=uniq.size)
-    bounds = np.searchsorted(u_fields, np.arange(len(table.fields) + 1))
-    for f, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+    # One call per field, not one over the whole table: a row-wise Adam
+    # step over every row of a wide table at once makes temporaries that
+    # no longer fit in cache, which measured slower than this split.
+    bounds = np.searchsorted(uniq, table.offsets)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi > lo:
-            update(f, u_rows[lo:hi], summed[lo:hi])
+            update(uniq[lo:hi], summed[lo:hi])
 
 
 def _check_entries_in_table(table: EmbeddingTable, fields: np.ndarray, rows: np.ndarray) -> None:
     """Raise naming the first entry whose (field, row) is not in the table."""
-    cards = np.array([a.shape[0] for a in table.fields])
+    cards = np.diff(table.offsets)
     bad = (fields < 0) | (fields >= cards.size) | (rows < 0)
     if not bad.any():
         bad = rows >= cards[fields]
@@ -197,4 +214,3 @@ def _check_entries_in_table(table: EmbeddingTable, fields: np.ndarray, rows: np.
             f"sparse gradient entry for field {fields[k]}, row {rows[k]} is "
             f"outside the table ({cards.size} fields, cardinalities {cards.tolist()})"
         )
-

@@ -98,16 +98,6 @@ def decorrelation_total(
     return total, np.hsplit(d_x, m)
 
 
-def pair_loss(
-    o_p: np.ndarray, o_q: np.ndarray, form: str
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """decorrelation_total on one pair: (value, d/do_p, d/do_q)."""
-    if form == "none":
-        raise ValueError(f"unknown loss form {form!r}")
-    value, (d_p, d_q) = decorrelation_total([o_p, o_q], form)
-    return value, d_p, d_q
-
-
 def corr_loss_pair(
     o_p: np.ndarray, o_q: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -115,7 +105,8 @@ def corr_loss_pair(
 
     Constant columns standardize to zero and contribute zero gradient.
     """
-    return pair_loss(o_p, o_q, "corr")
+    value, (d_p, d_q) = decorrelation_total([o_p, o_q], "corr")
+    return value, d_p, d_q
 
 
 def cov_loss_pair(
@@ -125,7 +116,8 @@ def cov_loss_pair(
     matrix C_p^T C_q, where C centers columns without scaling."""
     if norm not in ("l1", "l2"):
         raise ValueError(f"unknown norm {norm!r}")
-    return pair_loss(o_p, o_q, f"cov_{norm}")
+    value, (d_p, d_q) = decorrelation_total([o_p, o_q], f"cov_{norm}")
+    return value, d_p, d_q
 
 
 def total_objective(

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import io
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class CorrelationReport:
 
     num_experts: int
     pairs: dict[tuple[int, int], float]  # keys (m1, m2), m1 < m2
-    matrices: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
     @property
     def total(self) -> float:
@@ -94,9 +93,7 @@ class CorrelationReport:
         return out.getvalue()
 
 
-def cec_report(
-    expert_outputs: list[np.ndarray], retain_matrices: bool = False
-) -> CorrelationReport:
+def cec_report(expert_outputs: list[np.ndarray]) -> CorrelationReport:
     """Cross-expert correlation for every pair m1 < m2 of output matrices.
 
     The Pearson matrix of pair (m1, m2) is block (m1, m2) of the
@@ -111,6 +108,4 @@ def cec_report(
     report = CorrelationReport(num_experts=m, pairs={})
     for pair in itertools.combinations(range(m), 2):
         report.pairs[pair] = float(np.abs(r[pair]).mean())
-        if retain_matrices:
-            report.matrices[pair] = r[pair]
     return report

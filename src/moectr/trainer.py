@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -141,12 +142,7 @@ def train_step(
     for name, g in grads.dense.items():
         adam.update(name, params[name], g)
     for prefix, table, sparse in _sparse_groups(model, grads):
-
-        def rule(f, rows, grad_rows, _items=table.param_items(prefix)):
-            name, param = _items[f]
-            adam.update_rows(name, param, rows, grad_rows)
-
-        apply_sparse_to_table(table, sparse, rule)
+        apply_sparse_to_table(table, sparse, partial(adam.update_rows, prefix, table.weight))
     return losses
 
 
@@ -163,6 +159,10 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.patience < 0:
+            raise ValueError("patience must be >= 0")
 
 
 @dataclass
@@ -315,19 +315,15 @@ def model_objective_and_grads(
     """Total objective and a dense gradient for every named parameter.
 
     Embedding grads go through the scatter train_step runs, with a rule
-    that writes each field's summed rows into a full-table zero array, so
+    that writes the summed rows into a zero array shaped like the table, so
     a gradcheck also checks the scatter.
     """
     losses, grads, _ = batch_objective(model, indices, labels)
     out = dict(grads.dense)
     for prefix, table, sparse in _sparse_groups(model, grads):
-        dense = [np.zeros_like(a) for a in table.fields]
-
-        def rule(f, rows, grad_rows, _dense=dense):
-            _dense[f][rows] = grad_rows
-
-        apply_sparse_to_table(table, sparse, rule)
-        out.update(prefixed(prefix, dict(zip(table.params, dense))))
+        dense = np.zeros_like(table.weight)
+        apply_sparse_to_table(table, sparse, dense.__setitem__)
+        out.update(prefixed(prefix, EmbeddingTable(dense, table.offsets).params))
     return losses.total, out
 
 

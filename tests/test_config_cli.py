@@ -94,6 +94,30 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=r"line 2: unknown key 'learning_rate'"):
             RunConfig.from_text("fields = a:10\nlearning_rate = 0.01\n")
 
+    def test_bad_value_names_key_and_source(self, tmp_path):
+        with pytest.raises(ValueError, match="^config: key 'lr': could not convert string to float: 'fast'"):
+            RunConfig.from_text("fields = a:10\nlr = fast\n")
+        config = tmp_path / "run.cfg"
+        config.write_text("fields = a:ten\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(config))}: key 'fields': invalid literal"):
+            RunConfig.from_file(config)
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("rows = many\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(spec))}: key 'rows': invalid literal"):
+            SynthSpec.from_file(spec)
+
+    @pytest.mark.parametrize(
+        "value,expected",
+        [("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False)],
+    )
+    def test_encoded_reads_booleans_in_any_case(self, value, expected):
+        assert RunConfig.from_text(f"encoded = {value}\n").encoded is expected
+
+    @pytest.mark.parametrize("value", ["ture", "on", ""])
+    def test_encoded_rejects_other_words(self, value):
+        with pytest.raises(ValueError, match=f"key 'encoded': expected true/false, yes/no or 1/0, got '{value}'"):
+            RunConfig.from_text(f"encoded = {value}\n")
+
     def test_build_model_from_config(self):
         cfg = RunConfig.from_text(
             "fields = a:10, b:10\nexperts = fm, crossnet:2\nembed_dim = 4\n"
@@ -189,6 +213,16 @@ class TestCli:
         assert lines[0] == "m1,m2,cec"
         assert len(lines) == 2
         assert float(lines[1].split(",")[2]) == record["cec_pairs"][0]["cec"]
+
+    @pytest.mark.parametrize("key,value", [("epochs", 0), ("patience", -1)])
+    def test_train_rejects_untrainable_config_before_reading_data(self, tmp_path, key, value):
+        cfg_path = tmp_path / "run.cfg"
+        text = _train_config_text(tmp_path / "absent.csv")
+        cfg_path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M))
+        model_path = tmp_path / "model.bin"
+        with pytest.raises(ValueError, match=f"^{key} must be >= "):
+            main(["train", "--config", str(cfg_path), "--out", str(model_path)])
+        assert not model_path.exists()
 
     def test_gen_synth(self, tmp_path):
         spec = tmp_path / "spec.cfg"

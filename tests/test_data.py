@@ -108,9 +108,18 @@ class TestLoadTable:
         with pytest.raises(ValueError, match="device"):
             load_table(path, SCHEMA)
 
+    @pytest.mark.parametrize("header", ["site,device,site,click", "site,device,click,click"])
+    def test_repeated_referenced_column_rejected(self, tmp_path, header):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{header}\na,b,1,0\n")
+        repeated = header.split(",")[2]
+        for reader in (load_table, load_synthetic_csv):
+            with pytest.raises(ValueError, match=rf"column '{repeated}' appears 2 times .*{path.name}"):
+                reader(path, SCHEMA)
+
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "t.csv"
-        path.write_text("site,device,click,junk\na,b,1,zzz\n")
+        path.write_text("site,device,click,junk,junk\na,b,1,zzz,yyy\n")
         ds = load_table(path, SCHEMA)
         assert len(ds) == 1
 

@@ -18,6 +18,11 @@ SCHEMA = DatasetSchema(
 )
 
 
+def _table(arrays: list[np.ndarray]) -> EmbeddingTable:
+    """A table whose field f holds arrays[f], in order."""
+    return EmbeddingTable(np.concatenate(arrays), np.cumsum([0, *map(len, arrays)]))
+
+
 class TestInitBank:
     def test_se_single_table(self):
         bank = init_bank(SCHEMA, "se", 5, 2, 2, seed=0)
@@ -57,8 +62,8 @@ class TestInitBank:
 
 class TestLookup:
     def test_concatenation_order(self):
-        table = EmbeddingTable(
-            fields=[
+        table = _table(
+            [
                 np.array([[1.0, 2.0], [9.0, 9.0], [0.0, 0.0], [0.0, 0.0]]),
                 np.array([[3.0, 4.0], [8.0, 8.0], [0.0, 0.0]]),
             ]
@@ -96,6 +101,15 @@ class TestLookup:
             with pytest.raises(ValueError, match=r"field 1, row 3: rows must be in \[0, 3\)"):
                 gather(np.array([[0, 0], [3, 3]]))
 
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_column_count_must_match_field_count(self, columns):
+        # one column would broadcast against the two fields' offsets
+        bank = init_bank(SCHEMA, "me", 2, 2, 2, seed=0)
+        idx = np.zeros((4, columns), dtype=np.int64)
+        for gather in (lambda: lookup(bank, 1, idx), lambda: lookup_gating(bank, idx)):
+            with pytest.raises(ValueError, match=rf"shape \(4, {columns}\) need 2 columns"):
+                gather()
+
     def test_gating_lookup_uses_gating_table(self):
         bank = init_bank(SCHEMA, "me", 2, 2, 3, seed=2)
         out = lookup_gating(bank, np.array([[1, 2]]))
@@ -104,8 +118,8 @@ class TestLookup:
 
 
 def _sgd_rule(table):
-    def rule(f, rows, grad_rows):
-        table.fields[f][rows] -= grad_rows
+    def rule(rows, grad_rows):
+        table.weight[rows] -= grad_rows
 
     return rule
 
@@ -168,23 +182,23 @@ class TestApplySparseGrads:
             apply_sparse_to_table(bank.tables[0], grads, _sgd_rule(bank.tables[0]))
 
 
-def _add_at_reference(grads: SparseGrad) -> list[tuple[int, list[int], np.ndarray]]:
-    """Sequential np.add.at over (field, row) groups, as (field, rows
-    ascending, summed grads) per field with entries."""
-    key = grads.fields * (grads.rows.max() + 1) + grads.rows
+def _add_at_reference(table: EmbeddingTable, grads: SparseGrad) -> list[tuple[list[int], np.ndarray]]:
+    """Sequential np.add.at over table rows, as (table rows ascending,
+    summed grads) per field with entries."""
+    key = table.offsets[grads.fields] + grads.rows
     uniq, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     summed = np.zeros((uniq.size, grads.vecs.shape[1]))
     np.add.at(summed, inverse, grads.vecs)
-    u_fields, u_rows = grads.fields[first], grads.rows[first]
+    u_fields = grads.fields[first]
     return [
-        (f, u_rows[u_fields == f].tolist(), summed[u_fields == f])
+        (uniq[u_fields == f].tolist(), summed[u_fields == f])
         for f in np.unique(u_fields).tolist()
     ]
 
 
 def _recorded_updates(table: EmbeddingTable, grads: SparseGrad):
     calls = []
-    apply_sparse_to_table(table, grads, lambda f, rows, g: calls.append((f, rows.tolist(), g.copy())))
+    apply_sparse_to_table(table, grads, lambda rows, g: calls.append((rows.tolist(), g.copy())))
     return calls
 
 
@@ -195,7 +209,7 @@ class TestScatterBitIdentity:
         # 1e-8..1e8 so that any change of summation order shows
         rng = np.random.default_rng(seed)
         cards = [1, 3, 50, 2000, 7]
-        table = EmbeddingTable([np.zeros((c, 4)) for c in cards])
+        table = _table([np.zeros((c, 4)) for c in cards])
         k = 3000
         fields = rng.integers(0, len(cards), k)
         rows = (rng.zipf(1.5, k) - 1) % np.array(cards)[fields]
@@ -203,17 +217,18 @@ class TestScatterBitIdentity:
         vecs = rng.standard_normal((k, 4)) * scale
         grads = SparseGrad(fields, rows, vecs)
         got = _recorded_updates(table, grads)
-        expected = _add_at_reference(grads)
-        assert [(f, r) for f, r, _ in got] == [(f, r) for f, r, _ in expected]
-        for (_, _, g), (_, _, e) in zip(got, expected):
+        expected = _add_at_reference(table, grads)
+        assert [r for r, _ in got] == [r for r, _ in expected]
+        for (_, g), (_, e) in zip(got, expected):
             assert g.tobytes() == e.tobytes()
 
     def test_skips_fields_without_entries(self):
-        table = EmbeddingTable([np.zeros((4, 2)), np.zeros((3, 2)), np.zeros((2, 2))])
+        # field 2 starts at table row 4 + 3 = 7
+        table = _table([np.zeros((4, 2)), np.zeros((3, 2)), np.zeros((2, 2))])
         grads = SparseGrad(np.array([2, 0, 2]), np.array([1, 3, 1]), np.ones((3, 2)))
         calls = _recorded_updates(table, grads)
-        assert [(f, r) for f, r, _ in calls] == [(0, [3]), (2, [1])]
-        np.testing.assert_array_equal(calls[1][2], [[2.0, 2.0]])
+        assert [r for r, _ in calls] == [[3], [8]]
+        np.testing.assert_array_equal(calls[1][1], [[2.0, 2.0]])
 
 
 class TestScatterRejectsEntriesOutsideTable:
@@ -226,7 +241,7 @@ class TestScatterRejectsEntriesOutsideTable:
              "row-at-cardinality", "row-beyond-field1"],
     )
     def test_rejected_naming_field_and_row(self, field, row):
-        table = EmbeddingTable([np.zeros((4, 2)), np.zeros((3, 2))])
+        table = _table([np.zeros((4, 2)), np.zeros((3, 2))])
         grads = SparseGrad(
             np.array([0, field, 1]), np.array([1, row, 2]), np.ones((3, 2))
         )

@@ -199,12 +199,6 @@ class TestCecReport:
         assert (int(m1), int(m2)) == (0, 1)
         assert float(value) == report.pairs[(0, 1)]
 
-    def test_retain_matrices(self):
-        rng = np.random.default_rng(13)
-        outs = [rng.normal(size=(9, 3)), rng.normal(size=(9, 3))]
-        report = cec_report(outs, retain_matrices=True)
-        assert report.matrices[(0, 1)].shape == (3, 3)
-
     def test_rectangular_cec_for_heterogeneous_widths(self):
         # cec itself accepts mismatched widths (mean |r| over d1 x d2)
         rng = np.random.default_rng(14)

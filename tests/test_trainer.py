@@ -8,7 +8,7 @@ from moectr import model as model_module
 from moectr import trainer
 
 from moectr.data import DatasetSchema, EncodedDataset, FeatureField, gen_synthetic, split_dataset
-from moectr.embedding import SparseGrad, lookup, lookup_gating
+from moectr.embedding import EmbeddingTable, SparseGrad, lookup, lookup_gating
 from moectr.experts import ExpertConfig
 from moectr.gradsuite import kink_margin, run_case, suite_cases
 from moectr.losses import LossConfig, bce
@@ -21,6 +21,7 @@ from moectr.model import (
     param_count,
     predict,
     save_model,
+    table_modules,
 )
 from moectr.numerics import row_softmax, sigmoid
 from moectr.optim import Adam
@@ -289,6 +290,16 @@ class TestTrainStep:
         for (_, arr), old in zip(named_params(model), before):
             np.testing.assert_array_equal(arr, old)
 
+    @pytest.mark.parametrize("mode", ["me", "se"])
+    def test_one_adam_slot_per_table(self, mode):
+        model = all_kinds_model(mode)
+        adam = Adam(lr=0.01)
+        train_step(model, *micro_batch(8, seed=2), adam)
+        dense = [name for name, _ in named_params(model) if not name.startswith("bank.")]
+        tables = [prefix for prefix, _ in table_modules(model)]
+        assert len(adam.slots) == len(dense) + len(tables)
+        assert sorted(adam.slots) == sorted(dense + tables)
+
     def test_non_finite_late_group_moves_nothing(self, monkeypatch):
         model = micro_model(LossConfig(form="corr", alpha=0.5), seed=18)
         adam = Adam(lr=0.01)
@@ -480,6 +491,22 @@ class TestPersistence:
         assert m1.logloss == m2.logloss
         assert c1.pairs == c2.pairs
 
+    def test_named_params_write_through_to_lookup_and_file(self, tmp_path):
+        # a table's per-field parameters are views of the one table array
+        model = micro_model(seed=30)
+        params = dict(named_params(model))
+        params["bank.table1.field2"][3] = [7.0, -7.0]
+        idx = np.array([[0, 0, 3]])
+        np.testing.assert_array_equal(lookup(model.bank, 1, idx)[0, 4:], [7.0, -7.0])
+        assert (lookup(model.bank, 0, idx)[0, 4:] != 7.0).all()
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        _, blocks = _model_file_blocks(path.read_bytes())
+        block = np.frombuffer(blocks["bank.table1.field2"][-5 * 2 * 8 :], dtype="<f8")
+        np.testing.assert_array_equal(block.reshape(5, 2)[3], [7.0, -7.0])
+        loaded = dict(named_params(load_model(path)))
+        np.testing.assert_array_equal(loaded["bank.table1.field2"][3], [7.0, -7.0])
+
     def test_config_echo_roundtrip(self, tmp_path):
         model = micro_model(LossConfig(form="cov_l1", alpha=0.25, location="input"), seed=25)
         path = tmp_path / "model.bin"
@@ -611,10 +638,15 @@ def _trained_state_digest(model, steps=6) -> str:
         idx = rng.integers(0, 5, size=(64, 3))
         y = (rng.random(64) < 0.5).astype(float)
         train_step(model, idx, y, adam)
+    moments = {name: (slot.m, slot.v) for name, slot in adam.slots.items()}
+    for prefix, table in table_modules(model):
+        # a field's moments are its rows of the table's one slot
+        slot = adam.slots[prefix]
+        m, v = (EmbeddingTable(a, table.offsets).params for a in (slot.m, slot.v))
+        moments.update({f"{prefix}.{f}": (m[f], v[f]) for f in m})
     h = hashlib.sha256()
     for name, arr in named_params(model):
-        slot = adam.slots[name]
-        for a in (arr, slot.m, slot.v):
+        for a in (arr, *moments[name]):
             h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
 
