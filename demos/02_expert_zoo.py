@@ -17,10 +17,6 @@ E = rng.normal(size=(4, F * d)).round(2)
 print(f"batch of 4 samples, {F} fields, embedding dim {d}:\n{E}\n")
 
 
-def raw_core_output(expert, cache):
-    return cache[-1][0]  # alignment head input
-
-
 print("=== fm: per-dimension second-order sums ===")
 fm = make_expert(ExpertConfig(kind="fm", out_dim=4), F, d, rng)
 _, cache = fm.forward(E)
@@ -28,7 +24,7 @@ ev = E.reshape(4, F, d)
 brute = sum(
     ev[:, i, :] * ev[:, j, :] for i in range(F) for j in range(i + 1, F)
 )
-print("core output:\n", np.round(raw_core_output(fm, cache), 4))
+print("core output:\n", np.round(fm.core_output(cache), 4))
 print("brute-force sum_{i<j} e_i * e_j:\n", np.round(brute, 4), "\n")
 
 print("=== crossnet: x_{l+1} = x0 * (W x_l + b) + x_l ===")

@@ -90,6 +90,13 @@ def _bool(value: str) -> bool:
     raise ValueError(f"expected true/false, yes/no or 1/0, got {value!r}")
 
 
+def _seed(value: str) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise ValueError(f"seeds must be >= 0, got {seed}")
+    return seed
+
+
 def _split(value: str) -> tuple[float, float, float]:
     parts = [float(tok) for tok in value.split(",")]
     if len(parts) != 3:
@@ -106,7 +113,7 @@ RUN_KEYS = {
     "label": ("label", str),
     "encoded": ("encoded", _bool),
     "split": ("split", _split),
-    "split_seed": ("split_seed", int),
+    "split_seed": ("split_seed", _seed),
     "mode": ("mode", str.lower),
     "experts": ("expert_specs", lambda value: tuple(t.strip() for t in value.split(",") if t.strip())),
     "embed_dim": ("embed_dim", int),
@@ -121,14 +128,14 @@ RUN_KEYS = {
     "batch_size": ("batch_size", int),
     "epochs": ("epochs", int),
     "patience": ("patience", int),
-    "seed": ("seed", int),
+    "seed": ("seed", _seed),
 }
 SYNTH_KEYS = {
     "rows": ("rows", int),
     "fields": ("num_fields", int),
     "cardinality": ("cardinalities", lambda value: [int(tok) for tok in value.split(",")]),
     "latent_dim": ("latent_dim", int),
-    "seed": ("seed", int),
+    "seed": ("seed", _seed),
     "c0": ("c0", float),
 }
 

@@ -141,17 +141,14 @@ class SparseGrad:
 
     @classmethod
     def from_dense_rows(cls, batch_indices: np.ndarray, d_embed: np.ndarray) -> "SparseGrad":
-        """Adjoint carrier of lookup: one entry per (sample, field) pair.
-
-        d_embed is the (B, F*d) upstream gradient of the concatenated
-        lookup output.
+        """Adjoint carrier of lookup: one entry per (sample, field) pair,
+        sample-major, so ``vecs`` views a C-contiguous (B, F*d) upstream
+        gradient d_embed. A table row belongs to one field, so its
+        duplicates still arrive in sample order.
         """
         n, f = batch_indices.shape
-        d = d_embed.shape[1] // f
-        fields = np.repeat(np.arange(f, dtype=np.int64), n)
-        rows = batch_indices.T.reshape(-1).astype(np.int64)
-        vecs = d_embed.reshape(n, f, d).transpose(1, 0, 2).reshape(n * f, d)
-        return cls(fields, rows, np.ascontiguousarray(vecs))
+        vecs = d_embed.reshape(n * f, d_embed.shape[1] // f)
+        return cls(np.tile(np.arange(f, dtype=np.int64), n), batch_indices.reshape(-1), vecs)
 
     @classmethod
     def concat(cls, grads: list["SparseGrad"]) -> "SparseGrad":
@@ -180,15 +177,13 @@ def apply_sparse_to_table(table: EmbeddingTable, grads: SparseGrad, update: Upda
     Duplicates are summed in entry order, one ``np.bincount`` per embedding
     column, so every sum is bit-identical to a sequential ``np.add.at``.
     The rule mutates the table rows (the optimizer step lives in the
-    trainer); rows that received no gradient are never touched. An entry
-    outside the table (negative row, unknown field, row not below its
-    field's cardinality) raises ValueError before any rule runs.
+    trainer); rows that received no gradient are never touched.
+    Precondition: every entry is in the table (the lookup of the same
+    forward pass accepted its index) and every gradient is finite
+    (``train_step`` checks that before any update).
     """
-    if not np.isfinite(grads.vecs).all():
-        raise ValueError("non-finite gradient")
     if grads.rows.size == 0:
         return
-    _check_entries_in_table(table, grads.fields, grads.rows)
     uniq, inverse = np.unique(table.offsets[grads.fields] + grads.rows, return_inverse=True)
     summed = np.empty((uniq.size, grads.vecs.shape[1]))
     for j, column in enumerate(np.ascontiguousarray(grads.vecs.T)):
@@ -201,16 +196,3 @@ def apply_sparse_to_table(table: EmbeddingTable, grads: SparseGrad, update: Upda
         if hi > lo:
             update(uniq[lo:hi], summed[lo:hi])
 
-
-def _check_entries_in_table(table: EmbeddingTable, fields: np.ndarray, rows: np.ndarray) -> None:
-    """Raise naming the first entry whose (field, row) is not in the table."""
-    cards = np.diff(table.offsets)
-    bad = (fields < 0) | (fields >= cards.size) | (rows < 0)
-    if not bad.any():
-        bad = rows >= cards[fields]
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(
-            f"sparse gradient entry for field {fields[k]}, row {rows[k]} is "
-            f"outside the table ({cards.size} fields, cardinalities {cards.tolist()})"
-        )

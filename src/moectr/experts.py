@@ -84,6 +84,10 @@ class Expert(Module):
         """
         raise NotImplementedError
 
+    def core_output(self, cache) -> np.ndarray:
+        """The interaction core's output, before the alignment head."""
+        return self.align.raw_input(cache[-1])
+
     def relu_inputs(self, cache) -> list[np.ndarray]:
         """Pre-activation of every ReLU the forward pass applied."""
         return self.align.relu_inputs(cache[-1])

@@ -162,6 +162,10 @@ class AlignmentHead(Module):
         dz = d_out * (z > 0.0)
         return {"w": dz.T @ raw, "b": dz.sum(axis=0)}, dz @ self.w
 
+    def raw_input(self, cache: tuple) -> np.ndarray:
+        """The raw expert output forward aligned, from forward's cache."""
+        return cache[0]
+
     def relu_inputs(self, cache: tuple) -> list[np.ndarray]:
         """The pre-activation of the one rectified layer."""
         return [cache[1]]

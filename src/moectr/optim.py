@@ -44,8 +44,6 @@ class Adam:
 
     def update(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
         """Dense in-place update: p -= lr * m_hat / (sqrt(v_hat) + eps)."""
-        if not np.isfinite(grad).all():
-            raise ValueError("non-finite gradient")
         state = self._slot(key, param)
         scratch = self._accumulate(state.m, state.v, grad)
         m_hat = np.divide(state.m, 1.0 - self.beta1**self.t, out=scratch)
@@ -57,11 +55,11 @@ class Adam:
     ) -> None:
         """Lazy sparse update: only the given rows move (or decay moments).
 
-        ``rows`` must not repeat; the gathered moment rows are updated in
-        place, written back, then reused for the step.
+        ``rows`` must be distinct rows of ``param`` and ``grad_rows`` finite
+        (``train_step`` checks every gradient before any update); the
+        gathered moment rows are updated in place, written back, then
+        reused for the step.
         """
-        if not np.isfinite(grad_rows).all():
-            raise ValueError("non-finite gradient")
         state = self._slot(key, param)
         m = state.m[rows]
         v = state.v[rows]

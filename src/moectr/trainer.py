@@ -112,7 +112,8 @@ def _sparse_groups(model: ModelBundle, grads: BatchGrads) -> list[tuple[str, Emb
 
 
 def _check_finite(model: ModelBundle, grads: BatchGrads) -> None:
-    """Raise naming the first gradient group that holds a NaN or inf."""
+    """The step's one finiteness pass: raise naming the first gradient
+    group that holds a NaN or inf."""
     groups = [
         *grads.dense.items(),
         *((prefix, sparse.vecs) for prefix, _, sparse in _sparse_groups(model, grads)),
@@ -163,6 +164,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -106,6 +106,11 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(spec))}: key 'rows': invalid literal"):
             SynthSpec.from_file(spec)
 
+    @pytest.mark.parametrize("key", ["seed", "split_seed"])
+    def test_negative_seed_rejected_naming_key(self, key):
+        with pytest.raises(ValueError, match=f"^config: key '{key}': seeds must be >= 0, got -2"):
+            RunConfig.from_text(f"fields = a:10, b:10\n{key} = -2\n")
+
     @pytest.mark.parametrize(
         "value,expected",
         [("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False)],
@@ -142,6 +147,12 @@ class TestSynthSpec:
         path = tmp_path / "spec.cfg"
         path.write_text("rows = 10\nfields = 3\ncardinality = 4,5,6\n")
         assert SynthSpec.from_file(path).cardinalities == [4, 5, 6]
+
+    def test_negative_seed_rejected_naming_key(self, tmp_path):
+        path = tmp_path / "spec.cfg"
+        path.write_text("rows = 10\nseed = -1\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: key 'seed': seeds must be >= 0, got -1"):
+            SynthSpec.from_file(path)
 
     def test_unknown_key_rejected_with_line(self, tmp_path):
         assert SynthSpec.from_file(REPO_ROOT / "configs" / "synth_small.cfg").rows == 20000

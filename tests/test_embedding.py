@@ -175,12 +175,6 @@ class TestApplySparseGrads:
         np.testing.assert_array_equal(table.fields[1], before[1])
         assert not np.array_equal(table.fields[0][2], before[0][2])
 
-    def test_non_finite_rejected(self):
-        bank = init_bank(SCHEMA, "se", 1, 2, 2, seed=0)
-        grads = SparseGrad(np.array([0]), np.array([0]), np.array([[np.nan, 0.0]]))
-        with pytest.raises(ValueError, match="non-finite gradient"):
-            apply_sparse_to_table(bank.tables[0], grads, _sgd_rule(bank.tables[0]))
-
 
 def _add_at_reference(table: EmbeddingTable, grads: SparseGrad) -> list[tuple[list[int], np.ndarray]]:
     """Sequential np.add.at over table rows, as (table rows ascending,
@@ -230,25 +224,33 @@ class TestScatterBitIdentity:
         assert [r for r, _ in calls] == [[3], [8]]
         np.testing.assert_array_equal(calls[1][1], [[2.0, 2.0]])
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sample_major_pack_matches_field_major(self, seed):
+        # two experts' lookup gradients over duplicate-heavy indices: the
+        # sample-major packing must sum every row in the order a field-major
+        # packing (one field's samples after another) did, byte for byte
+        rng = np.random.default_rng(seed)
+        cards = [1, 3, 50, 7]
+        table = _table([np.zeros((c, 4)) for c in cards])
+        n = 400
+        idx = (rng.zipf(1.5, (n, len(cards))) - 1) % np.array(cards)
+        d_embeds = [
+            rng.standard_normal((n, len(cards) * 4)) * 10.0 ** rng.uniform(-8, 8, (n, 1))
+            for _ in range(2)
+        ]
+        packed = SparseGrad.concat([SparseGrad.from_dense_rows(idx, d) for d in d_embeds])
 
-class TestScatterRejectsEntriesOutsideTable:
-    """No rule may run when any entry is outside the table."""
+        def field_major(d_embed):
+            vecs = d_embed.reshape(n, len(cards), 4).transpose(1, 0, 2).reshape(-1, 4)
+            fields = np.repeat(np.arange(len(cards)), n)
+            return SparseGrad(fields, idx.T.reshape(-1), np.ascontiguousarray(vecs))
 
-    @pytest.mark.parametrize(
-        "field,row",
-        [(0, -1), (1, -2), (2, 0), (-1, 0), (0, 4), (1, 3)],
-        ids=["negative-row", "negative-row-field1", "unknown-field", "negative-field",
-             "row-at-cardinality", "row-beyond-field1"],
-    )
-    def test_rejected_naming_field_and_row(self, field, row):
-        table = _table([np.zeros((4, 2)), np.zeros((3, 2))])
-        grads = SparseGrad(
-            np.array([0, field, 1]), np.array([1, row, 2]), np.ones((3, 2))
-        )
-        calls = []
-        with pytest.raises(ValueError, match=f"field {field}, row {row}"):
-            apply_sparse_to_table(table, grads, lambda *a: calls.append(a))
-        assert calls == []
+        reference = SparseGrad.concat([field_major(d) for d in d_embeds])
+        got = _recorded_updates(table, packed)
+        expected = _recorded_updates(table, reference)
+        assert [r for r, _ in got] == [r for r, _ in expected]
+        for (_, g), (_, e) in zip(got, expected):
+            assert g.tobytes() == e.tobytes()
 
 
 class TestLookupAdjoint:
@@ -288,3 +290,10 @@ class TestLookupAdjoint:
         assert triples[(1, 1)] == [2.0, 3.0]
         assert triples[(0, 0)] == [4.0, 5.0]
         assert triples[(1, 2)] == [6.0, 7.0]
+
+    def test_from_dense_rows_vecs_view_d_embed(self):
+        idx = np.array([[3, 1], [0, 2]])
+        d_embed = np.arange(8, dtype=float).reshape(2, 4)
+        sg = SparseGrad.from_dense_rows(idx, d_embed)
+        assert sg.vecs.shape == (4, 2)
+        assert np.shares_memory(sg.vecs, d_embed)

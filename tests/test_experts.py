@@ -414,3 +414,22 @@ class TestInputIsReadOnly:
             layer_grads = [rng.normal(size=(5, 6)) for _ in range(cfg.cross_layers)]
         e.backward(cache, rng.normal(size=out.shape), layer_grads=layer_grads)
         assert x.tobytes() == before.tobytes()
+
+
+class TestCoreOutput:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExpertConfig(kind="dnn", out_dim=3, hidden=(4, 3), dnn_out=2),
+            ExpertConfig(kind="fm", out_dim=3),
+            ExpertConfig(kind="crossnet", out_dim=3, cross_layers=2),
+            ExpertConfig(kind="cin", out_dim=3, cin_maps=(3, 2)),
+        ],
+        ids=lambda c: c.kind,
+    )
+    def test_alignment_of_core_output_is_the_expert_output(self, cfg):
+        rng = _rng(22)
+        e = make_expert(cfg, 3, 2, rng)
+        out, cache = e.forward(rng.normal(size=(5, 6)))
+        aligned, _ = e.align.forward(e.core_output(cache))
+        assert aligned.tobytes() == out.tobytes()

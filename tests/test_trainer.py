@@ -86,12 +86,6 @@ class TestAdam:
         # each step moves by lr * g/(|g| + eps) ~= lr * sign(g)
         np.testing.assert_allclose(p, [-0.2], atol=1e-9)
 
-    def test_non_finite_rejected(self):
-        adam = Adam()
-        adam.begin_step()
-        with pytest.raises(ValueError, match="non-finite"):
-            adam.update("p", np.zeros(1), np.array([np.inf]))
-
     def test_sparse_rows_untouched_bit_identical(self):
         adam = Adam(lr=0.1)
         p = np.random.default_rng(0).normal(size=(6, 3))
@@ -276,15 +270,26 @@ class TestTrainStep:
             losses.bce + 0.5 * losses.decorrelation / 7.0
         )
 
-    def test_negative_index_moves_nothing(self):
-        # a negative row would read the table's last row; the lookup
-        # rejects it before any parameter or moment moves
+    @pytest.mark.parametrize("bad", ["negative-row", "row-at-cardinality", "extra-column"])
+    def test_negative_index_moves_nothing(self, bad):
+        # the scatter trusts its entries, so the lookup must reject every
+        # index outside the table before any parameter, moment or t moves:
+        # a negative row would read the table's last row, and a row at
+        # its field's cardinality the next field's first row
         model = all_kinds_model("se")
         idx, y = micro_batch(8, seed=1)
-        idx[3, 2] = -1
+        if bad == "negative-row":
+            idx[3, 2] = -1
+            match = "field 2, row -1"
+        elif bad == "row-at-cardinality":
+            idx[3, 1] = 5
+            match = "field 1, row 5"
+        else:
+            idx = np.hstack([idx, idx[:, :1]])
+            match = r"shape \(8, 4\) need 3 columns"
         before = [arr.copy() for _, arr in named_params(model)]
         adam = Adam(lr=0.1)
-        with pytest.raises(ValueError, match="field 2, row -1"):
+        with pytest.raises(ValueError, match=match):
             train_step(model, idx, y, adam)
         assert adam.t == 0 and not adam.slots
         for (_, arr), old in zip(named_params(model), before):
@@ -366,6 +371,11 @@ class TestTrainLoop:
         empty = EncodedDataset(ds.schema, ds.indices[:0], ds.labels[:0])
         with pytest.raises(ValueError, match="nonempty"):
             train_loop(micro_model(), empty, ds, TrainConfig())
+
+    def test_negative_seed_rejected(self):
+        # the epoch shuffle seeds a generator with seed + epoch
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
 
     def test_one_class_validation_rejected_before_training(self):
         ds = _tiny_dataset(60, seed=15)
