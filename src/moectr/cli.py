@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .config import RunConfig, SynthSpec, parse_kv_file
+from .config import GradcheckSpec, RunConfig, SynthSpec
 from .data import gen_synthetic, load_synthetic_csv, load_table, save_synthetic_params, save_table
 from .gradsuite import run_suite
 from .model import load_model, param_count, save_model
@@ -114,11 +114,9 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    kv = parse_kv_file(args.config, ("gradcheck_h", "gradcheck_tol")) if args.config else {}
-    h = float(kv.get("gradcheck_h", 1e-5))
-    tol = float(kv.get("gradcheck_tol", 1e-4))
+    spec = GradcheckSpec.from_file(args.config) if args.config else GradcheckSpec()
     failed = 0
-    for name, report in run_suite(h=h, tol=tol):
+    for name, report in run_suite(h=spec.h, tol=spec.tol):
         status = "PASS" if report.passed else "FAIL"
         print(f"{status} {name}: max_rel_err={report.max_relative_error:.3e}")
         if not report.passed:

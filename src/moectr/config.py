@@ -2,8 +2,8 @@
 
 Format: one ``key = value`` per line, ``#`` starts a comment, blank lines
 ignored. Lists are comma-separated; layer widths inside one expert spec are
-dash-separated. Run and synthetic-data configs reject unknown keys. See
-configs/default.cfg for a fully commented example.
+dash-separated. Run, synthetic-data and gradcheck configs reject unknown
+keys. See configs/default.cfg for a fully commented example.
 """
 
 from __future__ import annotations
@@ -97,6 +97,13 @@ def _seed(value: str) -> int:
     return seed
 
 
+def _positive(value: str) -> float:
+    number = float(value)
+    if not 0.0 < number < float("inf"):
+        raise ValueError(f"must be a finite number > 0, got {value!r}")
+    return number
+
+
 def _split(value: str) -> tuple[float, float, float]:
     parts = [float(tok) for tok in value.split(",")]
     if len(parts) != 3:
@@ -137,6 +144,10 @@ SYNTH_KEYS = {
     "latent_dim": ("latent_dim", int),
     "seed": ("seed", _seed),
     "c0": ("c0", float),
+}
+GRADCHECK_KEYS = {
+    "gradcheck_h": ("h", _positive),
+    "gradcheck_tol": ("tol", _positive),
 }
 
 
@@ -260,3 +271,16 @@ class SynthSpec:
         if len(spec.cardinalities) <= 1:
             spec.cardinalities = (spec.cardinalities or [100]) * spec.num_fields
         return spec
+
+
+@dataclass
+class GradcheckSpec:
+    """Central-difference step and relative-error tolerance of the micro
+    gradient suite."""
+
+    h: float = 1e-5
+    tol: float = 1e-4
+
+    @classmethod
+    def from_file(cls, path) -> "GradcheckSpec":
+        return _apply_keys(cls(), GRADCHECK_KEYS, parse_kv_file(path, GRADCHECK_KEYS), str(path))

@@ -356,6 +356,10 @@ def gen_synthetic(
         cardinalities = [cardinalities] * num_fields
     if len(cardinalities) != num_fields:
         raise ValueError("one cardinality per field required")
+    if latent_dim < 1:
+        raise ValueError(f"latent_dim must be >= 1, got {latent_dim}")
+    if min(cardinalities) < 1:
+        raise ValueError(f"cardinalities must be >= 1, got {min(cardinalities)}")
     rng = np.random.default_rng(seed)
     n_pairs = num_fields * (num_fields - 1) // 2
     n_triples = num_fields * (num_fields - 1) * (num_fields - 2) // 6

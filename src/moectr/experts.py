@@ -2,7 +2,8 @@
 
 Every expert maps a concatenated embedding matrix E of shape (B, F*d) to an
 aligned output of shape (B, out_dim) through a kind-specific interaction
-core followed by an affine+ReLU alignment head, so outputs of heterogeneous
+core followed by an affine+ReLU alignment head (a one-layer ``Mlp`` whose
+blocks keep the names ``align.w``/``align.b``), so outputs of heterogeneous
 kinds share one width and can be compared pairwise.
 
 Backward passes are written by hand against the cached forward state and
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nnet import AlignmentHead, Mlp, Module, layer_params, prefixed
+from .nnet import Mlp, Module, init_affine, layer_params, prefixed
 
 EXPERT_KINDS = ("dnn", "fm", "crossnet", "cin")
 
@@ -58,9 +59,15 @@ class ExpertConfig:
                 raise ValueError("cin map widths must be >= 1")
 
 
+def align_named(named: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The alignment head's w0/b0 under their model-file names align.w/align.b."""
+    return {"align.w": named["w0"], "align.b": named["b0"]}
+
+
 class Expert(Module):
     """Base contract: forward caches what backward needs, nothing else;
-    params and backward's grads carry the alignment head as ``align.*``.
+    params and backward's grads carry the alignment head as ``align.w``
+    and ``align.b`` (see ``align_named``).
     Every kind keeps the alignment head's cache last in its own cache."""
 
     kind: str = ""
@@ -70,23 +77,19 @@ class Expert(Module):
         self.num_fields = num_fields
         self.embed_dim = embed_dim
         self.in_dim = num_fields * embed_dim
-        self.align: AlignmentHead
+        self.align: Mlp  # one rectified layer
 
     def forward(self, embeds: np.ndarray):
         """Returns (aligned output (B, out_dim), cache)."""
         raise NotImplementedError
 
-    def backward(self, cache, d_out: np.ndarray, layer_grads=None):
-        """Returns (param grads keyed like params, d_embeds (B, F*d)).
-
-        layer_grads injects extra gradients on intermediate layer outputs;
-        only the crossnet kind supports it.
-        """
+    def backward(self, cache, d_out: np.ndarray):
+        """Returns (param grads keyed like params, d_embeds (B, F*d))."""
         raise NotImplementedError
 
     def core_output(self, cache) -> np.ndarray:
         """The interaction core's output, before the alignment head."""
-        return self.align.raw_input(cache[-1])
+        return self.align.forward_input(cache[-1])
 
     def relu_inputs(self, cache) -> list[np.ndarray]:
         """Pre-activation of every ReLU the forward pass applied."""
@@ -99,13 +102,6 @@ class Expert(Module):
                 f"got {embeds.shape}"
             )
 
-    def _reject_layer_grads(self, layer_grads) -> None:
-        if layer_grads is not None:
-            raise ValueError(
-                f"intermediate-layer gradients are only defined for crossnet "
-                f"experts, not {self.kind}"
-            )
-
 
 class DnnExpert(Expert):
     """Plain MLP: rectified hidden layers, optional linear final layer."""
@@ -115,11 +111,11 @@ class DnnExpert(Expert):
     def __init__(self, config, num_fields, embed_dim, rng):
         super().__init__(config, num_fields, embed_dim)
         self.core = Mlp.build(self.in_dim, config.hidden, config.dnn_out, rng)
-        self.align = AlignmentHead.build(self.core.out_dim, config.out_dim, rng)
+        self.align = Mlp.build(self.core.out_dim, (config.out_dim,), None, rng)
 
     @property
     def params(self):
-        return {**prefixed("core", self.core.params), **prefixed("align", self.align.params)}
+        return {**prefixed("core", self.core.params), **align_named(self.align.params)}
 
     def forward(self, embeds):
         self._check_input(embeds)
@@ -127,12 +123,11 @@ class DnnExpert(Expert):
         out, align_cache = self.align.forward(raw)
         return out, (core_cache, align_cache)
 
-    def backward(self, cache, d_out, layer_grads=None):
-        self._reject_layer_grads(layer_grads)
+    def backward(self, cache, d_out):
         core_cache, align_cache = cache
         align_grads, d_raw = self.align.backward(align_cache, d_out)
         core_grads, d_in = self.core.backward(core_cache, d_raw)
-        return {**prefixed("core", core_grads), **prefixed("align", align_grads)}, d_in
+        return {**prefixed("core", core_grads), **align_named(align_grads)}, d_in
 
     def relu_inputs(self, cache):
         return self.core.relu_inputs(cache[0]) + super().relu_inputs(cache)
@@ -152,11 +147,11 @@ class FmExpert(Expert):
 
     def __init__(self, config, num_fields, embed_dim, rng):
         super().__init__(config, num_fields, embed_dim)
-        self.align = AlignmentHead.build(embed_dim, config.out_dim, rng)
+        self.align = Mlp.build(embed_dim, (config.out_dim,), None, rng)
 
     @property
     def params(self):
-        return prefixed("align", self.align.params)
+        return align_named(self.align.params)
 
     def forward(self, embeds):
         self._check_input(embeds)
@@ -166,13 +161,12 @@ class FmExpert(Expert):
         out, align_cache = self.align.forward(s)
         return out, (e, total, align_cache)
 
-    def backward(self, cache, d_out, layer_grads=None):
-        self._reject_layer_grads(layer_grads)
+    def backward(self, cache, d_out):
         e, total, align_cache = cache
         align_grads, d_s = self.align.backward(align_cache, d_out)
         # ds/de_{i,k} = total_k - e_{i,k}
         d_e = d_s[:, None, :] * (total[:, None, :] - e)
-        return prefixed("align", align_grads), d_e.reshape(e.shape[0], self.in_dim)
+        return align_named(align_grads), d_e.reshape(e.shape[0], self.in_dim)
 
 
 class CrossNetExpert(Expert):
@@ -188,16 +182,14 @@ class CrossNetExpert(Expert):
     def __init__(self, config, num_fields, embed_dim, rng):
         super().__init__(config, num_fields, embed_dim)
         d = self.in_dim
-        scale = 1.0 / np.sqrt(d)
-        self.ws = [
-            rng.uniform(-scale, scale, size=(d, d)) for _ in range(config.cross_layers)
-        ]
-        self.bs = [np.zeros(d) for _ in range(config.cross_layers)]
-        self.align = AlignmentHead.build(d, config.out_dim, rng)
+        layers = [init_affine(d, d, rng) for _ in range(config.cross_layers)]
+        self.ws = [w for w, _ in layers]
+        self.bs = [b for _, b in layers]
+        self.align = Mlp.build(d, (config.out_dim,), None, rng)
 
     @property
     def params(self):
-        return {**layer_params(self.ws, self.bs), **prefixed("align", self.align.params)}
+        return {**layer_params(self.ws, self.bs), **align_named(self.align.params)}
 
     @property
     def num_layers(self) -> int:
@@ -223,6 +215,8 @@ class CrossNetExpert(Expert):
         return xs[1:]
 
     def backward(self, cache, d_out, layer_grads=None):
+        """As Expert.backward; layer_grads, one per cross layer, adds extra
+        gradients on the layer outputs x_1..x_L (the intermediate loss)."""
         xs, us, align_cache = cache
         if layer_grads is not None and len(layer_grads) != self.num_layers:
             raise ValueError("one layer gradient per cross layer required")
@@ -240,7 +234,7 @@ class CrossNetExpert(Expert):
             d_bl[l] = d_u.sum(axis=0)
             d_x = d_u @ self.ws[l] + d_x
         d_in = d_x + d_x0_gate
-        return {**layer_params(d_wl, d_bl), **prefixed("align", align_grads)}, d_in
+        return {**layer_params(d_wl, d_bl), **align_named(align_grads)}, d_in
 
 
 class CinExpert(Expert):
@@ -277,11 +271,11 @@ class CinExpert(Expert):
             self.ws.append(
                 rng.uniform(-scale, scale, size=(h, widths[k], num_fields))
             )
-        self.align = AlignmentHead.build(sum(self.maps), config.out_dim, rng)
+        self.align = Mlp.build(sum(self.maps), (config.out_dim,), None, rng)
 
     @property
     def params(self):
-        return {**layer_params(self.ws), **prefixed("align", self.align.params)}
+        return {**layer_params(self.ws), **align_named(self.align.params)}
 
     def _batch_last(self, embeds):
         """X^0 as a contiguous (F, B, d) copy of the (B, F*d) input."""
@@ -309,8 +303,7 @@ class CinExpert(Expert):
         _, maps, _, _ = cache
         return [x.transpose(1, 0, 2) for x in maps]
 
-    def backward(self, cache, d_out, layer_grads=None):
-        self._reject_layer_grads(layer_grads)
+    def backward(self, cache, d_out):
         embeds, maps, zs, align_cache = cache
         x0 = self._batch_last(embeds)
         xs = [x0, *maps]
@@ -333,7 +326,7 @@ class CinExpert(Expert):
             d_xs[0] += (d_z * xs[k][:, None]).sum(axis=0)
         d_wl.reverse()
         d_in = d_xs[0].transpose(1, 0, 2).reshape(n, self.in_dim)
-        return {**layer_params(d_wl), **prefixed("align", align_grads)}, d_in
+        return {**layer_params(d_wl), **align_named(align_grads)}, d_in
 
 
 _EXPERT_CLASSES = {

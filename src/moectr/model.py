@@ -279,8 +279,13 @@ def load_model(path) -> ModelBundle:
         if version != MODEL_VERSION:
             raise ValueError(f"unsupported model file version: {version}")
         (blob_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-        echo = json.loads(_read_exact(fh, blob_len).decode("utf-8"))
-        model = _model_from_echo(echo)
+        blob = _read_exact(fh, blob_len)
+        try:
+            model = _model_from_echo(json.loads(blob.decode("utf-8")))
+        except KeyError as err:
+            raise ValueError(f"{path}: config echo lacks key {err}") from err
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{path}: malformed config echo: {err}") from err
         params = dict(named_params(model))
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         if count != len(params):

@@ -1,15 +1,17 @@
 """Small affine-stack building blocks with explicit backward passes, and
 the parameter contract every module of the model follows.
 
-Used by the DNN expert, gate network, prediction tower, and the alignment
-heads. Weight convention: layer computes x @ W.T + b with W of shape
-(out, in), so rows of W are output units.
+Used by the DNN expert, gate network, prediction tower, and every expert's
+alignment head (a one-layer rectified Mlp). Weight convention: layer
+computes x @ W.T + b with W of shape (out, in), so rows of W are output
+units.
 
 Contract: a Module's ``params`` maps local names to its live arrays in
 save order and its ``backward`` returns gradients under the same names; a
 composite nests its children's names with ``prefixed`` (``core.w0``). A
 forward cache is opaque outside the module that wrote it: it goes back to
-that module's ``backward``, and ``relu_inputs`` reads its ReLU sites.
+that module's ``backward``, and the module's own accessors (``relu_inputs``,
+``Mlp.forward_input``) read it.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ class Mlp(Module):
     ) -> "Mlp":
         """Hidden layers are rectified; a final out_dim layer (if any) is linear."""
         widths_in = [in_dim, *hidden]
+        for width in (in_dim, *hidden, out_dim):
+            if width is not None and width < 1:
+                raise ValueError(f"Mlp layer widths must be >= 1, got width {width}")
         weights, biases, acts = [], [], []
         for i, w in enumerate(hidden):
             wm, bm = init_affine(widths_in[i], w, rng)
@@ -127,45 +132,10 @@ class Mlp(Module):
             d = dz @ self.weights[i]
         return layer_params(d_ws, d_bs), d
 
+    def forward_input(self, cache: list) -> np.ndarray:
+        """The input forward was given, from forward's cache."""
+        return cache[0][0]
+
     def relu_inputs(self, cache: list) -> list[np.ndarray]:
         """Pre-activation of every rectified layer, from forward's cache."""
         return [z for (_, z), act in zip(cache, self.activations) if act]
-
-
-@dataclass
-class AlignmentHead(Module):
-    """Affine + ReLU map bringing a raw expert output to the common width."""
-
-    w: np.ndarray  # (d_out, raw)
-    b: np.ndarray  # (d_out,)
-
-    @classmethod
-    def build(cls, raw_dim: int, out_dim: int, rng: np.random.Generator) -> "AlignmentHead":
-        w, b = init_affine(raw_dim, out_dim, rng)
-        return cls(w, b)
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        return {"w": self.w, "b": self.b}
-
-    def forward(self, raw: np.ndarray) -> tuple[np.ndarray, tuple]:
-        if raw.shape[1] != self.w.shape[1]:
-            raise ValueError(
-                f"raw width {raw.shape[1]} does not match alignment head {self.w.shape[1]}"
-            )
-        z = raw @ self.w.T + self.b
-        return relu(z), (raw, z)
-
-    def backward(self, cache: tuple, d_out: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """Returns (grads keyed like params, d_raw)."""
-        raw, z = cache
-        dz = d_out * (z > 0.0)
-        return {"w": dz.T @ raw, "b": dz.sum(axis=0)}, dz @ self.w
-
-    def raw_input(self, cache: tuple) -> np.ndarray:
-        """The raw expert output forward aligned, from forward's cache."""
-        return cache[0]
-
-    def relu_inputs(self, cache: tuple) -> list[np.ndarray]:
-        """The pre-activation of the one rectified layer."""
-        return [cache[1]]

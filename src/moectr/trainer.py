@@ -83,12 +83,12 @@ def batch_objective(
     table_parts: list[list[SparseGrad]] = [[] for _ in model.bank.tables]
     for m, expert in enumerate(model.experts):
         d_o = d_outputs[m]
-        injections = None
+        injections = {}
         if extra and loss.location == "output":
             d_o = d_o + coef * extra[0][m]
-        elif extra and loss.location == "intermediate":
-            injections = [coef * grads[m] for grads in extra]
-        grads_m, d_e = expert.backward(fc.expert_caches[m], d_o, layer_grads=injections)
+        elif extra and loss.location == "intermediate":  # crossnet only, by build_model
+            injections = {"layer_grads": [coef * grads[m] for grads in extra]}
+        grads_m, d_e = expert.backward(fc.expert_caches[m], d_o, **injections)
         expert_grads.append(grads_m)
         if extra and loss.location == "input":
             d_e = d_e + coef * extra[0][m]

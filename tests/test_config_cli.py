@@ -133,6 +133,12 @@ class TestRunConfig:
         assert model.experts[0].kind == "fm"
         assert model.experts[1].kind == "crossnet"
 
+    @pytest.mark.parametrize("key", ["gate_hidden", "tower_hidden"])
+    def test_zero_width_rejected_naming_the_width(self, key):
+        cfg = RunConfig.from_text(f"fields = a:10, b:10\nexperts = fm\n{key} = 8-0\n")
+        with pytest.raises(ValueError, match="widths must be >= 1, got width 0"):
+            cfg.build()
+
 
 class TestSynthSpec:
     def test_parse(self, tmp_path):
@@ -250,6 +256,23 @@ class TestCli:
         path.write_text("gradcheck_h = 1e-5\ngradcheck_tl = 1e-12\n")
         with pytest.raises(ValueError, match=r"line 2: unknown key 'gradcheck_tl'"):
             main(["gradcheck", "--config", str(path)])
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("gradcheck_h", "abc", "could not convert string to float: 'abc'"),
+            ("gradcheck_h", "0", "must be a finite number > 0, got '0'"),
+            ("gradcheck_tol", "-1", "must be a finite number > 0, got '-1'"),
+            ("gradcheck_tol", "nan", "must be a finite number > 0, got 'nan'"),
+        ],
+        ids=["h-not-a-number", "h-zero", "tol-negative", "tol-nan"],
+    )
+    def test_gradcheck_config_bad_value_names_file_and_key(self, tmp_path, capsys, key, value, message):
+        path = tmp_path / "gc.cfg"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: key '{key}': {re.escape(message)}"):
+            main(["gradcheck", "--config", str(path)])
+        assert capsys.readouterr().out == ""
 
     def test_gradcheck_command(self, capsys):
         assert main(["gradcheck"]) == 0

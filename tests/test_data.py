@@ -244,6 +244,15 @@ class TestGenSynthetic:
         with pytest.raises(ValueError):
             gen_synthetic(1, 10, 2, 100, seed=0)
 
+    def test_latent_dim_below_one_rejected(self):
+        with pytest.raises(ValueError, match="latent_dim must be >= 1, got 0"):
+            gen_synthetic(3, 10, 0, 100, seed=0)
+
+    @pytest.mark.parametrize("cards", [[5, 0, 5], [5, 5, -2]])
+    def test_cardinality_below_one_rejected(self, cards):
+        with pytest.raises(ValueError, match=f"cardinalities must be >= 1, got {min(cards)}"):
+            gen_synthetic(3, cards, 2, 100, seed=0)
+
     def test_indices_in_range(self):
         ds, _ = gen_synthetic(3, [7, 11, 13], 2, 1000, seed=1)
         for j, card in enumerate([7, 11, 13]):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from moectr.experts import ExpertConfig, make_expert
-from moectr.nnet import AlignmentHead
+from moectr.nnet import Mlp
 from moectr.numerics import central_diff_gradcheck, flatten_arrays, write_arrays
 
 
 def _identity_align(expert, width):
-    expert.align.w = np.eye(width)
-    expert.align.b = np.zeros(width)
+    expert.align.weights[0] = np.eye(width)
+    expert.align.biases[0] = np.zeros(width)
 
 
 def _rng(seed=0):
@@ -42,7 +42,7 @@ class TestDnnExpert:
         out, _ = e.forward(x)
         h1 = np.maximum(x @ e.core.weights[0].T + e.core.biases[0], 0.0)
         raw = h1 @ e.core.weights[1].T + e.core.biases[1]
-        expected = np.maximum(raw @ e.align.w.T + e.align.b, 0.0)
+        expected = np.maximum(raw @ e.align.weights[0].T + e.align.biases[0], 0.0)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_linear_single_layer_param_grad(self):
@@ -74,8 +74,7 @@ class TestDnnExpert:
 class TestFmExpert:
     def _raw(self, e, x):
         _, cache = e.forward(x)
-        raw, _ = cache[2]
-        return raw
+        return e.core_output(cache)
 
     def test_two_fields_hand(self):
         cfg = ExpertConfig(kind="fm", out_dim=1)
@@ -153,8 +152,7 @@ class TestCrossNetExpert:
 class TestCinExpert:
     def _pooled(self, e, x):
         _, cache = e.forward(x)
-        raw, _ = cache[-1]
-        return raw
+        return e.core_output(cache)
 
     def test_all_ones_single_map_hand(self):
         cfg = ExpertConfig(kind="cin", out_dim=1, cin_maps=(1,))
@@ -253,7 +251,7 @@ class TestCinMatchesPerSampleFormulation:
     def test_output_maps_and_gradients(self, maps, batch, fields, dim):
         rng = _rng(batch + 10 * len(maps) + fields + dim)
         e = make_expert(ExpertConfig(kind="cin", out_dim=4, cin_maps=maps), fields, dim, rng)
-        e.align.b[...] = rng.uniform(-0.3, 0.3, size=e.align.b.shape)
+        e.align.biases[0][...] = rng.uniform(-0.3, 0.3, size=4)
         x = rng.normal(size=(batch, fields * dim))
         d_out = rng.normal(size=(batch, 4))
         out, cache = e.forward(x)
@@ -268,24 +266,26 @@ class TestCinMatchesPerSampleFormulation:
 
 
 class TestAlignmentHead:
+    """The head every expert uses: a one-layer rectified Mlp."""
+
     def test_identity_on_nonnegative(self):
-        head = AlignmentHead(np.eye(3), np.zeros(3))
+        head = Mlp([np.eye(3)], [np.zeros(3)], [True])
         x = np.array([[0.0, 1.0, 2.5]])
         out, _ = head.forward(x)
         np.testing.assert_array_equal(out, x)
 
     def test_negative_clamped(self):
-        head = AlignmentHead(np.eye(2), np.zeros(2))
+        head = Mlp([np.eye(2)], [np.zeros(2)], [True])
         out, _ = head.forward(np.array([[-3.0, 4.0]]))
         np.testing.assert_array_equal(out, [[0.0, 4.0]])
 
     def test_random_vs_dense_oracle(self):
         rng = _rng(6)
-        head = AlignmentHead.build(4, 3, rng)
+        head = Mlp.build(4, (3,), None, rng)
         x = rng.normal(size=(5, 4))
         out, _ = head.forward(x)
         np.testing.assert_allclose(
-            out, np.maximum(x @ head.w.T + head.b, 0.0), atol=1e-12
+            out, np.maximum(x @ head.weights[0].T + head.biases[0], 0.0), atol=1e-12
         )
 
 
@@ -372,11 +372,12 @@ class TestExpertBackward:
         assert rep.passed, rep
 
     def test_non_crossnet_rejects_layer_grads(self):
+        # only CrossNetExpert.backward takes layer gradients
         cfg = ExpertConfig(kind="fm", out_dim=2)
         e = make_expert(cfg, 2, 2, _rng())
         x = _rng(1).normal(size=(3, 4))
         _, cache = e.forward(x)
-        with pytest.raises(ValueError, match="crossnet"):
+        with pytest.raises(TypeError, match="layer_grads"):
             e.backward(cache, np.zeros((3, 2)), layer_grads=[np.zeros((3, 4))])
 
     def test_cache_shape_mismatch(self):
@@ -409,10 +410,10 @@ class TestInputIsReadOnly:
         before = x.copy()
         x.flags.writeable = False
         out, cache = e.forward(x)
-        layer_grads = None
+        injections = {}
         if cfg.kind == "crossnet":
-            layer_grads = [rng.normal(size=(5, 6)) for _ in range(cfg.cross_layers)]
-        e.backward(cache, rng.normal(size=out.shape), layer_grads=layer_grads)
+            injections = {"layer_grads": [rng.normal(size=(5, 6)) for _ in range(cfg.cross_layers)]}
+        e.backward(cache, rng.normal(size=out.shape), **injections)
         assert x.tobytes() == before.tobytes()
 
 

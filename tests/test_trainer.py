@@ -1,4 +1,6 @@
 import hashlib
+import json
+import re
 import struct
 
 import numpy as np
@@ -460,7 +462,7 @@ class TestEvaluate:
         for (_, a), (_, b) in zip(src.param_items("x"), dst.param_items("x")):
             b[...] = a
         for e in model.experts:  # keep the aligned column non-constant
-            e.align.b[...] = 1.0
+            e.align.biases[0][...] = 1.0
         ds = _tiny_dataset(40, seed=18)
         _, corr = evaluate(model, ds)
         assert corr.pairs[(0, 1)] == pytest.approx(1.0, abs=1e-6)
@@ -565,6 +567,27 @@ class TestPersistence:
         data[8:12] = (99).to_bytes(4, "little")
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="version"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda echo: echo.pop("embed_dim"), "config echo lacks key 'embed_dim'"),
+            (lambda echo: echo["experts"][0].update(depth=2), "malformed config echo: .*'depth'"),
+            (lambda echo: echo.update(tower_hidden=["four"]), "malformed config echo: '<' not supported"),
+        ],
+        ids=["missing-key", "unknown-expert-field", "string-width"],
+    )
+    def test_malformed_config_echo_names_the_file(self, tmp_path, edit, message):
+        path = tmp_path / "model.bin"
+        save_model(micro_model(seed=32), path)
+        data = path.read_bytes()
+        (blob_len,) = struct.unpack_from("<Q", data, 12)  # after magic + version
+        echo = json.loads(data[20 : 20 + blob_len])
+        edit(echo)
+        blob = json.dumps(echo).encode("utf-8")
+        path.write_bytes(data[:12] + struct.pack("<Q", len(blob)) + blob + data[20 + blob_len :])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
             load_model(path)
 
 
@@ -802,7 +825,7 @@ def _relu_sites(model, idx):
                 xk = np.einsum("hij,nid,njd->nhd", w, xk, x0)
                 pooled.append(xk.sum(axis=2))
             raw = np.concatenate(pooled, axis=1)
-        outputs.append(affine(raw, expert.align.w, expert.align.b, sites))
+        outputs.append(affine(raw, expert.align.weights[0], expert.align.biases[0], sites))
     h = sum(g[:, m : m + 1] * o for m, o in enumerate(outputs))
     affine(h, model.tower.weights[0], model.tower.biases[0], sites)
     return sites
