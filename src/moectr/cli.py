@@ -23,9 +23,9 @@ from .trainer import evaluate, train_loop
 
 def _cmd_train(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    train_config = cfg.train_config()  # a run that cannot train fails before any CSV is read
-    train_ds, valid_ds, test_ds = cfg.load_datasets()
+    train_config = cfg.train_config()  # a run that cannot train or build fails before any CSV is read
     model = cfg.build()
+    train_ds, valid_ds, test_ds = cfg.load_datasets()
     print(
         f"model: mode={cfg.mode} experts={list(cfg.expert_specs)} "
         f"params={param_count(model)}"
@@ -41,7 +41,7 @@ def _cmd_train(args) -> int:
     print(f"best epoch {report.best_epoch}: valid_auc={report.best_valid_auc:.6f}")
     metrics, corr = evaluate(model, test_ds)
     print(f"test: auc={metrics.auc:.6f} logloss={metrics.logloss:.6f}")
-    if corr is not None:
+    if corr.pairs:
         print(f"test: cec_sum={corr.total:.6f}")
     save_model(model, args.out)
     print(f"saved model to {args.out}")
@@ -53,20 +53,13 @@ def _load_eval_data(args, model):
 
 
 def _metrics_record(metrics, corr) -> dict:
-    record = {
+    return {
         "auc": metrics.auc,
         "logloss": metrics.logloss,
         "num_samples": metrics.num_samples,
-        "cec_pairs": [],
-        "cec_sum": 0.0,
+        "cec_pairs": [{"m1": m1, "m2": m2, "cec": value} for (m1, m2), value in sorted(corr.pairs.items())],
+        "cec_sum": corr.total,
     }
-    if corr is not None:
-        record["cec_pairs"] = [
-            {"m1": m1, "m2": m2, "cec": value}
-            for (m1, m2), value in sorted(corr.pairs.items())
-        ]
-        record["cec_sum"] = corr.total
-    return record
 
 
 def _cmd_eval(args) -> int:
@@ -85,7 +78,7 @@ def _cmd_cec_report(args) -> int:
     model = load_model(args.model)
     ds = _load_eval_data(args, model)
     _, corr = evaluate(model, ds)
-    if corr is None:
+    if not corr.pairs:
         print("model has a single expert; no pairs to report", file=sys.stderr)
         return 1
     with open(args.csv, "w", encoding="utf-8") as fh:

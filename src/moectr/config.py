@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection
 
-from .data import DatasetSchema, EncodedDataset, FeatureField, load_synthetic_csv, load_table, split_dataset
+from .data import DatasetSchema, EncodedDataset, FeatureField, check_split, load_synthetic_csv, load_table, split_dataset
 from .experts import ExpertConfig
 from .losses import LossConfig
 from .model import ModelBundle, build_model
@@ -104,13 +104,6 @@ def _positive(value: str) -> float:
     return number
 
 
-def _split(value: str) -> tuple[float, float, float]:
-    parts = [float(tok) for tok in value.split(",")]
-    if len(parts) != 3:
-        raise ValueError("split needs three fractions")
-    return (parts[0], parts[1], parts[2])
-
-
 # config key -> (RunConfig attribute, parser of the value text)
 RUN_KEYS = {
     "train": ("train_path", str),
@@ -119,7 +112,7 @@ RUN_KEYS = {
     "fields": ("fields", _fields),
     "label": ("label", str),
     "encoded": ("encoded", _bool),
-    "split": ("split", _split),
+    "split": ("split", lambda value: check_split([float(tok) for tok in value.split(",")])),
     "split_seed": ("split_seed", _seed),
     "mode": ("mode", str.lower),
     "experts": ("expert_specs", lambda value: tuple(t.strip() for t in value.split(",") if t.strip())),

@@ -258,6 +258,19 @@ def load_synthetic_csv(path, schema: DatasetSchema) -> EncodedDataset:
     return _read_csv(path, schema, _bucket_cells)
 
 
+def check_split(fractions) -> tuple[float, float, float]:
+    """The train/valid/test fractions as a 3-tuple; raise unless there are
+    three, each positive, summing to at most 1."""
+    if len(fractions) != 3:
+        raise ValueError("split needs three fractions")
+    tr, va, te = fractions
+    if tr <= 0 or va <= 0 or te <= 0:
+        raise ValueError("fractions must be positive")
+    if tr + va + te > 1.0 + 1e-9:
+        raise ValueError("fractions exceed 1")
+    return tr, va, te
+
+
 def split_dataset(
     ds: EncodedDataset, fractions: tuple[float, float, float], seed: int
 ) -> tuple[EncodedDataset, EncodedDataset, EncodedDataset]:
@@ -267,11 +280,7 @@ def split_dataset(
     The shuffle is ``np.random.default_rng(seed).permutation(N)`` and the
     permuted order is cut as [train | valid | test].
     """
-    tr, va, te = fractions
-    if tr <= 0 or va <= 0 or te <= 0:
-        raise ValueError("fractions must be positive")
-    if tr + va + te > 1.0 + 1e-9:
-        raise ValueError("fractions exceed 1")
+    tr, va, te = check_split(fractions)
     n = len(ds)
     perm = np.random.default_rng(seed).permutation(n)
     n_tr = math.floor(n * tr)

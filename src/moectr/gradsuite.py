@@ -143,7 +143,7 @@ def kink_margin(model, fc) -> float:
     if model.loss.active and model.loss.form == "cov_l1":
         for mats in loss_targets(model, fc):
             _, _, g = cross_gram(mats, standardize=False)
-            pairs = gram_blocks(g, len(mats))[np.triu_indices(len(mats), 1)]
+            pairs = gram_blocks(g, mats)[np.triu_indices(len(mats), 1)]
             vals.append(float(np.abs(pairs).min()))
     return min(vals)
 

@@ -77,8 +77,8 @@ def decorrelation_total(
     if form == "none" or m < 2:
         return 0.0, [np.zeros_like(np.asarray(o, dtype=np.float64)) for o in outputs]
     z, std, g = cross_gram(outputs, standardize=form == "corr")
-    d = z.shape[1] // m
-    blocks = gram_blocks(g, m)
+    blocks = gram_blocks(g, outputs)
+    d = blocks.shape[-1]
     if form == "cov_l1":
         norms = np.abs(blocks).sum(axis=(2, 3))
         g_blocks = np.sign(blocks)

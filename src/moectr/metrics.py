@@ -1,6 +1,11 @@
-"""Evaluation metrics: Pearson correlation matrix, cross-expert correlation
-(mean absolute pairwise Pearson r between output dimensions), and AUC with
-ties counted as half-concordant.
+"""Evaluation metrics: Pearson correlation matrices, cross-expert
+correlation (CEC: mean absolute pairwise Pearson r between output
+dimensions), and AUC with ties counted as half-concordant.
+
+Every Pearson number is a block of one clipped Pearson Gram: the
+standardized numerics.cross_gram over N - 1, clamped into [-1, 1]. The
+de-correlation loss (losses.decorrelation_total) reads the same Gram
+before scaling.
 """
 
 from __future__ import annotations
@@ -11,30 +16,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, cross_gram, gram_blocks, standardize_columns
+from .numerics import as_matrix, cross_gram, gram_blocks
+
+
+def _pearson_gram(mats: list[np.ndarray]) -> np.ndarray:
+    """Z^T Z / (N - 1) of the column-standardized (unbiased std) inputs,
+    clamped into [-1, 1] to absorb last-bit float excess; constant columns
+    yield zero rows and columns."""
+    z, _, g = cross_gram(mats, standardize=True)
+    return np.clip(g / (z.shape[0] - 1.0), -1.0, 1.0)
 
 
 def pearson_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """R[i, j] = Pearson r between column i of x and column j of y.
-
-    Computed as Z_x^T Z_y / (N - 1) with unbiased standardization; constant
-    columns yield zero rows/columns. Entries are clamped into [-1, 1] to
-    absorb last-bit float excess.
-    """
-    x, y = as_matrix(x), as_matrix(y)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("inputs must share the row count")
-    n = x.shape[0]
-    z_x, _, _ = standardize_columns(x)
-    z_y, _, _ = standardize_columns(y)
-    r = z_x.T @ z_y / (n - 1.0)
-    return np.clip(r, -1.0, 1.0)
+    """R[i, j] = Pearson r between column i of x and column j of y: the
+    (x, y) block of the Pearson Gram of [x, y]. Widths may differ."""
+    x = as_matrix(x)
+    return _pearson_gram([x, y])[: x.shape[1], x.shape[1] :]
 
 
 def cec(x: np.ndarray, y: np.ndarray) -> float:
     """Mean absolute entry of the Pearson matrix; in [0, 1]."""
-    r = pearson_matrix(x, y)
-    return float(np.abs(r).mean())
+    return float(np.abs(pearson_matrix(x, y)).mean())
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -71,9 +73,9 @@ class EvalMetrics:
 
 @dataclass
 class CorrelationReport:
-    """Pairwise cross-expert correlations for one set of expert outputs."""
+    """Pairwise cross-expert correlations for one set of expert outputs;
+    fewer than two outputs give no pairs."""
 
-    num_experts: int
     pairs: dict[tuple[int, int], float]  # keys (m1, m2), m1 < m2
 
     @property
@@ -94,18 +96,12 @@ class CorrelationReport:
 
 
 def cec_report(expert_outputs: list[np.ndarray]) -> CorrelationReport:
-    """Cross-expert correlation for every pair m1 < m2 of output matrices.
-
-    The Pearson matrix of pair (m1, m2) is block (m1, m2) of the
-    standardized cross-expert Gram over N - 1, clamped into [-1, 1] as in
-    pearson_matrix.
-    """
+    """CEC of every pair m1 < m2 of same-shape output matrices: pair
+    (m1, m2) reads block (m1, m2) of their Pearson Gram."""
     m = len(expert_outputs)
     if m < 2:
-        raise ValueError("need at least 2 experts for a correlation report")
-    z, _, g = cross_gram(expert_outputs, standardize=True)
-    r = gram_blocks(np.clip(g / (z.shape[0] - 1.0), -1.0, 1.0), m)
-    report = CorrelationReport(num_experts=m, pairs={})
-    for pair in itertools.combinations(range(m), 2):
-        report.pairs[pair] = float(np.abs(r[pair]).mean())
-    return report
+        return CorrelationReport(pairs={})
+    r = gram_blocks(_pearson_gram(expert_outputs), expert_outputs)
+    return CorrelationReport(
+        pairs={pair: float(np.abs(r[pair]).mean()) for pair in itertools.combinations(range(m), 2)}
+    )

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -186,11 +187,16 @@ def loss_targets(model: ModelBundle, fc: FullCache) -> list[list[np.ndarray]]:
     return [fc.outputs if model.loss.location == "output" else fc.embeds]
 
 
-def predict(model: ModelBundle, indices: np.ndarray) -> np.ndarray:
-    """Click probabilities, EVAL_BATCH_ROWS rows a pass, retaining no caches."""
-    parts = []
+def forward_chunks(model: ModelBundle, indices: np.ndarray) -> Iterator[tuple[int, FullCache]]:
+    """(first row, forward_full cache) for each EVAL_BATCH_ROWS-row chunk in
+    order; only the chunk being read is held unless the caller keeps it."""
     for start in range(0, indices.shape[0], EVAL_BATCH_ROWS):
-        parts.append(forward_full(model, indices[start : start + EVAL_BATCH_ROWS]).y_hat)
+        yield start, forward_full(model, indices[start : start + EVAL_BATCH_ROWS])
+
+
+def predict(model: ModelBundle, indices: np.ndarray) -> np.ndarray:
+    """Click probabilities, computed one forward_chunks chunk at a time."""
+    parts = [fc.y_hat for _, fc in forward_chunks(model, indices)]
     return np.concatenate(parts) if parts else np.zeros(0)
 
 

@@ -76,16 +76,17 @@ def standardize_backward(d_z: np.ndarray, z: np.ndarray, std: np.ndarray) -> np.
 def cross_gram(
     mats: Sequence[np.ndarray], standardize: bool
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Cross-expert Gram of M same-shape (N, d) matrices.
+    """Cross Gram of matrices that share a row count N.
 
-    Stacks the inputs column-wise into Z (N, M*d), standardized per column
-    (unbiased std, as standardize_columns) or only centered, and forms
-    G = Z^T Z with one GEMM; block (p, q) of G is the d x d cross matrix
-    Z_p^T Z_q. Returns ``(z, std, g)`` with std None for the centered form.
+    Stacks the inputs column-wise into Z (N, sum of widths), standardized
+    per column (unbiased std, as standardize_columns) or only centered, and
+    forms G = Z^T Z with one GEMM; the block of G at inputs (p, q) is the
+    cross matrix Z_p^T Z_q. Returns ``(z, std, g)`` with std None for the
+    centered form.
     """
     mats = [as_matrix(a) for a in mats]
-    if any(a.shape != mats[0].shape for a in mats):
-        raise ValueError("cross-Gram inputs must share one shape")
+    if any(a.shape[0] != mats[0].shape[0] for a in mats):
+        raise ValueError("cross-Gram inputs must share the row count")
     x = np.hstack(mats)
     if standardize:
         z, _, std = standardize_columns(x)
@@ -94,9 +95,12 @@ def cross_gram(
     return z, std, z.T @ z
 
 
-def gram_blocks(g: np.ndarray, m: int) -> np.ndarray:
-    """(M*d, M*d) Gram viewed as (M, M, d, d): ``blocks[p, q]`` is block (p, q)."""
-    d = g.shape[0] // m
+def gram_blocks(g: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The cross Gram of M same-shape (N, d) matrices viewed as (M, M, d, d):
+    ``blocks[p, q]`` is block (p, q)."""
+    if any(np.shape(a) != np.shape(mats[0]) for a in mats):
+        raise ValueError("cross-Gram inputs must share one shape")
+    m, d = len(mats), g.shape[0] // len(mats)
     return g.reshape(m, d, m, d).swapaxes(1, 2)
 
 

@@ -16,7 +16,7 @@ from .embedding import EmbeddingTable, SparseGrad, apply_sparse_to_table
 from .gating import gating_backward
 from .losses import bce, decorrelation_total, total_objective
 from .metrics import CorrelationReport, EvalMetrics, auc, cec_report
-from .model import EVAL_BATCH_ROWS, FullCache, ModelBundle, dense_modules, forward_full, loss_targets, named_params, table_modules
+from .model import FullCache, ModelBundle, dense_modules, forward_chunks, forward_full, loss_targets, named_params, table_modules
 from .nnet import prefixed
 from .numerics import GradCheckReport, central_diff_gradcheck, flatten_arrays, write_arrays
 from .optim import Adam
@@ -206,34 +206,24 @@ class TrainReport:
         )
 
 
-def evaluate(
-    model: ModelBundle, ds: EncodedDataset
-) -> tuple[EvalMetrics, CorrelationReport | None]:
-    """AUC and logloss over the full set, EVAL_BATCH_ROWS rows a pass;
-    cross-expert correlations over the first CEC_ROW_CAP rows' outputs."""
+def evaluate(model: ModelBundle, ds: EncodedDataset) -> tuple[EvalMetrics, CorrelationReport]:
+    """AUC and logloss over the full set, one forward_chunks chunk at a
+    time; cross-expert correlations over the first CEC_ROW_CAP rows' outputs."""
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     scores = np.empty(len(ds))
     kept: list[list[np.ndarray]] = [[] for _ in range(model.num_experts)]
-    kept_rows = 0
-    for start in range(0, len(ds), EVAL_BATCH_ROWS):
-        stop = min(start + EVAL_BATCH_ROWS, len(ds))
-        fc = forward_full(model, ds.indices[start:stop])
-        scores[start:stop] = fc.y_hat
-        if kept_rows < CEC_ROW_CAP:
-            take = min(CEC_ROW_CAP - kept_rows, stop - start)
-            for m in range(model.num_experts):
-                kept[m].append(fc.outputs[m][:take])
-            kept_rows += take
+    for start, fc in forward_chunks(model, ds.indices):
+        scores[start : start + fc.y_hat.size] = fc.y_hat
+        if start < CEC_ROW_CAP:
+            for parts, o in zip(kept, fc.outputs):
+                parts.append(o[: CEC_ROW_CAP - start])
     metrics = EvalMetrics(
         auc=auc(scores, ds.labels),
         logloss=bce(scores, ds.labels)[0],
         num_samples=len(ds),
     )
-    report = None
-    if model.num_experts >= 2:
-        report = cec_report([np.concatenate(parts) for parts in kept])
-    return metrics, report
+    return metrics, cec_report([np.concatenate(parts) for parts in kept])
 
 
 def train_loop(
@@ -291,8 +281,8 @@ def train_loop(
             train_objective=objective_sum / len(train_ds),
             valid_auc=metrics.auc,
             valid_logloss=metrics.logloss,
-            valid_cec_pairs=dict(corr.pairs) if corr is not None else {},
-            valid_cec_sum=corr.total if corr is not None else 0.0,
+            valid_cec_pairs=dict(corr.pairs),
+            valid_cec_sum=corr.total,
             seconds=time.perf_counter() - tic,
         )
         report.epochs.append(record)

@@ -8,6 +8,8 @@ import pytest
 from moectr.cli import main
 from moectr.config import RunConfig, SynthSpec, parse_expert_spec, parse_kv_text
 from moectr.data import gen_synthetic, load_synthetic_params, save_synthetic_params, save_table
+from moectr.model import save_model
+from moectr.trainer import train_loop
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -231,13 +233,48 @@ class TestCli:
         assert len(lines) == 2
         assert float(lines[1].split(",")[2]) == record["cec_pairs"][0]["cec"]
 
-    @pytest.mark.parametrize("key,value", [("epochs", 0), ("patience", -1)])
-    def test_train_rejects_untrainable_config_before_reading_data(self, tmp_path, key, value):
+    def test_single_expert_model_reports_no_pairs(self, tmp_path, synth_csv, capsys):
+        csv_path, _ = synth_csv
+        cfg = RunConfig.from_text(_train_config_text(csv_path).replace("crossnet:2, crossnet:2", "crossnet:2"))
+        model = cfg.build()
+        train_ds, valid_ds, _ = cfg.load_datasets()
+        report = train_loop(model, train_ds, valid_ds, cfg.train_config())
+        assert [(r.valid_cec_pairs, r.valid_cec_sum) for r in report.epochs] == [({}, 0.0)] * 2
+        model_path = tmp_path / "model.bin"
+        save_model(model, model_path)
+
+        report_path = tmp_path / "report.json"
+        data = ["--model", str(model_path), "--data", str(csv_path), "--encoded"]
+        assert main(["eval", *data, "--report", str(report_path)]) == 0
+        text = report_path.read_text()
+        assert '"cec_pairs": [],' in text and '"cec_sum": 0.0\n' in text
+
+        capsys.readouterr()
+        csv_out = tmp_path / "cec.csv"
+        assert main(["cec-report", *data, "--csv", str(csv_out)]) == 1
+        assert capsys.readouterr().err == "model has a single expert; no pairs to report\n"
+        assert not csv_out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("epochs", 0, "^epochs must be >= "),
+            ("patience", -1, "^patience must be >= "),
+            ("split", "0.5, 0.6, 0.1", "^{cfg}: key 'split': fractions exceed 1$"),
+            ("experts", "dnn:abc", r"^invalid literal for int\(\) with base 10: 'abc'$"),
+            ("mode", "xx", "^unknown bank mode 'xx'$"),
+            ("loss_form", "foo", "^unknown loss form 'foo'$"),
+            ("embed_dim", 0, "^embedding dims must be >= 1$"),
+        ],
+        ids=["epochs-0", "patience--1", "split-over-1", "experts-bad-width", "mode", "loss_form", "embed_dim-0"],
+    )
+    def test_train_rejects_untrainable_config_before_reading_data(self, tmp_path, key, value, message):
+        # the train CSV is absent, so reading it would raise FileNotFoundError instead
         cfg_path = tmp_path / "run.cfg"
         text = _train_config_text(tmp_path / "absent.csv")
         cfg_path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M))
         model_path = tmp_path / "model.bin"
-        with pytest.raises(ValueError, match=f"^{key} must be >= "):
+        with pytest.raises(ValueError, match=message.format(cfg=re.escape(str(cfg_path)))):
             main(["train", "--config", str(cfg_path), "--out", str(model_path)])
         assert not model_path.exists()
 
@@ -256,6 +293,28 @@ class TestCli:
         path.write_text("gradcheck_h = 1e-5\ngradcheck_tl = 1e-12\n")
         with pytest.raises(ValueError, match=r"line 2: unknown key 'gradcheck_tl'"):
             main(["gradcheck", "--config", str(path)])
+
+    def test_single_expert_model_reports_no_pairs(self, tmp_path, synth_csv, capsys):
+        csv_path, _ = synth_csv
+        cfg = RunConfig.from_text(_train_config_text(csv_path).replace("crossnet:2, crossnet:2", "crossnet:2"))
+        model = cfg.build()
+        train_ds, valid_ds, _ = cfg.load_datasets()
+        report = train_loop(model, train_ds, valid_ds, cfg.train_config())
+        assert [(r.valid_cec_pairs, r.valid_cec_sum) for r in report.epochs] == [({}, 0.0)] * 2
+        model_path = tmp_path / "model.bin"
+        save_model(model, model_path)
+
+        report_path = tmp_path / "report.json"
+        data = ["--model", str(model_path), "--data", str(csv_path), "--encoded"]
+        assert main(["eval", *data, "--report", str(report_path)]) == 0
+        text = report_path.read_text()
+        assert '"cec_pairs": [],' in text and '"cec_sum": 0.0\n' in text
+
+        capsys.readouterr()
+        csv_out = tmp_path / "cec.csv"
+        assert main(["cec-report", *data, "--csv", str(csv_out)]) == 1
+        assert capsys.readouterr().err == "model has a single expert; no pairs to report\n"
+        assert not csv_out.exists()
 
     @pytest.mark.parametrize(
         "key,value,message",

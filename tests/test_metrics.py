@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from moectr.losses import decorrelation_total
 from moectr.metrics import auc, cec, cec_report, pearson_matrix
 
 
@@ -184,9 +185,21 @@ class TestCecReport:
         b = cec_report([y, x]).pairs[(0, 1)]
         assert a == pytest.approx(b, abs=1e-12)
 
-    def test_single_expert_rejected(self):
-        with pytest.raises(ValueError):
-            cec_report([np.ones((5, 2))])
+    def test_single_output_has_no_pairs(self):
+        report = cec_report([np.ones((5, 2))])
+        assert report.pairs == {}
+        assert report.total == 0.0
+
+    def test_block_split_rejects_mixed_shapes(self):
+        # pairwise metrics accept any widths; the M x M block split does not
+        rng = np.random.default_rng(15)
+        x, y = rng.normal(size=(10, 2)), rng.normal(size=(10, 3))
+        with pytest.raises(ValueError, match="share one shape"):
+            decorrelation_total([x, y], "corr")
+        with pytest.raises(ValueError, match="share one shape"):
+            cec_report([x, y])
+        assert pearson_matrix(x, y).shape == (2, 3)
+        assert 0.0 <= cec(x, y) <= 1.0
 
     def test_csv_format(self):
         rng = np.random.default_rng(12)

@@ -440,7 +440,7 @@ class TestEvaluate:
     def test_perfect_scorer_auc_one(self, monkeypatch):
         # force the model to output the label by overwriting predictions:
         # instead, check evaluate against direct metric recomputation
-        monkeypatch.setattr(trainer, "EVAL_BATCH_ROWS", 16)
+        monkeypatch.setattr(model_module, "EVAL_BATCH_ROWS", 16)
         ds = _tiny_dataset(50, seed=15)
         model = micro_model(seed=16)
         metrics, corr = evaluate(model, ds)
@@ -468,7 +468,7 @@ class TestEvaluate:
         assert corr.pairs[(0, 1)] == pytest.approx(1.0, abs=1e-6)
 
     def test_cec_report_matches_dumped_outputs(self, monkeypatch):
-        monkeypatch.setattr(trainer, "EVAL_BATCH_ROWS", 7)
+        monkeypatch.setattr(model_module, "EVAL_BATCH_ROWS", 7)
         ds = _tiny_dataset(30, seed=19)
         model = micro_model(seed=20)
         _, corr = evaluate(model, ds)
@@ -477,7 +477,7 @@ class TestEvaluate:
         assert corr.pairs == pytest.approx(expected.pairs)
 
     def test_row_cap_limits_cec_rows(self, monkeypatch):
-        monkeypatch.setattr(trainer, "EVAL_BATCH_ROWS", 10)
+        monkeypatch.setattr(model_module, "EVAL_BATCH_ROWS", 10)
         monkeypatch.setattr(trainer, "CEC_ROW_CAP", 20)
         ds = _tiny_dataset(50, seed=21)
         model = micro_model(seed=22)
