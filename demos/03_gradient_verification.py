@@ -1,11 +1,12 @@
 """Finite-difference verification of every hand-written backward pass.
 
-Builds micro models (two or three experts, shared or per-expert tables,
-three hashed fields, batch of six) for every expert kind, pair-loss form,
-and loss location, then compares the
-analytic gradient of the total objective against central differences for
-every parameter: embedding tables, gating table, expert cores, alignment
-heads, gate MLP, and tower.
+Builds one micro model (three hashed fields, batch of six) for every cell
+of embedding mode (shared or per-expert tables) x pair-loss form x loss
+location, plus BCE alone in each mode: 20 cases. Each holds one expert of
+every kind (four experts), or three crossnets at the intermediate location.
+It then compares the analytic gradient of the total objective against
+central differences for every parameter: embedding tables, gating table,
+expert cores, alignment heads, gate MLP, and tower.
 
 Run:  PYTHONPATH=src python3 demos/03_gradient_verification.py
 """

@@ -190,11 +190,23 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        return _apply_keys(cls(), RUN_KEYS, parse_kv_text(text, RUN_KEYS), "config")
+        return cls._from_kv(parse_kv_text(text, RUN_KEYS), "config")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        return _apply_keys(cls(), RUN_KEYS, parse_kv_file(path, RUN_KEYS), str(path))
+        return cls._from_kv(parse_kv_file(path, RUN_KEYS), str(path))
+
+    @classmethod
+    def _from_kv(cls, kv: dict[str, str], source: str) -> "RunConfig":
+        """Apply the keys; a config that names fields builds its schema
+        here, so a bad field list fails at load naming the key and source."""
+        cfg = _apply_keys(cls(), RUN_KEYS, kv, source)
+        if cfg.fields:
+            try:
+                cfg.schema()
+            except ValueError as err:
+                raise ValueError(f"{source}: key 'fields': {err}") from err
+        return cfg
 
     def schema(self) -> DatasetSchema:
         if not self.fields:
@@ -263,6 +275,8 @@ class SynthSpec:
         spec = _apply_keys(cls(cardinalities=[]), SYNTH_KEYS, kv, str(path))
         if len(spec.cardinalities) <= 1:
             spec.cardinalities = (spec.cardinalities or [100]) * spec.num_fields
+        if len(spec.cardinalities) != spec.num_fields:
+            raise ValueError(f"{path}: key 'cardinality': {len(spec.cardinalities)} values for {spec.num_fields} fields")
         return spec
 
 

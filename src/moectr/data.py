@@ -62,8 +62,9 @@ class DatasetSchema:
         if len(self.fields) == 0:
             raise ValueError("schema needs at least one field")
         names = [f.name for f in self.fields]
-        if len(set(names)) != len(names):
-            raise ValueError("field names must be unique")
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise ValueError(f"field names must be unique: {repeated[0]!r} repeats")
         if self.label_column in names:
             raise ValueError("label column must be distinct from feature columns")
 

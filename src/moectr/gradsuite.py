@@ -1,14 +1,16 @@
 """Whole-model finite-difference verification on micro configurations.
 
-Each case builds a tiny model (B <= 8, F <= 4, d <= 4, M = 2 or 3) in the
-multi-embedding ("me") or shared-embedding ("se") mode, draws a seeded
-batch, and checks the analytic gradient of the total objective for every
-parameter group against central differences. Covers all four expert kinds,
-all three pair-loss forms, all three loss locations, the shared table that
-sums every expert's gradient, and three-expert Grams; the gate MLP, gating
-table, and tower are exercised by every case. Seeds whose forward pass lies
-near a kink are skipped; the ReLU sites come from each module's
-``relu_inputs``, so no module's cache layout is read here.
+The suite is generated, not listed: every cell of embedding mode {me, se}
+x pair-loss form {corr, cov_l1, cov_l2} x loss location {output, input,
+intermediate}, plus BCE alone (alpha = 0) per mode, 20 cases. Output, input
+and alpha = 0 cases hold one expert of each kind (M = 4); intermediate
+cases hold three crossnets, the only kind build_model allows there. Each
+case builds a tiny model (B = 6, F = 3, d = 2), draws a seeded batch, and
+checks the analytic gradient of the total objective for every parameter
+group (embedding tables, gating table, experts, alignment heads, gate MLP,
+tower) against central differences of the forward-only objective. Seeds
+whose forward pass lies near a kink are skipped; the ReLU sites come from
+each module's ``relu_inputs``, so no module's cache layout is read here.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .data import DatasetSchema, FeatureField
 from .experts import ExpertConfig
-from .losses import LossConfig
+from .losses import LOSS_LOCATIONS, LossConfig
 from .model import build_model, forward_full, loss_targets, named_params
 from .numerics import GradCheckReport, cross_gram, gram_blocks
 from .trainer import gradcheck_model
@@ -30,7 +32,19 @@ MICRO_EMBED = 2
 MICRO_OUT = 3
 MICRO_BATCH = 6
 KINK_MARGIN = 1e-3  # smallest |pre-activation| a checked micro model may have
-MAX_TRIES = 25  # seeds drawn per case before giving up on that margin
+MAX_TRIES = 100  # seeds drawn per case before giving up on that margin
+
+# one micro expert of every kind; intermediate cases hold three crossnets,
+# the only kind build_model allows there
+CROSSNET = ExpertConfig(kind="crossnet", out_dim=MICRO_OUT, cross_layers=2)
+ALL_KINDS = (
+    ExpertConfig(kind="dnn", out_dim=MICRO_OUT, hidden=(4,)),
+    ExpertConfig(kind="fm", out_dim=MICRO_OUT),
+    CROSSNET,
+    ExpertConfig(kind="cin", out_dim=MICRO_OUT, cin_maps=(3, 2)),
+)
+MODES = ("me", "se")
+FORMS = ("corr", "cov_l1", "cov_l2")
 
 
 @dataclass
@@ -42,79 +56,22 @@ class SuiteCase:
     mode: str = "me"
 
 
-def _dnn(out=MICRO_OUT, final=None):
-    return ExpertConfig(kind="dnn", out_dim=out, hidden=(4,), dnn_out=final)
-
-
-def _fm(out=MICRO_OUT):
-    return ExpertConfig(kind="fm", out_dim=out)
-
-
-def _crossnet(out=MICRO_OUT, layers=2):
-    return ExpertConfig(kind="crossnet", out_dim=out, cross_layers=layers)
-
-
-def _cin(out=MICRO_OUT):
-    return ExpertConfig(kind="cin", out_dim=out, cin_maps=(3, 2))
-
-
 def suite_cases() -> list[SuiteCase]:
-    corr_out = LossConfig(form="corr", alpha=0.7, location="output")
+    """Every (mode, form, location) cell at alpha = 0.7, then BCE alone
+    (alpha = 0) per mode; each case is named ``<mode> <form>@<location>``."""
+    cells = [
+        (mode, LossConfig(form, 0.7, loc)) for mode in MODES for form in FORMS for loc in LOSS_LOCATIONS
+    ]
+    cells += [(mode, LossConfig("corr", 0.0, "output")) for mode in MODES]
     return [
-        SuiteCase("dnn corr@output", [_dnn(), _dnn()], corr_out, seed=11),
-        SuiteCase("fm corr@output", [_fm(), _fm()], corr_out, seed=12),
-        SuiteCase("crossnet corr@output", [_crossnet(), _crossnet()], corr_out, seed=13),
-        SuiteCase("cin corr@output", [_cin(), _cin()], corr_out, seed=14),
         SuiteCase(
-            "crossnet cov_l1@output",
-            [_crossnet(), _crossnet()],
-            LossConfig(form="cov_l1", alpha=0.7, location="output"),
-            seed=15,
-        ),
-        SuiteCase(
-            "crossnet cov_l2@output",
-            [_crossnet(), _crossnet()],
-            LossConfig(form="cov_l2", alpha=0.7, location="output"),
-            seed=16,
-        ),
-        SuiteCase(
-            "dnn corr@input",
-            [_dnn(final=MICRO_OUT), _dnn(final=MICRO_OUT)],
-            LossConfig(form="corr", alpha=0.7, location="input"),
-            seed=17,
-        ),
-        SuiteCase(
-            "crossnet corr@intermediate",
-            [_crossnet(), _crossnet()],
-            LossConfig(form="corr", alpha=0.7, location="intermediate"),
-            seed=18,
-        ),
-        SuiteCase(
-            "hetero dnn+cin corr@output", [_dnn(), _cin()], corr_out, seed=19
-        ),
-        SuiteCase(
-            "bce only (alpha=0)",
-            [_dnn(), _crossnet()],
-            LossConfig(form="corr", alpha=0.0, location="output"),
-            seed=20,
-        ),
-        SuiteCase(
-            "se hetero dnn+cin corr@output", [_dnn(), _cin()], corr_out, seed=21, mode="se"
-        ),
-        SuiteCase(
-            "se crossnet cov_l2@output",
-            [_crossnet(), _crossnet()],
-            LossConfig(form="cov_l2", alpha=0.7, location="output"),
-            seed=22,
-            mode="se",
-        ),
-        SuiteCase("M=3 dnn+fm+cin corr@output", [_dnn(), _fm(), _cin()], corr_out, seed=23),
-        SuiteCase(
-            "M=3 dnn+fm+crossnet cov_l1@output",
-            [_dnn(), _fm(), _crossnet()],
-            LossConfig(form="cov_l1", alpha=0.7, location="output"),
-            seed=24,
-        ),
+            f"{mode} {loss.form}@{loss.location}" + ("" if loss.active else " (alpha=0)"),
+            [CROSSNET] * 3 if loss.location == "intermediate" else list(ALL_KINDS),
+            loss,
+            seed=11 + i,
+            mode=mode,
+        )
+        for i, (mode, loss) in enumerate(cells)
     ]
 
 
@@ -132,7 +89,10 @@ def kink_margin(model, fc) -> float:
     each module reports through ``relu_inputs`` (tower, gate MLP, experts
     with their alignment heads) and, for the L1 covariance form, |entry| of
     the centered cross matrices (sign kink), read from the off-diagonal
-    blocks of the centered cross-expert Gram.
+    blocks of the centered cross-expert Gram. An entry whose column is
+    exactly zero on every row (an aligned output whose ReLU is dead on the
+    whole batch) is skipped: the ReLU margin keeps that column at zero
+    within +-h, where sign(0) = 0 agrees with the finite differences.
     """
     modules = [
         (model.tower, fc.tower_cache),
@@ -143,6 +103,8 @@ def kink_margin(model, fc) -> float:
     if model.loss.active and model.loss.form == "cov_l1":
         for mats in loss_targets(model, fc):
             _, _, g = cross_gram(mats, standardize=False)
+            live = np.hstack(mats).any(axis=0)
+            g = np.where(np.outer(live, live), g, np.inf)
             pairs = gram_blocks(g, mats)[np.triu_indices(len(mats), 1)]
             vals.append(float(np.abs(pairs).min()))
     return min(vals)

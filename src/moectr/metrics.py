@@ -85,7 +85,8 @@ class CorrelationReport:
 
     @property
     def mean_pair(self) -> float:
-        return self.total / len(self.pairs)
+        """Mean pair value; 0.0 with no pairs, like total."""
+        return self.total / max(len(self.pairs), 1)
 
     def to_csv(self) -> str:
         out = io.StringIO()

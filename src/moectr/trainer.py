@@ -44,10 +44,12 @@ class BatchGrads:
     sparse: list[SparseGrad]
 
 
-def batch_objective(
+def forward_objective(
     model: ModelBundle, indices: np.ndarray, labels: np.ndarray
-) -> tuple[StepLosses, BatchGrads, FullCache]:
-    """Forward, loss-location routing, and the full backward pass.
+) -> tuple[StepLosses, FullCache, np.ndarray, list[list[np.ndarray]]]:
+    """Forward pass and the total objective, without the backward:
+    (losses, cache, dBCE/dy_hat, de-correlation grads per target set and
+    expert). A finite-difference check needs only losses.total.
 
     Location routing: "output" regularizes the aligned expert outputs,
     "input" the per-expert embedding matrices, "intermediate" every cross
@@ -69,9 +71,18 @@ def batch_objective(
             decor_val += value
             extra.append(grads)
     total = total_objective(bce_val, decor_val, loss.alpha if loss.active else 0.0, batch)
-    coef = loss.alpha / (batch - 1) if loss.active else 0.0
+    return StepLosses(total=total, bce=bce_val, decorrelation=decor_val), fc, d_yhat, extra
 
-    # ----- backward -----
+
+def batch_objective(
+    model: ModelBundle, indices: np.ndarray, labels: np.ndarray
+) -> tuple[StepLosses, BatchGrads, FullCache]:
+    """forward_objective, then the full backward pass, with each
+    de-correlation grad injected at its loss location."""
+    losses, fc, d_yhat, extra = forward_objective(model, indices, labels)
+    loss = model.loss
+    coef = loss.alpha / (labels.size - 1) if loss.active else 0.0
+
     p = fc.y_hat
     d_logits = (d_yhat * p * (1.0 - p)).reshape(-1, 1)
     tower_grads, d_h = model.tower.backward(fc.tower_cache, d_logits)
@@ -101,7 +112,6 @@ def batch_objective(
         dense.update(prefixed(prefix, grads))
     sparse = [SparseGrad.concat(parts) for parts in table_parts]
     sparse.append(SparseGrad.from_dense_rows(indices, d_gate_embeds))
-    losses = StepLosses(total=total, bce=bce_val, decorrelation=decor_val)
     return losses, BatchGrads(dense, sparse), fc
 
 
@@ -338,8 +348,7 @@ def gradcheck_model(
 
     def objective(vec: np.ndarray) -> float:
         write_arrays(arrays, vec)
-        losses, _, _ = batch_objective(model, indices, labels)
-        return losses.total
+        return forward_objective(model, indices, labels)[0].total
 
     try:
         return central_diff_gradcheck(objective, x0, analytic, h=h, tol=tol)

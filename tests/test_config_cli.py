@@ -8,6 +8,7 @@ import pytest
 from moectr.cli import main
 from moectr.config import RunConfig, SynthSpec, parse_expert_spec, parse_kv_text
 from moectr.data import gen_synthetic, load_synthetic_params, save_synthetic_params, save_table
+from moectr.gradsuite import suite_cases
 from moectr.model import save_model
 from moectr.trainer import train_loop
 
@@ -108,6 +109,14 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(spec))}: key 'rows': invalid literal"):
             SynthSpec.from_file(spec)
 
+    def test_repeated_field_rejected_at_load_naming_it(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("fields = a:10, b:3, a:5\nexperts = fm, fm\n")
+        with pytest.raises(
+            ValueError, match=rf"^{re.escape(str(config))}: key 'fields': field names must be unique: 'a' repeats"
+        ):
+            RunConfig.from_file(config)
+
     @pytest.mark.parametrize("key", ["seed", "split_seed"])
     def test_negative_seed_rejected_naming_key(self, key):
         with pytest.raises(ValueError, match=f"^config: key '{key}': seeds must be >= 0, got -2"):
@@ -155,6 +164,12 @@ class TestSynthSpec:
         path = tmp_path / "spec.cfg"
         path.write_text("rows = 10\nfields = 3\ncardinality = 4,5,6\n")
         assert SynthSpec.from_file(path).cardinalities == [4, 5, 6]
+
+    def test_cardinality_count_mismatch_rejected_naming_key(self, tmp_path):
+        path = tmp_path / "spec.cfg"
+        path.write_text("rows = 10\nfields = 3\ncardinality = 5, 6\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: key 'cardinality': 2 values for 3 fields"):
+            SynthSpec.from_file(path)
 
     def test_negative_seed_rejected_naming_key(self, tmp_path):
         path = tmp_path / "spec.cfg"
@@ -336,5 +351,5 @@ class TestCli:
     def test_gradcheck_command(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 14
+        assert out.count("PASS") == len(suite_cases())
         assert "FAIL" not in out

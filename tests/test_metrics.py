@@ -171,6 +171,7 @@ class TestCecReport:
         outs = [rng.normal(size=(10, 2)) for _ in range(3)]
         report = cec_report(outs)
         assert sorted(report.pairs) == [(0, 1), (0, 2), (1, 2)]
+        assert report.mean_pair == pytest.approx(report.total / 3, rel=1e-12)
 
     def test_independent_outputs_near_zero(self):
         rng = np.random.default_rng(10)
@@ -189,6 +190,7 @@ class TestCecReport:
         report = cec_report([np.ones((5, 2))])
         assert report.pairs == {}
         assert report.total == 0.0
+        assert report.mean_pair == 0.0
 
     def test_block_split_rejects_mixed_shapes(self):
         # pairwise metrics accept any widths; the M x M block split does not

@@ -11,7 +11,7 @@ from moectr import trainer
 
 from moectr.data import DatasetSchema, EncodedDataset, FeatureField, gen_synthetic, split_dataset
 from moectr.embedding import EmbeddingTable, SparseGrad, lookup, lookup_gating
-from moectr.experts import ExpertConfig
+from moectr.experts import EXPERT_KINDS, ExpertConfig
 from moectr.gradsuite import kink_margin, run_case, suite_cases
 from moectr.losses import LossConfig, bce
 from moectr.metrics import auc, cec_report
@@ -774,11 +774,32 @@ def _first_entry_only(scatter):
     return broken
 
 
+class TestSuiteCoverage:
+    """The gradient suite reaches every backward path the trainer can take."""
+
+    def test_every_cell_and_kind(self):
+        cases = suite_cases()
+        cells = {(c.mode, c.loss.form, c.loss.location) for c in cases if c.loss.active}
+        assert cells == {
+            (mode, form, loc)
+            for mode in ("me", "se")
+            for form in ("corr", "cov_l1", "cov_l2")
+            for loc in ("output", "input", "intermediate")
+        }
+        assert sorted(c.mode for c in cases if not c.loss.active) == ["me", "se"]
+        assert len({c.name for c in cases}) == len(cases)
+        for case in cases:
+            kinds = [cfg.kind for cfg in case.configs]
+            assert len(kinds) >= 3, case.name
+            if case.loss.location != "intermediate":
+                assert set(EXPERT_KINDS) <= set(kinds), case.name
+
+
 class TestGradcheckCoversTheScatter:
     """The analytic embedding gradients of gradcheck_model come through the
     scatter train_step runs, so a broken scatter fails the check."""
 
-    @pytest.mark.parametrize("name", ["dnn corr@output", "se hetero dnn+cin corr@output"])
+    @pytest.mark.parametrize("name", ["me corr@output", "se corr@output"])
     def test_duplicate_dropping_scatter_fails(self, monkeypatch, name):
         case = next(c for c in suite_cases() if c.name == name)
         assert run_case(case).passed
@@ -848,3 +869,31 @@ class TestKinkMargin:
             bias[0] -= z[0, 0]
             assert kink_margin(model, forward_full(model, idx)) < 1e-12
             bias[...] = saved
+
+    @pytest.mark.parametrize("mode", ["me", "se"])
+    def test_cov_l1_skips_dead_columns(self, mode):
+        # an alignment column dead on every row gives exact-zero cross
+        # entries; they are not kinks, the live entries still are
+        model = all_kinds_model(mode, loss=LossConfig(form="cov_l1", alpha=0.5))
+        model.experts[1].align.biases[0][0] = -1e3
+        idx = micro_batch(8, seed=40)[0]
+        fc = forward_full(model, idx)
+        assert not fc.outputs[1][:, 0].any()
+        z = [o - o.mean(axis=0) for o in fc.outputs]
+        live = [o.any(axis=0) for o in fc.outputs]
+        cross = [
+            np.abs(z[p].T @ z[q])[np.outer(live[p], live[q])].min()
+            for p in range(len(z))
+            for q in range(p + 1, len(z))
+        ]
+        relu = [np.abs(zr).min() for _, zr in _relu_sites(model, idx)]
+        expected = min(*cross, *relu)
+        assert expected > 1e-6  # the dead column's exact zeros are not in it
+        assert kink_margin(model, fc) == pytest.approx(expected, rel=1e-9)
+        # one live cross entry on its kink: live column j of output 2 made
+        # orthogonal to centered live column i of output 0
+        i, j = np.flatnonzero(live[0])[0], np.flatnonzero(live[2])[0]
+        u = z[0][:, i]
+        fc.outputs[2][:, j] -= (u @ z[2][:, j]) / (u @ u) * u
+        assert fc.outputs[2][:, j].any()
+        assert kink_margin(model, fc) < 1e-12
