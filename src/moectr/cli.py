@@ -18,6 +18,7 @@ from .config import GradcheckSpec, RunConfig, SynthSpec
 from .data import gen_synthetic, load_synthetic_csv, load_table, save_synthetic_params, save_table
 from .gradsuite import run_suite
 from .model import load_model, param_count, save_model
+from .parallel import describe
 from .trainer import evaluate, train_loop
 
 
@@ -31,6 +32,7 @@ def _cmd_train(args) -> int:
         f"params={param_count(model)}"
     )
     print(f"data: train={len(train_ds)} valid={len(valid_ds)} test={len(test_ds)}")
+    print(describe(model, min(train_config.batch_size, len(train_ds))))
     report = train_loop(model, train_ds, valid_ds, train_config)
     for rec in report.epochs:
         print(

@@ -19,6 +19,7 @@ from .gating import aggregate_experts, build_gate, gate_weights
 from .losses import LossConfig
 from .nnet import Mlp, Module
 from .numerics import sigmoid
+from .parallel import map_experts
 
 MODEL_MAGIC = b"MOECTRBN"
 MODEL_VERSION = 1
@@ -132,7 +133,10 @@ def param_count(model: ModelBundle) -> int:
 
 @dataclass
 class FullCache:
-    """Everything the backward pass and the loss-location routing need, each value once."""
+    """Everything the backward pass and the loss-location routing need, each value once.
+
+    An evaluation pass keeps only y_hat, the aligned outputs and the gate
+    weights: its embeds and every cache list are empty."""
 
     embeds: list[np.ndarray]  # e^(m), (B, F*d) per expert; one array per physical table
     expert_caches: list
@@ -143,11 +147,14 @@ class FullCache:
     y_hat: np.ndarray  # (B,)
 
 
-def forward_full(model: ModelBundle, indices: np.ndarray) -> FullCache:
+def forward_full(model: ModelBundle, indices: np.ndarray, keep_caches: bool = True) -> FullCache:
     """lookup -> experts (+alignment) -> gating -> tower -> sigmoid.
 
     Each physical table is gathered once; experts that share it (every
-    expert in "se") read the same array, which no expert writes to.
+    expert in "se") read the same array, which no expert writes to. With
+    keep_caches the experts may run on the expert pool (see parallel);
+    without, they run serially and each expert's cache is dropped as its
+    forward returns, so an evaluation pass holds one expert's at a time.
     """
     gathered: dict[int, np.ndarray] = {}
     embeds = []
@@ -156,16 +163,18 @@ def forward_full(model: ModelBundle, indices: np.ndarray) -> FullCache:
         if t not in gathered:
             gathered[t] = lookup(model.bank, m, indices)
         embeds.append(gathered[t])
-    outputs = []
-    expert_caches = []
-    for m, expert in enumerate(model.experts):
-        o, cache = expert.forward(embeds[m])
-        outputs.append(o)
-        expert_caches.append(cache)
+    if keep_caches:
+        results = map_experts(model, indices.shape[0], lambda m: model.experts[m].forward(embeds[m]))
+        outputs, expert_caches = (list(part) for part in zip(*results))
+    else:
+        outputs = [expert.forward(e)[0] for expert, e in zip(model.experts, embeds)]
+        expert_caches, embeds = [], []
     g, gate_cache = gate_weights(model.gate, lookup_gating(model.bank, indices))
     h = aggregate_experts(g, outputs)
     logits, tower_cache = model.tower.forward(h)
     y_hat = sigmoid(logits).ravel()
+    if not keep_caches:
+        gate_cache, tower_cache = [], []
     return FullCache(
         embeds=embeds,
         expert_caches=expert_caches,
@@ -188,10 +197,11 @@ def loss_targets(model: ModelBundle, fc: FullCache) -> list[list[np.ndarray]]:
 
 
 def forward_chunks(model: ModelBundle, indices: np.ndarray) -> Iterator[tuple[int, FullCache]]:
-    """(first row, forward_full cache) for each EVAL_BATCH_ROWS-row chunk in
-    order; only the chunk being read is held unless the caller keeps it."""
+    """(first row, cache-free forward_full result) for each
+    EVAL_BATCH_ROWS-row chunk in order; only the chunk being read is held
+    unless the caller keeps it."""
     for start in range(0, indices.shape[0], EVAL_BATCH_ROWS):
-        yield start, forward_full(model, indices[start : start + EVAL_BATCH_ROWS])
+        yield start, forward_full(model, indices[start : start + EVAL_BATCH_ROWS], keep_caches=False)
 
 
 def predict(model: ModelBundle, indices: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from .model import FullCache, ModelBundle, dense_modules, forward_chunks, forwar
 from .nnet import prefixed
 from .numerics import GradCheckReport, central_diff_gradcheck, flatten_arrays, write_arrays
 from .optim import Adam
+from .parallel import map_experts
 
 CEC_ROW_CAP = 100_000  # validation rows whose expert outputs the CEC report reads
 
@@ -78,7 +79,9 @@ def batch_objective(
     model: ModelBundle, indices: np.ndarray, labels: np.ndarray
 ) -> tuple[StepLosses, BatchGrads, FullCache]:
     """forward_objective, then the full backward pass, with each
-    de-correlation grad injected at its loss location."""
+    de-correlation grad injected at its loss location. The experts'
+    backward passes may run on the expert pool (see parallel); packing
+    their embedding grads stays here, in expert order."""
     losses, fc, d_yhat, extra = forward_objective(model, indices, labels)
     loss = model.loss
     coef = loss.alpha / (labels.size - 1) if loss.active else 0.0
@@ -90,19 +93,22 @@ def batch_objective(
         model.gate, fc.gate_cache, fc.gate_weights, fc.outputs, d_h
     )
 
-    expert_grads = []
-    table_parts: list[list[SparseGrad]] = [[] for _ in model.bank.tables]
-    for m, expert in enumerate(model.experts):
+    def expert_backward(m: int):
         d_o = d_outputs[m]
         injections = {}
         if extra and loss.location == "output":
             d_o = d_o + coef * extra[0][m]
         elif extra and loss.location == "intermediate":  # crossnet only, by build_model
             injections = {"layer_grads": [coef * grads[m] for grads in extra]}
-        grads_m, d_e = expert.backward(fc.expert_caches[m], d_o, **injections)
-        expert_grads.append(grads_m)
+        grads_m, d_e = model.experts[m].backward(fc.expert_caches[m], d_o, **injections)
         if extra and loss.location == "input":
             d_e = d_e + coef * extra[0][m]
+        return grads_m, d_e
+
+    expert_grads = []
+    table_parts: list[list[SparseGrad]] = [[] for _ in model.bank.tables]
+    for m, (grads_m, d_e) in enumerate(map_experts(model, labels.size, expert_backward)):
+        expert_grads.append(grads_m)
         t = model.bank.table_for_expert(m)
         table_parts[t].append(SparseGrad.from_dense_rows(indices, d_e))
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from moectr import parallel
 from moectr.cli import main
 from moectr.config import RunConfig, SynthSpec, parse_expert_spec, parse_kv_text
 from moectr.data import gen_synthetic, load_synthetic_params, save_synthetic_params, save_table
@@ -247,6 +248,32 @@ class TestCli:
         assert lines[0] == "m1,m2,cec"
         assert len(lines) == 2
         assert float(lines[1].split(",")[2]) == record["cec_pairs"][0]["cec"]
+
+    @pytest.mark.parametrize(
+        "readers,line",
+        [
+            (
+                {"cpu_count": lambda: 2, "blas_threads": lambda: 1},
+                "experts: serial (experts too small: second-largest expert's params x batch rows = 2.3e+04 < 1e+08)",
+            ),
+            (
+                {"POOL_MIN_WORK": 0, "cpu_count": lambda: 2, "blas_threads": lambda: 2},
+                "experts: serial (OpenBLAS threads = 2; set OPENBLAS_NUM_THREADS=1)",
+            ),
+            ({"POOL_MIN_WORK": 0, "cpu_count": lambda: 2, "blas_threads": lambda: 1}, "experts: pool of 2 threads"),
+        ],
+        ids=["too-small", "blas-2", "pool"],
+    )
+    def test_train_prints_where_experts_run(self, tmp_path, synth_csv, capsys, monkeypatch, readers, line):
+        for name, value in readers.items():
+            monkeypatch.setattr(parallel, name, value)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(_train_config_text(synth_csv[0]))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "model.bin")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("data: ")
+        assert lines[2] == line
+        assert sum(x.startswith("experts: ") for x in lines) == 1
 
     def test_single_expert_model_reports_no_pairs(self, tmp_path, synth_csv, capsys):
         csv_path, _ = synth_csv

@@ -27,6 +27,7 @@ from moectr.model import (
 )
 from moectr.numerics import row_softmax, sigmoid
 from moectr.optim import Adam
+from moectr.parallel import openblas
 from moectr.trainer import (
     TrainConfig,
     batch_objective,
@@ -684,6 +685,18 @@ def _trained_state_digest(model, steps=6) -> str:
     return h.hexdigest()
 
 
+PINNED_ON = "SkylakeX"  # the OpenBLAS kernel the sha256 pins were recorded on
+
+
+def _kernel_note() -> str:
+    """The kernel these pins run on and the one they were recorded on: on
+    another kernel the GEMMs may round differently, so a failing pin there
+    need not mean a fault."""
+    blas = openblas()
+    core = f"OpenBLAS core {blas.core()}" if blas is not None else "a BLAS other than OpenBLAS"
+    return f"ran on {core}; the pins were recorded on OpenBLAS core {PINNED_ON}"
+
+
 class TestTrainedStateIsPinned:
     """Training numbers are pinned bit for bit: a change that reorders a
     sum in the scatter or an operation in Adam changes these digests. They
@@ -703,7 +716,7 @@ class TestTrainedStateIsPinned:
         ids=["se-all-kinds", "se-all-kinds-input-loss", "me-cin"],
     )
     def test_digest_after_steps(self, make, digest):
-        assert _trained_state_digest(make()) == digest
+        assert _trained_state_digest(make()) == digest, _kernel_note()
 
 
 def _model_file_digests(model, path, steps=5) -> tuple[str, str]:
@@ -760,7 +773,7 @@ class TestModelFileIsPinned:
     )
     def test_save_model_digests(self, tmp_path, mode, gate_hidden, tower_hidden, digests):
         model = all_kinds_model(mode, gate_hidden=gate_hidden, tower_hidden=tower_hidden)
-        assert _model_file_digests(model, tmp_path / "m.bin") == digests
+        assert _model_file_digests(model, tmp_path / "m.bin") == digests, _kernel_note()
 
 
 def _first_entry_only(scatter):
