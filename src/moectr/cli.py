@@ -50,8 +50,10 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_eval_data(args, model):
-    return (load_synthetic_csv if args.encoded else load_table)(args.data, model.schema)
+def _evaluate(args):
+    """evaluate() of the --model file on the --data CSV."""
+    model = load_model(args.model)
+    return evaluate(model, (load_synthetic_csv if args.encoded else load_table)(args.data, model.schema))
 
 
 def _metrics_record(metrics, corr) -> dict:
@@ -65,9 +67,7 @@ def _metrics_record(metrics, corr) -> dict:
 
 
 def _cmd_eval(args) -> int:
-    model = load_model(args.model)
-    ds = _load_eval_data(args, model)
-    metrics, corr = evaluate(model, ds)
+    metrics, corr = _evaluate(args)
     record = _metrics_record(metrics, corr)
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
@@ -77,9 +77,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_cec_report(args) -> int:
-    model = load_model(args.model)
-    ds = _load_eval_data(args, model)
-    _, corr = evaluate(model, ds)
+    _, corr = _evaluate(args)
     if not corr.pairs:
         print("model has a single expert; no pairs to report", file=sys.stderr)
         return 1

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 from typing import Collection
 
 from .data import DatasetSchema, EncodedDataset, FeatureField, check_split, load_synthetic_csv, load_table, split_dataset
+from .embedding import BANK_MODES
 from .experts import ExpertConfig
-from .losses import LossConfig
+from .losses import LOSS_FORMS, LOSS_LOCATIONS, LossConfig
 from .model import ModelBundle, build_model
 from .trainer import TrainConfig
 
@@ -90,11 +91,33 @@ def _bool(value: str) -> bool:
     raise ValueError(f"expected true/false, yes/no or 1/0, got {value!r}")
 
 
-def _seed(value: str) -> int:
-    seed = int(value)
-    if seed < 0:
-        raise ValueError(f"seeds must be >= 0, got {seed}")
-    return seed
+def _checked(parse, ok, rule: str):
+    """``parse``, then reject a value failing ``ok`` as ``<rule>, got <value>``."""
+
+    def checked(value: str):
+        parsed = parse(value)
+        if not ok(parsed):
+            raise ValueError(f"{rule}, got {parsed!r}")
+        return parsed
+
+    return checked
+
+
+def _one_of(choices: tuple[str, ...]):
+    """A parser of one of ``choices``, in any case."""
+    return _checked(str.lower, choices.__contains__, f"expected one of {', '.join(choices)}")
+
+
+_seed = _checked(int, lambda seed: seed >= 0, "seeds must be >= 0")
+_dim = _checked(int, lambda dim: dim >= 1, "must be >= 1")
+
+
+def _expert_specs(value: str) -> tuple[str, ...]:
+    """Comma-separated expert specs, each checked by parse_expert_spec."""
+    specs = tuple(t.strip() for t in value.split(",") if t.strip())
+    for spec in specs:
+        parse_expert_spec(spec, out_dim=1)  # expert_out_dim is checked on its own
+    return specs
 
 
 def _positive(value: str) -> float:
@@ -114,16 +137,16 @@ RUN_KEYS = {
     "encoded": ("encoded", _bool),
     "split": ("split", lambda value: check_split([float(tok) for tok in value.split(",")])),
     "split_seed": ("split_seed", _seed),
-    "mode": ("mode", str.lower),
-    "experts": ("expert_specs", lambda value: tuple(t.strip() for t in value.split(",") if t.strip())),
-    "embed_dim": ("embed_dim", int),
-    "gate_embed_dim": ("gate_embed_dim", int),
-    "expert_out_dim": ("expert_out_dim", int),
+    "mode": ("mode", _one_of(BANK_MODES)),
+    "experts": ("expert_specs", _expert_specs),
+    "embed_dim": ("embed_dim", _dim),
+    "gate_embed_dim": ("gate_embed_dim", _dim),
+    "expert_out_dim": ("expert_out_dim", _dim),
     "gate_hidden": ("gate_hidden", _ints),
     "tower_hidden": ("tower_hidden", _ints),
-    "loss_form": ("loss_form", str.lower),
+    "loss_form": ("loss_form", _one_of(LOSS_FORMS)),
     "alpha": ("alpha", float),
-    "loss_location": ("loss_location", str.lower),
+    "loss_location": ("loss_location", _one_of(LOSS_LOCATIONS)),
     "lr": ("lr", float),
     "batch_size": ("batch_size", int),
     "epochs": ("epochs", int),

@@ -16,6 +16,8 @@ import numpy as np
 from .data import DatasetSchema
 from .nnet import Module
 
+BANK_MODES = ("se", "me")
+
 
 @dataclass
 class EmbeddingTable(Module):
@@ -84,7 +86,7 @@ def init_bank(
         raise ValueError("num_experts must be >= 1")
     if dim < 1 or gate_dim < 1:
         raise ValueError("embedding dims must be >= 1")
-    if mode not in ("se", "me"):
+    if mode not in BANK_MODES:
         raise ValueError(f"unknown bank mode {mode!r}")
     n_tables = 1 if mode == "se" else num_experts
     if not isinstance(seed, np.random.SeedSequence):
@@ -117,10 +119,10 @@ def _gather(table: EmbeddingTable, indices: np.ndarray) -> np.ndarray:
     return table.weight[indices + table.offsets[:-1]].reshape(n, cards.size * table.dim)
 
 
-def lookup(bank: EmbeddingBank, table_index: int, batch_indices: np.ndarray) -> np.ndarray:
-    """Concatenate per-field embedding rows: output row i is
-    [emb(field 0), emb(field 1), ...] for sample i, in schema order."""
-    return _gather(bank.tables[bank.table_for_expert(table_index)], batch_indices)
+def lookup(bank: EmbeddingBank, expert: int, batch_indices: np.ndarray) -> np.ndarray:
+    """Expert ``expert``'s input from its table (``table_for_expert``): output
+    row i is [emb(field 0), emb(field 1), ...] for sample i, in schema order."""
+    return _gather(bank.tables[bank.table_for_expert(expert)], batch_indices)
 
 
 def lookup_gating(bank: EmbeddingBank, batch_indices: np.ndarray) -> np.ndarray:

@@ -133,10 +133,7 @@ def param_count(model: ModelBundle) -> int:
 
 @dataclass
 class FullCache:
-    """Everything the backward pass and the loss-location routing need, each value once.
-
-    An evaluation pass keeps only y_hat, the aligned outputs and the gate
-    weights: its embeds and every cache list are empty."""
+    """Everything the backward pass and the loss-location routing need, each value once."""
 
     embeds: list[np.ndarray]  # e^(m), (B, F*d) per expert; one array per physical table
     expert_caches: list
@@ -147,15 +144,9 @@ class FullCache:
     y_hat: np.ndarray  # (B,)
 
 
-def forward_full(model: ModelBundle, indices: np.ndarray, keep_caches: bool = True) -> FullCache:
-    """lookup -> experts (+alignment) -> gating -> tower -> sigmoid.
-
-    Each physical table is gathered once; experts that share it (every
-    expert in "se") read the same array, which no expert writes to. With
-    keep_caches the experts may run on the expert pool (see parallel);
-    without, they run serially and each expert's cache is dropped as its
-    forward returns, so an evaluation pass holds one expert's at a time.
-    """
+def _expert_inputs(model: ModelBundle, indices: np.ndarray) -> list[np.ndarray]:
+    """e^(m) per expert. Each physical table is gathered once; experts that
+    share it (every expert in "se") read the same array, which none writes to."""
     gathered: dict[int, np.ndarray] = {}
     embeds = []
     for m in range(model.num_experts):
@@ -163,27 +154,24 @@ def forward_full(model: ModelBundle, indices: np.ndarray, keep_caches: bool = Tr
         if t not in gathered:
             gathered[t] = lookup(model.bank, m, indices)
         embeds.append(gathered[t])
-    if keep_caches:
-        results = map_experts(model, indices.shape[0], lambda m: model.experts[m].forward(embeds[m]))
-        outputs, expert_caches = (list(part) for part in zip(*results))
-    else:
-        outputs = [expert.forward(e)[0] for expert, e in zip(model.experts, embeds)]
-        expert_caches, embeds = [], []
+    return embeds
+
+
+def _head(model: ModelBundle, indices: np.ndarray, outputs: list[np.ndarray]):
+    """gating -> tower -> sigmoid: (gate weights, gate cache, tower cache, y_hat)."""
     g, gate_cache = gate_weights(model.gate, lookup_gating(model.bank, indices))
-    h = aggregate_experts(g, outputs)
-    logits, tower_cache = model.tower.forward(h)
-    y_hat = sigmoid(logits).ravel()
-    if not keep_caches:
-        gate_cache, tower_cache = [], []
-    return FullCache(
-        embeds=embeds,
-        expert_caches=expert_caches,
-        outputs=outputs,
-        gate_cache=gate_cache,
-        gate_weights=g,
-        tower_cache=tower_cache,
-        y_hat=y_hat,
-    )
+    logits, tower_cache = model.tower.forward(aggregate_experts(g, outputs))
+    return g, gate_cache, tower_cache, sigmoid(logits).ravel()
+
+
+def forward_full(model: ModelBundle, indices: np.ndarray) -> FullCache:
+    """The training forward, lookup -> experts (+alignment) -> gating -> tower
+    -> sigmoid, keeping every cache; the experts may run on the expert pool."""
+    embeds = _expert_inputs(model, indices)
+    results = map_experts(model, indices.shape[0], lambda m: model.experts[m].forward(embeds[m]))
+    outputs, expert_caches = (list(part) for part in zip(*results))
+    g, gate_cache, tower_cache, y_hat = _head(model, indices, outputs)
+    return FullCache(embeds, expert_caches, outputs, gate_cache, g, tower_cache, y_hat)
 
 
 def loss_targets(model: ModelBundle, fc: FullCache) -> list[list[np.ndarray]]:
@@ -196,17 +184,18 @@ def loss_targets(model: ModelBundle, fc: FullCache) -> list[list[np.ndarray]]:
     return [fc.outputs if model.loss.location == "output" else fc.embeds]
 
 
-def forward_chunks(model: ModelBundle, indices: np.ndarray) -> Iterator[tuple[int, FullCache]]:
-    """(first row, cache-free forward_full result) for each
-    EVAL_BATCH_ROWS-row chunk in order; only the chunk being read is held
-    unless the caller keeps it."""
+def forward_chunks(model: ModelBundle, indices: np.ndarray) -> Iterator[tuple[int, np.ndarray, list[np.ndarray]]]:
+    """(first row, y_hat, aligned expert outputs) per EVAL_BATCH_ROWS-row chunk, in order;
+    the experts run serially and each cache is dropped as its forward returns."""
     for start in range(0, indices.shape[0], EVAL_BATCH_ROWS):
-        yield start, forward_full(model, indices[start : start + EVAL_BATCH_ROWS], keep_caches=False)
+        chunk = indices[start : start + EVAL_BATCH_ROWS]
+        outputs = [expert.forward(e)[0] for expert, e in zip(model.experts, _expert_inputs(model, chunk))]
+        yield start, _head(model, chunk, outputs)[-1], outputs
 
 
 def predict(model: ModelBundle, indices: np.ndarray) -> np.ndarray:
     """Click probabilities, computed one forward_chunks chunk at a time."""
-    parts = [fc.y_hat for _, fc in forward_chunks(model, indices)]
+    parts = [y_hat for _, y_hat, _ in forward_chunks(model, indices)]
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -284,40 +273,41 @@ def load_model(path) -> ModelBundle:
     """Rebuild from the config echo, then overwrite every parameter block.
 
     Every parameter must appear in exactly one block and the file must end
-    after the last block; anything else is rejected. Loaded parameters are
-    byte-for-byte what was saved, so evaluation after a round trip is
-    bit-identical.
+    after the last block; anything else is rejected naming the path.
+    Loaded parameters are byte-for-byte what was saved, so evaluation after
+    a round trip is bit-identical.
     """
-    with open(path, "rb") as fh:
-        if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
-            raise ValueError("unrecognized model file")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != MODEL_VERSION:
-            raise ValueError(f"unsupported model file version: {version}")
-        (blob_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-        blob = _read_exact(fh, blob_len)
-        try:
-            model = _model_from_echo(json.loads(blob.decode("utf-8")))
-        except KeyError as err:
-            raise ValueError(f"{path}: config echo lacks key {err}") from err
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"{path}: malformed config echo: {err}") from err
-        params = dict(named_params(model))
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        if count != len(params):
-            raise ValueError("parameter block count does not match config")
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            name = _read_exact(fh, name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
-            shape = tuple(
-                struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(ndim)
-            )
-            arr = params.pop(name, None)
-            if arr is None or arr.shape != shape:
-                raise ValueError(f"unexpected or repeated parameter block {name!r}")
-            data = _read_exact(fh, arr.size * 8)
-            arr[...] = np.frombuffer(data, dtype="<f8").reshape(shape)
-        if fh.read(1):
-            raise ValueError("trailing bytes after the last parameter block")
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
+                raise ValueError("unrecognized model file")
+            (version,) = struct.unpack("<I", _read_exact(fh, 4))
+            if version != MODEL_VERSION:
+                raise ValueError(f"unsupported model file version: {version}")
+            (blob_len,) = struct.unpack("<Q", _read_exact(fh, 8))
+            blob = _read_exact(fh, blob_len)
+            try:
+                model = _model_from_echo(json.loads(blob.decode("utf-8")))
+            except KeyError as err:
+                raise ValueError(f"config echo lacks key {err}") from err
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"malformed config echo: {err}") from err
+            params = dict(named_params(model))
+            (count,) = struct.unpack("<I", _read_exact(fh, 4))
+            if count != len(params):
+                raise ValueError("parameter block count does not match config")
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
+                name = _read_exact(fh, name_len).decode("utf-8")
+                (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
+                shape = tuple(struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(ndim))
+                arr = params.pop(name, None)
+                if arr is None or arr.shape != shape:
+                    raise ValueError(f"unexpected or repeated parameter block {name!r}")
+                data = _read_exact(fh, arr.size * 8)
+                arr[...] = np.frombuffer(data, dtype="<f8").reshape(shape)
+            if fh.read(1):
+                raise ValueError("trailing bytes after the last parameter block")
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
     return model

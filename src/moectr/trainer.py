@@ -229,10 +229,10 @@ def evaluate(model: ModelBundle, ds: EncodedDataset) -> tuple[EvalMetrics, Corre
         raise ValueError("cannot evaluate on an empty dataset")
     scores = np.empty(len(ds))
     kept: list[list[np.ndarray]] = [[] for _ in range(model.num_experts)]
-    for start, fc in forward_chunks(model, ds.indices):
-        scores[start : start + fc.y_hat.size] = fc.y_hat
+    for start, y_hat, outputs in forward_chunks(model, ds.indices):
+        scores[start : start + y_hat.size] = y_hat
         if start < CEC_ROW_CAP:
-            for parts, o in zip(kept, fc.outputs):
+            for parts, o in zip(kept, outputs):
                 parts.append(o[: CEC_ROW_CAP - start])
     metrics = EvalMetrics(
         auc=auc(scores, ds.labels),
@@ -259,13 +259,8 @@ def train_loop(
         raise ValueError("train and valid sets must be nonempty")
     if valid_ds.labels.min() == valid_ds.labels.max():
         raise ValueError("validation set needs both classes (0 and 1) for AUC")
-    if model.loss.active:
-        if config.batch_size < 2:
-            raise ValueError("batch too small for de-correlation")
-        if len(train_ds) % config.batch_size == 1:
-            raise ValueError(
-                "batch too small for de-correlation: final batch would have 1 row"
-            )
+    if model.loss.active and (config.batch_size < 2 or len(train_ds) % config.batch_size == 1):
+        raise ValueError("batch too small for de-correlation: a batch would have 1 row")
     adam = Adam(lr=config.learning_rate)
     params = dict(named_params(model))
     report = TrainReport()

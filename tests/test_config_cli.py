@@ -145,6 +145,32 @@ class TestRunConfig:
         assert model.experts[0].kind == "fm"
         assert model.experts[1].kind == "crossnet"
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("mode = shared", "key 'mode': expected one of se, me, got 'shared'"),
+            ("loss_form = cov", "key 'loss_form': expected one of corr, cov_l1, cov_l2, none, got 'cov'"),
+            ("loss_location = hidden", "key 'loss_location': expected one of input, intermediate, output, got 'hidden'"),
+            ("experts = fm, dnn:64-x", r"key 'experts': invalid literal for int\(\) with base 10: 'x'"),
+            ("experts = fm, gbdt", "key 'experts': unknown expert kind 'gbdt'"),
+            ("embed_dim = 0", "key 'embed_dim': must be >= 1, got 0"),
+            ("gate_embed_dim = -1", "key 'gate_embed_dim': must be >= 1, got -1"),
+            ("expert_out_dim = 0", "key 'expert_out_dim': must be >= 1, got 0"),
+        ],
+        ids=[
+            "mode", "loss_form", "loss_location", "experts-bad-width", "experts-unknown-kind",
+            "embed_dim-0", "gate_embed_dim--1", "expert_out_dim-0",
+        ],
+    )
+    def test_model_key_rejected_at_load_naming_it(self, line, message):
+        with pytest.raises(ValueError, match=f"^config: {message}$"):
+            RunConfig.from_text(f"fields = a:10, b:10\n{line}\n")
+
+    def test_model_keys_read_in_any_case(self):
+        cfg = RunConfig.from_text("mode = SE\nloss_form = Cov_L2\nloss_location = INPUT\nexperts = FM, Dnn:4\n")
+        assert (cfg.mode, cfg.loss_form, cfg.loss_location) == ("se", "cov_l2", "input")
+        assert [c.kind for c in cfg.expert_configs()] == ["fm", "dnn"]
+
     @pytest.mark.parametrize("key", ["gate_hidden", "tower_hidden"])
     def test_zero_width_rejected_naming_the_width(self, key):
         cfg = RunConfig.from_text(f"fields = a:10, b:10\nexperts = fm\n{key} = 8-0\n")
@@ -275,40 +301,21 @@ class TestCli:
         assert lines[2] == line
         assert sum(x.startswith("experts: ") for x in lines) == 1
 
-    def test_single_expert_model_reports_no_pairs(self, tmp_path, synth_csv, capsys):
-        csv_path, _ = synth_csv
-        cfg = RunConfig.from_text(_train_config_text(csv_path).replace("crossnet:2, crossnet:2", "crossnet:2"))
-        model = cfg.build()
-        train_ds, valid_ds, _ = cfg.load_datasets()
-        report = train_loop(model, train_ds, valid_ds, cfg.train_config())
-        assert [(r.valid_cec_pairs, r.valid_cec_sum) for r in report.epochs] == [({}, 0.0)] * 2
-        model_path = tmp_path / "model.bin"
-        save_model(model, model_path)
-
-        report_path = tmp_path / "report.json"
-        data = ["--model", str(model_path), "--data", str(csv_path), "--encoded"]
-        assert main(["eval", *data, "--report", str(report_path)]) == 0
-        text = report_path.read_text()
-        assert '"cec_pairs": [],' in text and '"cec_sum": 0.0\n' in text
-
-        capsys.readouterr()
-        csv_out = tmp_path / "cec.csv"
-        assert main(["cec-report", *data, "--csv", str(csv_out)]) == 1
-        assert capsys.readouterr().err == "model has a single expert; no pairs to report\n"
-        assert not csv_out.exists()
-
     @pytest.mark.parametrize(
         "key,value,message",
         [
             ("epochs", 0, "^epochs must be >= "),
             ("patience", -1, "^patience must be >= "),
             ("split", "0.5, 0.6, 0.1", "^{cfg}: key 'split': fractions exceed 1$"),
-            ("experts", "dnn:abc", r"^invalid literal for int\(\) with base 10: 'abc'$"),
-            ("mode", "xx", "^unknown bank mode 'xx'$"),
-            ("loss_form", "foo", "^unknown loss form 'foo'$"),
-            ("embed_dim", 0, "^embedding dims must be >= 1$"),
+            ("experts", "dnn:abc", r"^{cfg}: key 'experts': invalid literal for int\(\) with base 10: 'abc'$"),
+            ("mode", "xx", "^{cfg}: key 'mode': expected one of se, me, got 'xx'$"),
+            ("loss_form", "foo", "^{cfg}: key 'loss_form': expected one of corr, cov_l1, cov_l2, none, got 'foo'$"),
+            ("loss_location", "foo", "^{cfg}: key 'loss_location': expected one of input, intermediate, output, got 'foo'$"),
+            ("embed_dim", 0, "^{cfg}: key 'embed_dim': must be >= 1, got 0$"),
         ],
-        ids=["epochs-0", "patience--1", "split-over-1", "experts-bad-width", "mode", "loss_form", "embed_dim-0"],
+        ids=[
+            "epochs-0", "patience--1", "split-over-1", "experts-bad-width", "mode", "loss_form", "loss_location", "embed_dim-0"
+        ],
     )
     def test_train_rejects_untrainable_config_before_reading_data(self, tmp_path, key, value, message):
         # the train CSV is absent, so reading it would raise FileNotFoundError instead

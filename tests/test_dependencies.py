@@ -1,5 +1,6 @@
 """numpy stays the only runtime dependency: every absolute import in the
-package names a standard-library module or numpy."""
+package names a standard-library module or numpy. And every name comes
+from its module: ``from moectr import X`` only imports a module X."""
 
 import ast
 import sys
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "moectr"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "moectr"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
 
@@ -31,3 +33,32 @@ def test_imports_only_stdlib_and_numpy(path):
 def test_guard_sees_a_third_party_import():
     tree = ast.parse("import os\nfrom numpy.linalg import norm\nimport scipy.sparse\nfrom . import data\n")
     assert [n for n in absolute_imports(tree) if n.split(".")[0] not in ALLOWED] == ["scipy.sparse"]
+
+
+def root_names_not_modules(tree: ast.AST) -> list[str]:
+    """The X of every ``from moectr import X`` that is not a module file of the package."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "moectr"
+        for alias in node.names
+        if alias.name not in modules
+    ]
+
+
+def test_package_root_imports_only_modules():
+    tops = ("src", "tests", "demos", "bench")
+    sources = sorted(p for top in tops for p in (REPO / top).rglob("*.py"))
+    assert {path.relative_to(REPO).parts[0] for path in sources} == set(tops)
+    offenders = [
+        (str(path.relative_to(REPO)), name)
+        for path in sources
+        for name in root_names_not_modules(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert offenders == []
+
+
+def test_guard_sees_a_name_imported_from_the_package_root():
+    tree = ast.parse("from moectr import data, trainer\nfrom moectr import train_loop\nfrom moectr.trainer import evaluate\n")
+    assert root_names_not_modules(tree) == ["train_loop"]

@@ -536,7 +536,7 @@ class TestPersistence:
         data = bytearray(path.read_bytes())
         data[:4] = b"JUNK"
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="unrecognized model file"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unrecognized model file$"):
             load_model(path)
 
     def test_truncated_file(self, tmp_path):
@@ -544,7 +544,7 @@ class TestPersistence:
         save_model(micro_model(seed=27), path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: truncated model file$"):
             load_model(path)
 
     def test_repeated_block_and_trailing_bytes_rejected(self, tmp_path):
@@ -552,13 +552,17 @@ class TestPersistence:
         save_model(micro_model(seed=29), path)
         data = path.read_bytes()
         header, blocks = _model_file_blocks(data)
-        first = next(iter(blocks.values()))
+        first_name, first = next(iter(blocks.items()))
         swapped = b"".join(first if name == "tower.b1" else raw for name, raw in blocks.items())
         path.write_bytes(header + swapped + b"\0")
-        with pytest.raises(ValueError, match="repeated parameter block"):
+        repeated = re.escape(f"unexpected or repeated parameter block {first_name!r}")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {repeated}$"):
             load_model(path)
         path.write_bytes(data + b"\0")
-        with pytest.raises(ValueError, match="trailing bytes"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: trailing bytes after the last parameter block$"):
+            load_model(path)
+        path.write_bytes(header[:-4] + struct.pack("<I", len(blocks) + 1) + data[len(header) :])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: parameter block count does not match config$"):
             load_model(path)
 
     def test_bad_version(self, tmp_path):
@@ -567,7 +571,7 @@ class TestPersistence:
         data = bytearray(path.read_bytes())
         data[8:12] = (99).to_bytes(4, "little")
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unsupported model file version: 99$"):
             load_model(path)
 
     @pytest.mark.parametrize(
