@@ -185,11 +185,14 @@ def loss_targets(model: ModelBundle, fc: FullCache) -> list[list[np.ndarray]]:
 
 
 def forward_chunks(model: ModelBundle, indices: np.ndarray) -> Iterator[tuple[int, np.ndarray, list[np.ndarray]]]:
-    """(first row, y_hat, aligned expert outputs) per EVAL_BATCH_ROWS-row chunk, in order;
-    the experts run serially and each cache is dropped as its forward returns."""
+    """(first row, y_hat, aligned expert outputs) per EVAL_BATCH_ROWS-row chunk, in order.
+    The experts may run on the expert pool, gated on the chunk's rows; each
+    cache is dropped as its forward returns, so at most one per pool worker
+    is alive."""
     for start in range(0, indices.shape[0], EVAL_BATCH_ROWS):
         chunk = indices[start : start + EVAL_BATCH_ROWS]
-        outputs = [expert.forward(e)[0] for expert, e in zip(model.experts, _expert_inputs(model, chunk))]
+        embeds = _expert_inputs(model, chunk)
+        outputs = list(map_experts(model, chunk.shape[0], lambda m: model.experts[m].forward(embeds[m])[0]))
         yield start, _head(model, chunk, outputs)[-1], outputs
 
 

@@ -12,6 +12,12 @@ composite nests its children's names with ``prefixed`` (``core.w0``). A
 forward cache is opaque outside the module that wrote it: it goes back to
 that module's ``backward``, and the module's own accessors (``relu_inputs``,
 ``Mlp.forward_input``) read it.
+
+An Mlp's cache is its input and then each layer's output. A rectified
+layer applies its ReLU in place on its fresh affine result, so no
+pre-activation is stored: relu(z) > 0 exactly where z > 0 (for -0.0 and
+NaN too), which makes the output its own backward mask, and the GEMM from
+the cached input gives the pre-activation back when one is asked for.
 """
 
 from __future__ import annotations
@@ -19,10 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
 
 
 def prefixed(prefix: str, named: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -105,28 +107,30 @@ class Mlp(Module):
         return self.weights[-1].shape[0]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        """Returns (output, cache); cache keeps layer inputs and pre-activations."""
+        """Returns (output, cache); the cache is [x_0, a_1, ..., a_L], the
+        input and then each layer's output, the last being the output itself."""
         if x.shape[1] != self.in_dim:
             raise ValueError(
                 f"input width {x.shape[1]} does not match first layer {self.in_dim}"
             )
-        cache = []
+        cache = [x]
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            z = x @ w.T + b  # (N, out)
-            cache.append((x, z))
-            x = relu(z) if act else z
+            x = x @ w.T + b  # (N, out), a fresh array
+            if act:
+                np.maximum(x, 0.0, out=x)
+            cache.append(x)
         return x, cache
 
     def backward(self, cache: list, d_out: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
         """Returns (grads keyed like params, d_input)."""
-        if len(cache) != len(self.weights):
+        if len(cache) != len(self.weights) + 1:
             raise ValueError("cache does not match layer count")
         d_ws: list[np.ndarray] = [None] * len(self.weights)  # type: ignore[list-item]
         d_bs: list[np.ndarray] = [None] * len(self.weights)  # type: ignore[list-item]
         d = d_out
         for i in range(len(self.weights) - 1, -1, -1):
-            x, z = cache[i]
-            dz = d * (z > 0.0) if self.activations[i] else d
+            x, a = cache[i], cache[i + 1]
+            dz = d * (a > 0.0) if self.activations[i] else d
             d_ws[i] = dz.T @ x
             d_bs[i] = dz.sum(axis=0)
             d = dz @ self.weights[i]
@@ -134,8 +138,14 @@ class Mlp(Module):
 
     def forward_input(self, cache: list) -> np.ndarray:
         """The input forward was given, from forward's cache."""
-        return cache[0][0]
+        return cache[0]
 
     def relu_inputs(self, cache: list) -> list[np.ndarray]:
-        """Pre-activation of every rectified layer, from forward's cache."""
-        return [z for (_, z), act in zip(cache, self.activations) if act]
+        """Pre-activation of every rectified layer, recomputed from the layer
+        inputs in forward's cache (the same GEMM on the same input, so the
+        same bytes)."""
+        return [
+            x @ w.T + b
+            for x, w, b, act in zip(cache, self.weights, self.biases, self.activations)
+            if act
+        ]

@@ -1,5 +1,6 @@
 """Expert parallelism: the experts of a training step run their forward and
-backward passes on one two-thread pool when that pays, serially otherwise.
+backward passes, and those of an evaluation chunk their forwards, on one
+two-thread pool when that pays, serially otherwise.
 
 Given the embeddings, each expert's forward and backward read and write
 only its own arrays, and BLAS releases the GIL, so two experts' GEMMs run
@@ -14,12 +15,12 @@ decides; the pool is used only when all of these hold:
   the pool is slower than no pool, and it rounds GEMMs differently. An
   unreadable count, or another BLAS, means serial. The setting is read,
   never changed;
-- the second-largest expert's dense parameter count times the batch rows
-  is at least POOL_MIN_WORK. Below it the pool gains a few percent at
-  most and raises peak memory by more than that.
+- the second-largest expert's dense parameter count times the rows of the
+  batch or evaluation chunk is at least POOL_MIN_WORK. Below it the pool
+  gains a few percent at most and raises peak memory by more than that.
 
 The rules are checked in that order, cheapest first: the gate runs on
-every training forward and backward.
+every training forward and backward and on every evaluation chunk.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ def expert_work(model, rows: int) -> int:
 
 
 def serial_reason(model, rows: int) -> str | None:
-    """Why the experts of a `rows`-row training batch run serially, or None
-    when they run on the pool."""
+    """Why the experts of a `rows`-row batch or evaluation chunk run
+    serially, or None when they run on the pool."""
     if model.num_experts < 2:
         return "one expert"
     cpus = cpu_count()
@@ -122,7 +123,8 @@ def serial_reason(model, rows: int) -> str | None:
 
 
 def describe(model, rows: int) -> str:
-    """The one line a training run prints about where its experts run."""
+    """One line about where the experts of a `rows`-row batch or evaluation
+    chunk run, and why serially if they do."""
     reason = serial_reason(model, rows)
     return f"experts: serial ({reason})" if reason else f"experts: pool of {POOL_WORKERS} threads"
 
@@ -138,10 +140,11 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's t
 
 
 def map_experts(model, rows: int, fn: Callable[[int], T]) -> Iterable[T]:
-    """fn(m) for every expert m of a `rows`-row training batch, in expert
-    order. Serially they run lazily, one as each result is taken. On the
-    pool they run at once, and every call has finished before the results
-    come back, or the error of the first call in expert order that raised."""
+    """fn(m) for every expert m of a `rows`-row batch or evaluation chunk,
+    in expert order. Serially they run lazily, one as each result is taken.
+    On the pool they run at once, and every call has finished before the
+    results come back, or the error of the first call in expert order that
+    raised."""
     if serial_reason(model, rows) is not None:
         return map(fn, range(model.num_experts))
     futures = [executor().submit(fn, m) for m in range(model.num_experts)]

@@ -5,6 +5,8 @@ from moectr.experts import ExpertConfig, make_expert
 from moectr.nnet import Mlp
 from moectr.numerics import central_diff_gradcheck, flatten_arrays, write_arrays
 
+from test_parallel import _arrays
+
 
 def _identity_align(expert, width):
     expert.align.weights[0] = np.eye(width)
@@ -287,6 +289,65 @@ class TestAlignmentHead:
         np.testing.assert_allclose(
             out, np.maximum(x @ head.weights[0].T + head.biases[0], 0.0), atol=1e-12
         )
+
+
+def _masked_on_z_backward(mlp, x, d_out):
+    """Mlp.backward's reference: keeps every pre-activation z and masks the
+    rectified layers on z > 0."""
+    xs, zs = [], []
+    for w, b, act in zip(mlp.weights, mlp.biases, mlp.activations):
+        z = x @ w.T + b
+        xs.append(x)
+        zs.append(z)
+        x = np.maximum(z, 0.0) if act else z
+    grads, d = {}, d_out
+    for i in range(len(mlp.weights) - 1, -1, -1):
+        dz = d * (zs[i] > 0.0) if mlp.activations[i] else d
+        grads[f"w{i}"], grads[f"b{i}"] = dz.T @ xs[i], dz.sum(axis=0)
+        d = dz @ mlp.weights[i]
+    return grads, d
+
+
+class TestMlpCache:
+    """The cache is the input and every layer's output, and nothing else."""
+
+    def test_cache_is_input_then_layer_outputs(self):
+        rng = _rng(30)
+        mlp = Mlp.build(4, (5, 3), 2, rng)
+        x = rng.normal(size=(6, 4))
+        out, cache = mlp.forward(x)
+        assert len(cache) == len(mlp.weights) + 1
+        assert cache[0] is x and cache[-1] is out
+        a = x
+        for i, (w, b, act) in enumerate(zip(mlp.weights, mlp.biases, mlp.activations)):
+            z = a @ w.T + b
+            a = np.maximum(z, 0.0) if act else z
+            assert cache[i + 1].tobytes() == a.tobytes()
+
+    def test_dnn_expert_holds_no_pre_activations(self):
+        rng = _rng(31)
+        e = make_expert(ExpertConfig(kind="dnn", out_dim=3, hidden=(4, 3), dnn_out=2), 3, 2, rng)
+        x = rng.normal(size=(5, 6))
+        _, cache = e.forward(x)
+        held = {id(a): a for a in _arrays(cache) if a is not x}
+        # core outputs 4, 3 and 2 wide, then the 3-wide aligned output; the
+        # core's output is the alignment head's input, held once
+        assert sum(a.nbytes for a in held.values()) == 5 * (4 + 3 + 2 + 3) * 8
+
+    def test_zero_pre_activation_backward_matches_z_mask(self):
+        rng = _rng(32)
+        mlp = Mlp.build(4, (5, 3), 2, rng)
+        x = rng.normal(size=(6, 4))
+        mlp.biases[0][2] = -(x @ mlp.weights[0].T)[1, 2]  # z[1, 2] is exactly 0.0
+        _, cache = mlp.forward(x)
+        assert mlp.relu_inputs(cache)[0][1, 2] == 0.0
+        d_out = rng.normal(size=(6, 2))
+        grads, d_in = mlp.backward(cache, d_out)
+        ref_grads, ref_d_in = _masked_on_z_backward(mlp, x, d_out)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+        assert d_in.tobytes() == ref_d_in.tobytes()
 
 
 def _expert_gradcheck(kind, seed, f=3, d=2, batch=4, **cfg_kw):

@@ -1,6 +1,8 @@
-"""The expert pool: pooled steps are byte-identical to serial ones, results
-come back in expert order, a worker's error moves nothing, the gate decides
-from its readers alone, and evaluation holds no expert caches."""
+"""The expert pool: pooled training steps and evaluation chunks are
+byte-identical to serial ones, results come back in expert order, a
+worker's error moves nothing and reaches the caller, the gate decides from
+its readers alone, and evaluation holds at most one expert cache per pool
+worker."""
 
 import os
 import signal
@@ -12,15 +14,16 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from moectr import model as model_module
 from moectr import parallel
 from moectr.data import DatasetSchema, FeatureField
 from moectr.experts import ExpertConfig
 from moectr.losses import LossConfig
-from moectr.model import build_model, forward_chunks, forward_full, named_params
+from moectr.model import build_model, forward_chunks, forward_full, named_params, predict
 from moectr.optim import Adam
-from moectr.trainer import train_step
+from moectr.trainer import evaluate, train_step
 
-from test_trainer import _trained_state_digest, all_kinds_model, micro_batch, micro_model
+from test_trainer import _tiny_dataset, _trained_state_digest, all_kinds_model, micro_batch, micro_model
 
 
 @pytest.fixture
@@ -246,6 +249,30 @@ class TestGate:
         assert threading.active_count() == threads
 
 
+def _watch_caches(model, monkeypatch, hold_s=0.0):
+    """Wrap every expert's forward to record, after it returns, how many of
+    the expert caches made so far are still alive and which thread ran it;
+    each forward keeps its cache for hold_s more seconds before returning."""
+    held, alive, threads = [], [], []
+
+    def watched(expert):
+        real = expert.forward
+
+        def forward(embeds):
+            out, cache = real(embeds)
+            held.append(weakref.ref(expert.core_output(cache)))  # an array only the cache holds
+            alive.append(sum(ref() is not None for ref in held))
+            threads.append(threading.current_thread().name)
+            time.sleep(hold_s)  # another worker's forward returns meanwhile
+            return out, cache
+
+        return forward
+
+    for expert in model.experts:
+        monkeypatch.setattr(expert, "forward", watched(expert))
+    return alive, threads
+
+
 class TestCacheFreeEvaluation:
     def test_chunks_carry_outputs_and_predictions_only(self):
         model = all_kinds_model("me")
@@ -260,22 +287,66 @@ class TestCacheFreeEvaluation:
     def test_each_expert_cache_dies_before_the_next_forward(self, monkeypatch):
         model = all_kinds_model("me")
         idx, _ = micro_batch(8, seed=6)
-        held = []
-        alive_at_next = []
-
-        def watched(expert):
-            real = expert.forward
-
-            def forward(embeds):
-                alive_at_next.extend(ref() is not None for ref in held)
-                out, cache = real(embeds)
-                held.append(weakref.ref(cache[-1][0][1]))  # the alignment head's pre-activation
-                return out, cache
-
-            return forward
-
-        for expert in model.experts:
-            monkeypatch.setattr(expert, "forward", watched(expert))
+        alive, _ = _watch_caches(model, monkeypatch)
         list(forward_chunks(model, idx))
-        assert len(held) == model.num_experts
-        assert alive_at_next == [False] * (model.num_experts * (model.num_experts - 1) // 2)
+        assert alive == [1] * model.num_experts
+
+
+class TestPooledEvaluation:
+    """Evaluation chunks on the pool give the serial bytes, and each worker
+    drops its expert's cache as the forward returns."""
+
+    @pytest.mark.parametrize("mode", ["me", "se"])
+    def test_chunks_predict_and_evaluate_match_serial(self, force_pool, monkeypatch, mode):
+        monkeypatch.setattr(model_module, "EVAL_BATCH_ROWS", 16)
+        ds = _tiny_dataset(40, seed=41)  # chunks of 16, 16 and 8 rows
+        model = all_kinds_model(mode)
+        serial_chunks = list(forward_chunks(model, ds.indices))
+        serial_scores = predict(model, ds.indices)
+        serial_metrics, serial_corr = evaluate(model, ds)
+        with force_pool():
+            assert parallel.serial_reason(model, 8) is None
+            _, threads = _watch_caches(model, monkeypatch)
+            pooled_chunks = list(forward_chunks(model, ds.indices))
+            pooled_scores = predict(model, ds.indices)
+            pooled_metrics, pooled_corr = evaluate(model, ds)
+        assert len(threads) == 3 * 3 * model.num_experts
+        assert all(name.startswith("moectr-expert") for name in threads)
+        assert [start for start, _, _ in pooled_chunks] == [0, 16, 32]
+        for (s0, y0, out0), (s1, y1, out1) in zip(serial_chunks, pooled_chunks, strict=True):
+            assert s0 == s1
+            assert y0.tobytes() == y1.tobytes()
+            assert [o.tobytes() for o in out0] == [o.tobytes() for o in out1]
+        assert serial_scores.tobytes() == pooled_scores.tobytes()
+        assert serial_metrics == pooled_metrics
+        assert serial_corr.pairs == pooled_corr.pairs
+        assert serial_corr.total == pooled_corr.total
+
+    def test_worker_error_reaches_evaluate(self, force_pool, monkeypatch):
+        model = all_kinds_model("me")
+        ds = _tiny_dataset(20, seed=42)
+        raised_on = []
+
+        def broken(embeds):
+            raised_on.append(threading.current_thread().name)
+            raise ValueError("broken expert forward")
+
+        with force_pool():
+            with monkeypatch.context() as patch:
+                patch.setattr(model.experts[2], "forward", broken)
+                with pytest.raises(ValueError, match="^broken expert forward$"):
+                    evaluate(model, ds)
+            metrics, _ = evaluate(model, ds)  # the pool still runs
+        assert raised_on[0].startswith("moectr-expert")
+        assert metrics.num_samples == 20
+
+    def test_at_most_one_cache_per_worker(self, force_pool, monkeypatch):
+        monkeypatch.setattr(model_module, "EVAL_BATCH_ROWS", 8)
+        model = all_kinds_model("se")
+        idx, _ = micro_batch(16, seed=43)
+        with force_pool():
+            alive, threads = _watch_caches(model, monkeypatch, hold_s=0.02)
+            list(forward_chunks(model, idx))
+        assert len(alive) == 2 * model.num_experts
+        assert all(name.startswith("moectr-expert") for name in threads)
+        assert 1 <= max(alive) <= parallel.POOL_WORKERS

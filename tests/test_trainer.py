@@ -888,6 +888,21 @@ class TestKinkMargin:
             bias[...] = saved
 
     @pytest.mark.parametrize("mode", ["me", "se"])
+    def test_relu_inputs_are_the_recomputed_pre_activations(self, mode):
+        model = all_kinds_model(mode)
+        idx = micro_batch(8, seed=41)[0]
+        fc = forward_full(model, idx)
+        got = [
+            *model.gate.relu_inputs(fc.gate_cache),
+            *(z for e, c in zip(model.experts, fc.expert_caches) for z in e.relu_inputs(c)),
+            *model.tower.relu_inputs(fc.tower_cache),
+        ]
+        want = [z for _, z in _relu_sites(model, idx)]
+        assert len(got) == len(want) == 8
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("mode", ["me", "se"])
     def test_cov_l1_skips_dead_columns(self, mode):
         # an alignment column dead on every row gives exact-zero cross
         # entries; they are not kinks, the live entries still are
