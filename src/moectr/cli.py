@@ -24,7 +24,6 @@ from .trainer import evaluate, train_loop
 
 def _cmd_train(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    train_config = cfg.train_config()  # a run that cannot train or build fails before any CSV is read
     model = cfg.build()
     train_ds, valid_ds, test_ds = cfg.load_datasets()
     print(
@@ -32,9 +31,9 @@ def _cmd_train(args) -> int:
         f"params={param_count(model)}"
     )
     print(f"data: train={len(train_ds)} valid={len(valid_ds)} test={len(test_ds)}")
-    print(describe(model, min(train_config.batch_size, len(train_ds))))
+    print(describe(model, min(cfg.train.batch_size, len(train_ds))))
     print(f"evaluation {describe(model, min(len(valid_ds), EVAL_BATCH_ROWS))}")
-    report = train_loop(model, train_ds, valid_ds, train_config)
+    report = train_loop(model, train_ds, valid_ds, cfg.train)
     for rec in report.epochs:
         print(
             f"epoch {rec.epoch}: train_logloss={rec.train_logloss:.6f} "

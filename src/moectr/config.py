@@ -8,13 +8,14 @@ keys. See configs/default.cfg for a fully commented example.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Collection
 
 from .data import DatasetSchema, EncodedDataset, FeatureField, check_split, load_synthetic_csv, load_table, split_dataset
 from .embedding import BANK_MODES
 from .experts import ExpertConfig
-from .losses import LOSS_FORMS, LOSS_LOCATIONS, LossConfig
+from .losses import LossConfig
 from .model import ModelBundle, build_model
 from .trainer import TrainConfig
 
@@ -48,8 +49,13 @@ def parse_kv_file(path, known: Collection[str] | None = None) -> dict[str, str]:
         return parse_kv_text(fh.read(), known, source=str(path))
 
 
-def _ints(value: str, sep: str = "-") -> tuple[int, ...]:
-    return tuple(int(tok) for tok in value.split(sep) if tok != "")
+def _ints(value: str) -> tuple[int, ...]:
+    """Integers >= 1 joined by single '-', e.g. "64-32"; an empty value is
+    none, and an empty token reads as 0, so the rule rejects it."""
+    widths = tuple(int(tok) if tok else 0 for tok in value.split("-")) if value else ()
+    if widths and min(widths) < 1:
+        raise ValueError(f"expected integers >= 1 joined by single '-', got {value!r}")
+    return widths
 
 
 def parse_expert_spec(spec: str, out_dim: int) -> ExpertConfig:
@@ -110,6 +116,7 @@ def _one_of(choices: tuple[str, ...]):
 
 _seed = _checked(int, lambda seed: seed >= 0, "seeds must be >= 0")
 _dim = _checked(int, lambda dim: dim >= 1, "must be >= 1")
+_finite = _checked(float, math.isfinite, "must be a finite number")
 
 
 def _expert_specs(value: str) -> tuple[str, ...]:
@@ -127,7 +134,8 @@ def _positive(value: str) -> float:
     return number
 
 
-# config key -> (RunConfig attribute, parser of the value text)
+# config key -> (RunConfig attribute, or "train."/"loss." and a field of the
+# TrainConfig/LossConfig that checks it; parser of the value text)
 RUN_KEYS = {
     "train": ("train_path", str),
     "valid": ("valid_path", str),
@@ -144,14 +152,14 @@ RUN_KEYS = {
     "expert_out_dim": ("expert_out_dim", _dim),
     "gate_hidden": ("gate_hidden", _ints),
     "tower_hidden": ("tower_hidden", _ints),
-    "loss_form": ("loss_form", _one_of(LOSS_FORMS)),
-    "alpha": ("alpha", float),
-    "loss_location": ("loss_location", _one_of(LOSS_LOCATIONS)),
-    "lr": ("lr", float),
-    "batch_size": ("batch_size", int),
-    "epochs": ("epochs", int),
-    "patience": ("patience", int),
-    "seed": ("seed", _seed),
+    "loss_form": ("loss.form", str.lower),
+    "alpha": ("loss.alpha", float),
+    "loss_location": ("loss.location", str.lower),
+    "lr": ("train.learning_rate", float),
+    "batch_size": ("train.batch_size", int),
+    "epochs": ("train.epochs", int),
+    "patience": ("train.patience", int),
+    "seed": ("train.seed", int),
 }
 SYNTH_KEYS = {
     "rows": ("rows", int),
@@ -159,7 +167,7 @@ SYNTH_KEYS = {
     "cardinality": ("cardinalities", lambda value: [int(tok) for tok in value.split(",")]),
     "latent_dim": ("latent_dim", int),
     "seed": ("seed", _seed),
-    "c0": ("c0", float),
+    "c0": ("c0", _finite),
 }
 GRADCHECK_KEYS = {
     "gradcheck_h": ("h", _positive),
@@ -168,12 +176,18 @@ GRADCHECK_KEYS = {
 
 
 def _apply_keys(obj, table: dict, kv: dict[str, str], source: str):
-    """Set obj's attribute for every parsed key through its table row; a
-    value its parser rejects raises ``<source>: key 'k': ...``."""
+    """Set each key's target through its table row: an attribute of obj,
+    or for ``part.name`` a dataclasses.replace copy of ``obj.part``, whose
+    own rule then runs. A rejected value raises ``<source>: key 'k': ...``."""
     for key, value in kv.items():
-        attr, parse = table[key]
+        target, parse = table[key]
+        part, _, name = target.rpartition(".")
         try:
-            setattr(obj, attr, parse(value))
+            parsed = parse(value)
+            if part:
+                setattr(obj, part, replace(getattr(obj, part), **{name: parsed}))
+            else:
+                setattr(obj, name, parsed)
         except ValueError as err:
             raise ValueError(f"{source}: key {key!r}: {err}") from err
     return obj
@@ -200,16 +214,9 @@ class RunConfig:
     expert_out_dim: int = 16
     gate_hidden: tuple[int, ...] = (64,)
     tower_hidden: tuple[int, ...] = (500,)
-    # loss
-    loss_form: str = "corr"
-    alpha: float = 1.0
-    loss_location: str = "output"
-    # training
-    lr: float = 0.001
-    batch_size: int = 10000
-    epochs: int = 5
-    patience: int = 2
-    seed: int = 0
+    # the objects the run uses; their defaults and rules are the only ones
+    loss: LossConfig = LossConfig(alpha=1.0)
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -239,29 +246,17 @@ class RunConfig:
     def expert_configs(self) -> list[ExpertConfig]:
         return [parse_expert_spec(s, self.expert_out_dim) for s in self.expert_specs]
 
-    def loss_config(self) -> LossConfig:
-        return LossConfig(form=self.loss_form, alpha=self.alpha, location=self.loss_location)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.lr,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            patience=self.patience,
-            seed=self.seed,
-        )
-
     def build(self) -> ModelBundle:
         return build_model(
             self.schema(),
             self.mode,
             self.expert_configs(),
-            self.loss_config(),
+            self.loss,
             embed_dim=self.embed_dim,
             gate_dim=self.gate_embed_dim,
             gate_hidden=self.gate_hidden,
             tower_hidden=self.tower_hidden,
-            seed=self.seed,
+            seed=self.train.seed,
         )
 
     def _load_csv(self, path) -> EncodedDataset:

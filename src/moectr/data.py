@@ -265,8 +265,8 @@ def check_split(fractions) -> tuple[float, float, float]:
     if len(fractions) != 3:
         raise ValueError("split needs three fractions")
     tr, va, te = fractions
-    if tr <= 0 or va <= 0 or te <= 0:
-        raise ValueError("fractions must be positive")
+    if not (tr > 0 and va > 0 and te > 0):  # a nan compares false
+        raise ValueError(f"fractions must be positive, got {tr!r}, {va!r}, {te!r}")
     if tr + va + te > 1.0 + 1e-9:
         raise ValueError("fractions exceed 1")
     return tr, va, te

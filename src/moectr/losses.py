@@ -30,12 +30,11 @@ class LossConfig:
     location: str = "output"
 
     def __post_init__(self):
-        if self.form not in LOSS_FORMS:
-            raise ValueError(f"unknown loss form {self.form!r}")
-        if self.location not in LOSS_LOCATIONS:
-            raise ValueError(f"unknown loss location {self.location!r}")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        for value, choices in ((self.form, LOSS_FORMS), (self.location, LOSS_LOCATIONS)):
+            if value not in choices:
+                raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha!r}")
 
     @property
     def active(self) -> bool:
@@ -123,9 +122,8 @@ def cov_loss_pair(
 def total_objective(
     bce_value: float, decor_value: float, alpha: float, batch_size: int
 ) -> float:
-    """L = BCE + alpha * decor / (|B| - 1)."""
+    """L = BCE + alpha * decor / (|B| - 1); with alpha > 0 the caller
+    (trainer.forward_objective) has already rejected a batch of one."""
     if alpha == 0.0:
         return bce_value
-    if batch_size < 2:
-        raise ValueError("batch too small for de-correlation")
     return bce_value + alpha * decor_value / (batch_size - 1)

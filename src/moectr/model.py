@@ -244,10 +244,19 @@ def _model_from_echo(echo: dict) -> ModelBundle:
     )
 
 
+def _check_finite(path, items) -> None:
+    """Raise naming the first parameter block that holds NaN or inf."""
+    for name, arr in items:
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: parameter block {name!r} holds NaN or inf")
+
+
 def save_model(model: ModelBundle, path) -> None:
     """Versioned binary: magic, version, JSON config echo, then one named
-    little-endian float64 block per parameter array."""
+    little-endian float64 block per parameter array; a model holding NaN
+    or inf is refused before the file is opened."""
     items = named_params(model)
+    _check_finite(path, items)
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", MODEL_VERSION))
@@ -275,8 +284,8 @@ def _read_exact(fh, n: int) -> bytes:
 def load_model(path) -> ModelBundle:
     """Rebuild from the config echo, then overwrite every parameter block.
 
-    Every parameter must appear in exactly one block and the file must end
-    after the last block; anything else is rejected naming the path.
+    Every parameter must appear in exactly one finite block and the file must
+    end after the last block; anything else is rejected naming the path.
     Loaded parameters are byte-for-byte what was saved, so evaluation after
     a round trip is bit-identical.
     """
@@ -313,4 +322,5 @@ def load_model(path) -> ModelBundle:
                 raise ValueError("trailing bytes after the last parameter block")
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
+    _check_finite(path, named_params(model))
     return model

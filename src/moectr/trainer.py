@@ -172,16 +172,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate!r}")
+        for name, least in (("batch_size", 1), ("epochs", 1), ("patience", 0), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -296,14 +296,14 @@ class TestCriterion9PaperDefaultConfig:
     def test_shipped_defaults(self):
         cfg = RunConfig.from_file(REPO_ROOT / "configs" / "default.cfg")
         checks = {
-            "lr": cfg.lr == 0.001,
-            "batch_size": cfg.batch_size == 10000,
+            "lr": cfg.train.learning_rate == 0.001,
+            "batch_size": cfg.train.batch_size == 10000,
             "tower_hidden": cfg.tower_hidden == (500,),
             "gate_hidden": cfg.gate_hidden == (64,),
         }
         assert _report(
             "9",
             all(checks.values()),
-            f"lr={cfg.lr} batch={cfg.batch_size} tower={cfg.tower_hidden} "
+            f"lr={cfg.train.learning_rate} batch={cfg.train.batch_size} tower={cfg.tower_hidden} "
             f"gate={cfg.gate_hidden}",
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -7,11 +8,12 @@ import pytest
 
 from moectr import cli, parallel
 from moectr.cli import main
-from moectr.config import RunConfig, SynthSpec, parse_expert_spec, parse_kv_text
+from moectr.config import RUN_KEYS, RunConfig, SynthSpec, parse_expert_spec, parse_kv_text
 from moectr.data import gen_synthetic, load_synthetic_params, save_synthetic_params, save_table
 from moectr.gradsuite import suite_cases
+from moectr.losses import LossConfig
 from moectr.model import save_model
-from moectr.trainer import train_loop
+from moectr.trainer import TrainConfig, train_loop
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -72,8 +74,8 @@ class TestExpertSpecParsing:
 class TestRunConfig:
     def test_shipped_default_config_parses_to_paper_defaults(self):
         cfg = RunConfig.from_file(REPO_ROOT / "configs" / "default.cfg")
-        assert cfg.lr == 0.001
-        assert cfg.batch_size == 10000
+        assert cfg.train.learning_rate == 0.001
+        assert cfg.train.batch_size == 10000
         assert cfg.tower_hidden == (500,)
         assert cfg.gate_hidden == (64,)
         assert cfg.embed_dim == 16
@@ -85,10 +87,8 @@ class TestRunConfig:
             "fields = a:10, b:10\nloss_form = cov_l1\nalpha = 0.25\n"
             "loss_location = input\nlr = 0.01\nbatch_size = 64\nepochs = 2\n"
         )
-        loss = cfg.loss_config()
-        assert loss.form == "cov_l1" and loss.alpha == 0.25 and loss.location == "input"
-        tc = cfg.train_config()
-        assert tc.learning_rate == 0.01 and tc.batch_size == 64 and tc.epochs == 2
+        assert cfg.loss == LossConfig(form="cov_l1", alpha=0.25, location="input")
+        assert cfg.train == TrainConfig(learning_rate=0.01, batch_size=64, epochs=2)
 
     def test_schema_requires_fields(self):
         with pytest.raises(ValueError, match="fields"):
@@ -120,7 +120,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("key", ["seed", "split_seed"])
     def test_negative_seed_rejected_naming_key(self, key):
-        with pytest.raises(ValueError, match=f"^config: key '{key}': seeds must be >= 0, got -2"):
+        with pytest.raises(ValueError, match=f"^config: key '{key}': seeds? must be >= 0, got -2$"):
             RunConfig.from_text(f"fields = a:10, b:10\n{key} = -2\n")
 
     @pytest.mark.parametrize(
@@ -168,14 +168,13 @@ class TestRunConfig:
 
     def test_model_keys_read_in_any_case(self):
         cfg = RunConfig.from_text("mode = SE\nloss_form = Cov_L2\nloss_location = INPUT\nexperts = FM, Dnn:4\n")
-        assert (cfg.mode, cfg.loss_form, cfg.loss_location) == ("se", "cov_l2", "input")
+        assert (cfg.mode, cfg.loss.form, cfg.loss.location) == ("se", "cov_l2", "input")
         assert [c.kind for c in cfg.expert_configs()] == ["fm", "dnn"]
 
     @pytest.mark.parametrize("key", ["gate_hidden", "tower_hidden"])
     def test_zero_width_rejected_naming_the_width(self, key):
-        cfg = RunConfig.from_text(f"fields = a:10, b:10\nexperts = fm\n{key} = 8-0\n")
-        with pytest.raises(ValueError, match="widths must be >= 1, got width 0"):
-            cfg.build()
+        with pytest.raises(ValueError, match=f"^config: key '{key}': expected integers >= 1 joined by single '-', got '8-0'$"):
+            RunConfig.from_text(f"fields = a:10, b:10\nexperts = fm\n{key} = 8-0\n")
 
 
 class TestSynthSpec:
@@ -316,17 +315,19 @@ class TestCli:
     @pytest.mark.parametrize(
         "key,value,message",
         [
-            ("epochs", 0, "^epochs must be >= "),
-            ("patience", -1, "^patience must be >= "),
+            ("epochs", 0, "^{cfg}: key 'epochs': epochs must be >= 1, got 0$"),
+            ("patience", -1, "^{cfg}: key 'patience': patience must be >= 0, got -1$"),
             ("split", "0.5, 0.6, 0.1", "^{cfg}: key 'split': fractions exceed 1$"),
             ("experts", "dnn:abc", r"^{cfg}: key 'experts': invalid literal for int\(\) with base 10: 'abc'$"),
             ("mode", "xx", "^{cfg}: key 'mode': expected one of se, me, got 'xx'$"),
             ("loss_form", "foo", "^{cfg}: key 'loss_form': expected one of corr, cov_l1, cov_l2, none, got 'foo'$"),
             ("loss_location", "foo", "^{cfg}: key 'loss_location': expected one of input, intermediate, output, got 'foo'$"),
             ("embed_dim", 0, "^{cfg}: key 'embed_dim': must be >= 1, got 0$"),
+            ("lr", "inf", "^{cfg}: key 'lr': learning_rate must be a finite number > 0, got inf$"),
         ],
         ids=[
-            "epochs-0", "patience--1", "split-over-1", "experts-bad-width", "mode", "loss_form", "loss_location", "embed_dim-0"
+            "epochs-0", "patience--1", "split-over-1", "experts-bad-width", "mode", "loss_form", "loss_location", "embed_dim-0",
+            "lr-inf",
         ],
     )
     def test_train_rejects_untrainable_config_before_reading_data(self, tmp_path, key, value, message):
@@ -360,7 +361,7 @@ class TestCli:
         cfg = RunConfig.from_text(_train_config_text(csv_path).replace("crossnet:2, crossnet:2", "crossnet:2"))
         model = cfg.build()
         train_ds, valid_ds, _ = cfg.load_datasets()
-        report = train_loop(model, train_ds, valid_ds, cfg.train_config())
+        report = train_loop(model, train_ds, valid_ds, cfg.train)
         assert [(r.valid_cec_pairs, r.valid_cec_sum) for r in report.epochs] == [({}, 0.0)] * 2
         model_path = tmp_path / "model.bin"
         save_model(model, model_path)
@@ -399,3 +400,69 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("PASS") == len(suite_cases())
         assert "FAIL" not in out
+
+
+TRAIN_AND_LOSS_KEYS = [key for key, (target, _) in RUN_KEYS.items() if target.startswith(("train.", "loss."))]
+# (key, value) pairs whose rule allows the value, with the value it loads as
+ALLOWED = {("alpha", "0"): 0.0, ("patience", "0"): 0, ("seed", "0"): 0}
+
+
+class TestLoadBoundary:
+    """Every training and loss key against the values a config can carry
+    in: each loads, where the key's rule allows it, or fails at load
+    naming the key."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "-1", "0"])
+    @pytest.mark.parametrize("key", TRAIN_AND_LOSS_KEYS)
+    def test_value_loads_or_fails_naming_the_key(self, key, value):
+        text = f"fields = a:10, b:10\n{key} = {value}\n"
+        if (key, value) not in ALLOWED:
+            with pytest.raises(ValueError, match=f"^config: key '{key}': "):
+                RunConfig.from_text(text)
+            return
+        part, _, name = RUN_KEYS[key][0].partition(".")
+        assert getattr(getattr(RunConfig.from_text(text), part), name) == ALLOWED[key, value]
+
+    def test_every_key_target_is_a_real_field(self):
+        cfg = RunConfig()
+        for key, (target, _) in RUN_KEYS.items():
+            part, _, name = target.rpartition(".")
+            owner = getattr(cfg, part) if part else cfg
+            assert name in {f.name for f in dataclasses.fields(owner)}, key
+        targets = {target for target, _ in RUN_KEYS.values()}
+        # every TrainConfig and LossConfig field has its key, and RunConfig copies none
+        for part, cls in (("train", TrainConfig), ("loss", LossConfig)):
+            assert {f"{part}.{f.name}" for f in dataclasses.fields(cls)} <= targets
+        assert {f.name for f in dataclasses.fields(RunConfig)}.isdisjoint(
+            f.name for cls in (TrainConfig, LossConfig) for f in dataclasses.fields(cls)
+        )
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_loss_and_train_config_reject_non_finite_values(self, alpha):
+        with pytest.raises(ValueError, match="^alpha must be a finite number >= 0, got "):
+            LossConfig(alpha=alpha)
+        with pytest.raises(ValueError, match="^learning_rate must be a finite number > 0, got "):
+            TrainConfig(learning_rate=alpha)
+
+    @pytest.mark.parametrize("widths", ["-3", "64--32", "8-", "8-0"])
+    @pytest.mark.parametrize("key,prefix", [("gate_hidden", ""), ("tower_hidden", ""), ("experts", "dnn:"), ("experts", "cin:")])
+    def test_malformed_widths_fail_naming_the_key(self, key, prefix, widths):
+        message = f"^config: key '{key}': expected integers >= 1 joined by single '-', got '{widths}'$"
+        with pytest.raises(ValueError, match=message):
+            RunConfig.from_text(f"fields = a:10, b:10\n{key} = {prefix}{widths}\n")
+
+    def test_empty_hidden_widths_stay_legal(self):
+        cfg = RunConfig.from_text("fields = a:10, b:10\ngate_hidden =\ntower_hidden =\n")
+        assert (cfg.gate_hidden, cfg.tower_hidden) == ((), ())
+
+    @pytest.mark.parametrize("value", ["nan, 0.1, 0.1", "0.8, -inf, 0.1"])
+    def test_non_finite_split_fails_naming_the_key(self, value):
+        with pytest.raises(ValueError, match="^config: key 'split': fractions must be positive, got "):
+            RunConfig.from_text(f"split = {value}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_c0_fails_naming_the_key(self, tmp_path, value):
+        path = tmp_path / "spec.cfg"
+        path.write_text(f"rows = 10\nc0 = {value}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: key 'c0': must be a finite number, got "):
+            SynthSpec.from_file(path)

@@ -248,10 +248,6 @@ class TestTotalObjective:
             value = total_objective(0.0, decor, alpha, n)
             assert value == pytest.approx(alpha, abs=1e-10)
 
-    def test_small_batch_rejected(self):
-        with pytest.raises(ValueError, match="batch too small"):
-            total_objective(0.5, 1.0, 0.5, 1)
-
 
 class TestLossConfig:
     def test_valid(self):

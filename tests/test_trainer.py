@@ -595,6 +595,23 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
             load_model(path)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_block_rejected_naming_it(self, tmp_path, bad):
+        path = tmp_path / "model.bin"
+        model = micro_model(seed=33)
+        save_model(model, path)
+        header, blocks = _model_file_blocks(path.read_bytes())
+        blocks["tower.b1"] = blocks["tower.b1"][:-8] + struct.pack("<d", bad)
+        path.write_bytes(header + b"".join(blocks.values()))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: parameter block 'tower.b1' holds NaN or inf$"):
+            load_model(path)
+
+        diverged = tmp_path / "diverged.bin"
+        dict(named_params(model))["gate.w0"][0, 0] = bad
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(diverged))}: parameter block 'gate.w0' holds NaN or inf$"):
+            save_model(model, diverged)
+        assert not diverged.exists()
+
 
 def _model_file_blocks(data: bytes) -> tuple[bytes, dict[str, bytes]]:
     """Split a model file into its header (through the block count) and
