@@ -5,29 +5,28 @@ Run:  PYTHONPATH=src python3 demos/01_losses_and_metrics.py
 
 import numpy as np
 
-from moectr.losses import corr_loss_pair, cov_loss_pair, decorrelation_total, total_objective
+from moectr.losses import decorrelation_total, total_objective
 from moectr.metrics import auc, cec, pearson_matrix
 
 rng = np.random.default_rng(0)
 
 print("=== correlation-form pair loss ===")
 col = np.array([[1.0], [2.0], [3.0]])
-value, d_p, d_q = corr_loss_pair(col, col.copy())
-print(f"identical single-column outputs (N=3): loss = {value}  (equals N-1)")
-print("the 1/(|B|-1) factor in the objective cancels that growth:")
 decor, _ = decorrelation_total([col, col.copy()], "corr")
+print(f"identical single-column outputs (N=3): loss = {decor}  (equals N-1)")
+print("the 1/(|B|-1) factor in the objective cancels that growth:")
 print(f"  alpha=0.7 -> penalty term = {total_objective(0.0, decor, 0.7, 3) :.6f}")
 
 x = rng.normal(size=(200, 4))
 y = rng.normal(size=(200, 4))
-base, _, _ = corr_loss_pair(x, y)
-scaled, _, _ = corr_loss_pair(3.0 * x + 5.0, y)
+base, _ = decorrelation_total([x, y], "corr")
+scaled, _ = decorrelation_total([3.0 * x + 5.0, y], "corr")
 print(f"\nscale/shift invariance: loss(x, y) = {base:.6f}, loss(3x+5, y) = {scaled:.6f}")
 
 print("\n=== covariance ablations scale quadratically ===")
 for a in (0.5, 2.0):
-    b1, _, _ = cov_loss_pair(x, y, "l1")
-    s1, _, _ = cov_loss_pair(a * x, a * y, "l1")
+    b1, _ = decorrelation_total([x, y], "cov_l1")
+    s1, _ = decorrelation_total([a * x, a * y], "cov_l1")
     print(f"  a={a}: cov_l1 ratio = {s1 / b1:.4f} (expect {a * a})")
 
 print("\n=== cross-expert correlation metric ===")

@@ -9,14 +9,17 @@ keys. See configs/default.cfg for a fully commented example.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Collection
 
-from .data import DatasetSchema, EncodedDataset, FeatureField, check_split, load_synthetic_csv, load_table, split_dataset
+from .data import DatasetSchema, EncodedDataset, FeatureField, check_field_count, check_split, check_synthetic
+from .data import load_synthetic_csv, load_table, split_dataset
 from .embedding import BANK_MODES
 from .experts import ExpertConfig
 from .losses import LossConfig
 from .model import ModelBundle, build_model
+from .numerics import GRADCHECK_H, GRADCHECK_TOL, one_of
 from .trainer import TrainConfig
 
 
@@ -58,28 +61,22 @@ def _ints(value: str) -> tuple[int, ...]:
     return widths
 
 
+# expert kind -> the ExpertConfig field its spec parameter sets, and its parser
+SPEC_PARAMETERS = {"dnn": ("hidden", _ints), "crossnet": ("cross_layers", int), "cin": ("cin_maps", _ints)}
+
+
 def parse_expert_spec(spec: str, out_dim: int) -> ExpertConfig:
-    """One expert: "dnn:64-64", "crossnet:3", "cin:16-16", or "fm"."""
-    kind, _, rest = spec.strip().partition(":")
-    kind = kind.strip().lower()
-    rest = rest.strip()
-    if kind == "dnn":
-        if not rest:
-            raise ValueError("dnn expert spec needs hidden widths, e.g. dnn:64-64")
-        return ExpertConfig(kind="dnn", out_dim=out_dim, hidden=_ints(rest))
-    if kind == "fm":
-        if rest:
-            raise ValueError("fm expert spec takes no parameters")
-        return ExpertConfig(kind="fm", out_dim=out_dim)
-    if kind == "crossnet":
-        return ExpertConfig(
-            kind="crossnet", out_dim=out_dim, cross_layers=int(rest) if rest else 3
-        )
-    if kind == "cin":
-        if not rest:
-            raise ValueError("cin expert spec needs map widths, e.g. cin:16-16")
-        return ExpertConfig(kind="cin", out_dim=out_dim, cin_maps=_ints(rest))
-    raise ValueError(f"unknown expert kind {kind!r}")
+    """One expert: "dnn:64-64", "crossnet:3", "cin:16-16", or "fm". A spec
+    without its parameter keeps ExpertConfig's default for it, and
+    ExpertConfig's own rule checks the kind and the values."""
+    kind, _, rest = spec.partition(":")
+    kind, rest = kind.strip().lower(), rest.strip()
+    if not rest:
+        return ExpertConfig(kind=kind, out_dim=out_dim)
+    if kind not in SPEC_PARAMETERS:
+        raise ValueError(f"only {', '.join(SPEC_PARAMETERS)} expert specs take a parameter, got {spec.strip()!r}")
+    name, parse = SPEC_PARAMETERS[kind]
+    return ExpertConfig(kind=kind, out_dim=out_dim, **{name: parse(rest)})
 
 
 def _fields(value: str) -> tuple[FeatureField, ...]:
@@ -109,19 +106,15 @@ def _checked(parse, ok, rule: str):
     return checked
 
 
-def _one_of(choices: tuple[str, ...]):
-    """A parser of one of ``choices``, in any case."""
-    return _checked(str.lower, choices.__contains__, f"expected one of {', '.join(choices)}")
-
-
 _seed = _checked(int, lambda seed: seed >= 0, "seeds must be >= 0")
 _dim = _checked(int, lambda dim: dim >= 1, "must be >= 1")
 _finite = _checked(float, math.isfinite, "must be a finite number")
 
 
 def _expert_specs(value: str) -> tuple[str, ...]:
-    """Comma-separated expert specs, each checked by parse_expert_spec."""
-    specs = tuple(t.strip() for t in value.split(",") if t.strip())
+    """Comma-separated expert specs, each checked by parse_expert_spec; an
+    empty one reads as kind '', so the kind rule rejects it."""
+    specs = tuple(t.strip() for t in value.split(","))
     for spec in specs:
         parse_expert_spec(spec, out_dim=1)  # expert_out_dim is checked on its own
     return specs
@@ -145,7 +138,7 @@ RUN_KEYS = {
     "encoded": ("encoded", _bool),
     "split": ("split", lambda value: check_split([float(tok) for tok in value.split(",")])),
     "split_seed": ("split_seed", _seed),
-    "mode": ("mode", _one_of(BANK_MODES)),
+    "mode": ("mode", lambda value: one_of(value.lower(), BANK_MODES)),
     "experts": ("expert_specs", _expert_specs),
     "embed_dim": ("embed_dim", _dim),
     "gate_embed_dim": ("gate_embed_dim", _dim),
@@ -162,10 +155,13 @@ RUN_KEYS = {
     "seed": ("train.seed", int),
 }
 SYNTH_KEYS = {
-    "rows": ("rows", int),
-    "fields": ("num_fields", int),
-    "cardinality": ("cardinalities", lambda value: [int(tok) for tok in value.split(",")]),
-    "latent_dim": ("latent_dim", int),
+    "rows": ("rows", lambda value: check_synthetic("num_rows", int(value))),
+    "fields": ("num_fields", lambda value: check_synthetic("num_fields", int(value))),
+    "cardinality": (
+        "cardinalities",
+        lambda value: check_synthetic("cardinalities", [int(tok) for tok in value.split(",")]),
+    ),
+    "latent_dim": ("latent_dim", lambda value: check_synthetic("latent_dim", int(value))),
     "seed": ("seed", _seed),
     "c0": ("c0", _finite),
 }
@@ -175,21 +171,28 @@ GRADCHECK_KEYS = {
 }
 
 
+@contextmanager
+def _naming_key(source: str, key: str):
+    """Re-raise a rejected value as ``<source>: key '<key>': <reason>``."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{source}: key {key!r}: {err}") from err
+
+
 def _apply_keys(obj, table: dict, kv: dict[str, str], source: str):
     """Set each key's target through its table row: an attribute of obj,
     or for ``part.name`` a dataclasses.replace copy of ``obj.part``, whose
-    own rule then runs. A rejected value raises ``<source>: key 'k': ...``."""
+    own rule then runs. A rejected value fails naming its key."""
     for key, value in kv.items():
         target, parse = table[key]
         part, _, name = target.rpartition(".")
-        try:
+        with _naming_key(source, key):
             parsed = parse(value)
             if part:
                 setattr(obj, part, replace(getattr(obj, part), **{name: parsed}))
             else:
                 setattr(obj, name, parsed)
-        except ValueError as err:
-            raise ValueError(f"{source}: key {key!r}: {err}") from err
     return obj
 
 
@@ -232,10 +235,8 @@ class RunConfig:
         here, so a bad field list fails at load naming the key and source."""
         cfg = _apply_keys(cls(), RUN_KEYS, kv, source)
         if cfg.fields:
-            try:
+            with _naming_key(source, "fields"):
                 cfg.schema()
-            except ValueError as err:
-                raise ValueError(f"{source}: key 'fields': {err}") from err
         return cfg
 
     def schema(self) -> DatasetSchema:
@@ -280,21 +281,18 @@ class SynthSpec:
 
     rows: int = 10000
     num_fields: int = 6
-    cardinalities: list[int] = field(default_factory=lambda: [100] * 6)
+    cardinalities: list[int] = field(default_factory=lambda: [100])  # one value applies to every field
     latent_dim: int = 4
     seed: int = 0
     c0: float = 0.0
 
     @classmethod
     def from_file(cls, path) -> "SynthSpec":
-        """An absent cardinality means 100 per field; one value applies to
-        every field."""
-        kv = parse_kv_file(path, SYNTH_KEYS)
-        spec = _apply_keys(cls(cardinalities=[]), SYNTH_KEYS, kv, str(path))
-        if len(spec.cardinalities) <= 1:
-            spec.cardinalities = (spec.cardinalities or [100]) * spec.num_fields
-        if len(spec.cardinalities) != spec.num_fields:
-            raise ValueError(f"{path}: key 'cardinality': {len(spec.cardinalities)} values for {spec.num_fields} fields")
+        spec = _apply_keys(cls(), SYNTH_KEYS, parse_kv_file(path, SYNTH_KEYS), str(path))
+        if len(spec.cardinalities) == 1:
+            spec.cardinalities = spec.cardinalities * spec.num_fields
+        with _naming_key(str(path), "cardinality"):
+            check_field_count(spec.cardinalities, spec.num_fields)
         return spec
 
 
@@ -303,8 +301,8 @@ class GradcheckSpec:
     """Central-difference step and relative-error tolerance of the micro
     gradient suite."""
 
-    h: float = 1e-5
-    tol: float = 1e-4
+    h: float = GRADCHECK_H
+    tol: float = GRADCHECK_TOL
 
     @classmethod
     def from_file(cls, path) -> "GradcheckSpec":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import sigmoid
+from .numerics import at_least, sigmoid
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -300,8 +300,7 @@ def make_batches(
     All batches have the requested size except possibly the last. With a
     shuffle seed the row order is a deterministic permutation.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    at_least("batch_size", batch_size, 1)
     n = len(ds)
     order = np.arange(n, dtype=np.int64)
     if shuffle_seed is not None:
@@ -340,6 +339,24 @@ class SyntheticParams:
         return self.c0 + pair + triple
 
 
+# gen_synthetic's lower bound per argument; two fields is the fewest with a pair
+SYNTHETIC_MINIMUM = {"num_fields": 2, "num_rows": 1, "latent_dim": 1, "cardinalities": 1}
+
+
+def check_synthetic(name: str, value):
+    """``value`` of gen_synthetic's argument ``name``, raising unless it (or,
+    for a list of cardinalities, each entry) is at least its minimum."""
+    at_least(name, min(value) if isinstance(value, list) else value, SYNTHETIC_MINIMUM[name])
+    return value
+
+
+def check_field_count(cardinalities: list[int], num_fields: int) -> list[int]:
+    """``cardinalities``, raising unless it holds one value per field."""
+    if len(cardinalities) != num_fields:
+        raise ValueError(f"{len(cardinalities)} values for {num_fields} fields")
+    return cardinalities
+
+
 def gen_synthetic(
     num_fields: int,
     cardinalities: list[int] | int,
@@ -358,18 +375,13 @@ def gen_synthetic(
     mechanism ~= triple_strength. Fully deterministic given the seed
     (fixed draw order: U tables, V tables, ids, label noise).
     """
-    if num_fields < 2:
-        raise ValueError("need at least 2 fields for a pairwise mechanism")
-    if num_rows < 1:
-        raise ValueError("num_rows must be >= 1")
+    check_synthetic("num_fields", num_fields)
+    check_synthetic("num_rows", num_rows)
     if isinstance(cardinalities, int):
         cardinalities = [cardinalities] * num_fields
-    if len(cardinalities) != num_fields:
-        raise ValueError("one cardinality per field required")
-    if latent_dim < 1:
-        raise ValueError(f"latent_dim must be >= 1, got {latent_dim}")
-    if min(cardinalities) < 1:
-        raise ValueError(f"cardinalities must be >= 1, got {min(cardinalities)}")
+    check_field_count(cardinalities, num_fields)
+    check_synthetic("latent_dim", latent_dim)
+    check_synthetic("cardinalities", cardinalities)
     rng = np.random.default_rng(seed)
     n_pairs = num_fields * (num_fields - 1) // 2
     n_triples = num_fields * (num_fields - 1) * (num_fields - 2) // 6

@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import DatasetSchema
 from .nnet import Module
+from .numerics import at_least, one_of
 
 BANK_MODES = ("se", "me")
 
@@ -82,13 +83,9 @@ def init_bank(
     Each table draws from its own child of the seed, so "me" tables start
     pairwise different while the whole bank is reproducible.
     """
-    if num_experts < 1:
-        raise ValueError("num_experts must be >= 1")
-    if dim < 1 or gate_dim < 1:
-        raise ValueError("embedding dims must be >= 1")
-    if mode not in BANK_MODES:
-        raise ValueError(f"unknown bank mode {mode!r}")
-    n_tables = 1 if mode == "se" else num_experts
+    at_least("num_experts", num_experts, 1)
+    at_least("embedding dims", min(dim, gate_dim), 1)
+    n_tables = 1 if one_of(mode, BANK_MODES) == "se" else num_experts
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     children = seed.spawn(n_tables + 1)

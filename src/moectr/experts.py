@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nnet import Mlp, Module, init_affine, layer_params, prefixed
+from .numerics import at_least
 
 EXPERT_KINDS = ("dnn", "fm", "crossnet", "cin")
 
@@ -44,19 +45,16 @@ class ExpertConfig:
     def __post_init__(self):
         if self.kind not in EXPERT_KINDS:
             raise ValueError(f"unknown expert kind {self.kind!r}")
-        if self.out_dim < 1:
-            raise ValueError("out_dim must be >= 1")
+        at_least("out_dim", self.out_dim, 1)
         if self.kind == "dnn" and not self.hidden and self.dnn_out is None:
             raise ValueError("dnn expert needs hidden widths or a final width")
-        if any(w < 1 for w in self.hidden):
-            raise ValueError("hidden widths must be >= 1")
-        if self.kind == "crossnet" and self.cross_layers < 0:
-            raise ValueError("cross_layers must be >= 0")
+        at_least("hidden widths", min(self.hidden, default=1), 1)
+        if self.kind == "crossnet":
+            at_least("cross_layers", self.cross_layers, 0)
         if self.kind == "cin":
             if not self.cin_maps:
                 raise ValueError("cin expert needs at least one feature-map width")
-            if any(h < 1 for h in self.cin_maps):
-                raise ValueError("cin map widths must be >= 1")
+            at_least("cin map widths", min(self.cin_maps), 1)
 
 
 def align_named(named: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

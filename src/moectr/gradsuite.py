@@ -23,7 +23,7 @@ from .data import DatasetSchema, FeatureField
 from .experts import ExpertConfig
 from .losses import LOSS_LOCATIONS, LossConfig
 from .model import build_model, forward_full, loss_targets, named_params
-from .numerics import GradCheckReport, cross_gram, gram_blocks
+from .numerics import GRADCHECK_H, GRADCHECK_TOL, GradCheckReport, cross_gram, gram_blocks
 from .trainer import gradcheck_model
 
 MICRO_FIELDS = 3
@@ -110,7 +110,7 @@ def kink_margin(model, fc) -> float:
     return min(vals)
 
 
-def run_case(case: SuiteCase, h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
+def run_case(case: SuiteCase, h: float = GRADCHECK_H, tol: float = GRADCHECK_TOL) -> GradCheckReport:
     """Gradcheck the case on the first seed whose forward pass clears the
     differentiability margin.
 
@@ -144,5 +144,5 @@ def run_case(case: SuiteCase, h: float = 1e-5, tol: float = 1e-4) -> GradCheckRe
     raise RuntimeError(f"no kink-free micro configuration found for {case.name!r}")
 
 
-def run_suite(h: float = 1e-5, tol: float = 1e-4) -> list[tuple[str, GradCheckReport]]:
+def run_suite(h: float, tol: float) -> list[tuple[str, GradCheckReport]]:
     return [(case.name, run_case(case, h=h, tol=tol)) for case in suite_cases()]

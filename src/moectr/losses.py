@@ -3,10 +3,10 @@ correlation form and two covariance ablations, and the combined objective.
 
 decorrelation_total computes every pair loss of M same-shape (N, d) expert
 outputs from one cross-expert Gram, with exact gradients w.r.t. each
-output; the pair functions are that computation on two outputs. The
-correlation form standardizes columns with the unbiased std, which makes
-the value on two identical single-column inputs exactly N - 1; the combined
-objective's 1/(|B|-1) factor cancels that growth.
+output; one pair's loss is the call on two outputs. The correlation form
+standardizes columns with the unbiased std, which makes the value on two
+identical single-column inputs exactly N - 1; the combined objective's
+1/(|B|-1) factor cancels that growth.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import cross_gram, gram_blocks, standardize_backward
+from .numerics import cross_gram, gram_blocks, one_of, standardize_backward
 
 LOSS_FORMS = ("corr", "cov_l1", "cov_l2", "none")
 LOSS_LOCATIONS = ("input", "intermediate", "output")
@@ -30,9 +30,8 @@ class LossConfig:
     location: str = "output"
 
     def __post_init__(self):
-        for value, choices in ((self.form, LOSS_FORMS), (self.location, LOSS_LOCATIONS)):
-            if value not in choices:
-                raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+        one_of(self.form, LOSS_FORMS)
+        one_of(self.location, LOSS_LOCATIONS)
         if not 0.0 <= self.alpha < np.inf:
             raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha!r}")
 
@@ -70,8 +69,7 @@ def decorrelation_total(
     Returns (total, per-expert gradient list). One expert means no pairs
     and a zero total.
     """
-    if form not in LOSS_FORMS:
-        raise ValueError(f"unknown loss form {form!r}")
+    one_of(form, LOSS_FORMS)
     m = len(outputs)
     if form == "none" or m < 2:
         return 0.0, [np.zeros_like(np.asarray(o, dtype=np.float64)) for o in outputs]
@@ -95,28 +93,6 @@ def decorrelation_total(
         d_x = standardize_backward(d_z, z, std)
     total = float(norms[np.triu_indices(m, 1)].sum()) / (d * d)
     return total, np.hsplit(d_x, m)
-
-
-def corr_loss_pair(
-    o_p: np.ndarray, o_q: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """||Z_p^T Z_q||_F / d^2 for column-standardized (unbiased std) inputs.
-
-    Constant columns standardize to zero and contribute zero gradient.
-    """
-    value, (d_p, d_q) = decorrelation_total([o_p, o_q], "corr")
-    return value, d_p, d_q
-
-
-def cov_loss_pair(
-    o_p: np.ndarray, o_q: np.ndarray, norm: str
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Entrywise L1 or L2 norm (scaled by 1/d^2) of the centered cross
-    matrix C_p^T C_q, where C centers columns without scaling."""
-    if norm not in ("l1", "l2"):
-        raise ValueError(f"unknown norm {norm!r}")
-    value, (d_p, d_q) = decorrelation_total([o_p, o_q], f"cov_{norm}")
-    return value, d_p, d_q
 
 
 def total_objective(

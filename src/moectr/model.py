@@ -50,16 +50,18 @@ def build_model(
     mode: str,
     expert_configs: list[ExpertConfig],
     loss: LossConfig,
-    embed_dim: int = 16,
+    *,
+    embed_dim: int,
     gate_dim: int | None = None,
-    gate_hidden: tuple[int, ...] = (64,),
-    tower_hidden: tuple[int, ...] = (500,),
-    seed: int = 0,
+    gate_hidden: tuple[int, ...],
+    tower_hidden: tuple[int, ...],
+    seed: int,
 ) -> ModelBundle:
     """Deterministically initialize every component from one seed.
 
     Homogeneous vs heterogeneous is just the kind mix in expert_configs;
-    shared vs multi embedding is the bank mode.
+    shared vs multi embedding is the bank mode. The widths and the seed have
+    no defaults here: a run's come from its RunConfig and TrainConfig.
     """
     if not expert_configs:
         raise ValueError("expert list must be nonempty")

@@ -2,7 +2,8 @@
 
 Matrices are plain 2-D ``numpy.ndarray`` objects in double precision. The
 gradient checker here is the verification oracle for every hand-written
-backward pass in the package.
+backward pass in the package. ``one_of`` and ``at_least`` are its checks
+of a value against a vocabulary and against a named lower bound.
 """
 
 from __future__ import annotations
@@ -11,6 +12,22 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+GRADCHECK_H, GRADCHECK_TOL = 1e-5, 1e-4  # the gradient checker's step and pass tolerance
+
+
+def one_of(value: str, choices: tuple[str, ...]) -> str:
+    """``value``, raising unless it is one of ``choices``."""
+    if value not in choices:
+        raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+def at_least(name: str, value, least):
+    """``value``, raising unless it is at least ``least``."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return value
 
 
 def as_matrix(x) -> np.ndarray:
@@ -127,8 +144,8 @@ def central_diff_gradcheck(
     f: Callable[[np.ndarray], float],
     x: np.ndarray,
     analytic_grad: np.ndarray,
-    h: float = 1e-5,
-    tol: float = 1e-4,
+    h: float = GRADCHECK_H,
+    tol: float = GRADCHECK_TOL,
 ) -> GradCheckReport:
     """Compare an analytic gradient of scalar f against central differences.
 

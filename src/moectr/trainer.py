@@ -18,7 +18,7 @@ from .losses import bce, decorrelation_total, total_objective
 from .metrics import CorrelationReport, EvalMetrics, auc, cec_report
 from .model import FullCache, ModelBundle, dense_modules, forward_chunks, forward_full, loss_targets, named_params, table_modules
 from .nnet import prefixed
-from .numerics import GradCheckReport, central_diff_gradcheck, flatten_arrays, write_arrays
+from .numerics import GradCheckReport, at_least, central_diff_gradcheck, flatten_arrays, write_arrays
 from .optim import Adam
 from .parallel import map_experts
 
@@ -175,8 +175,7 @@ class TrainConfig:
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate!r}")
         for name, least in (("batch_size", 1), ("epochs", 1), ("patience", 0), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+            at_least(name, getattr(self, name), least)
 
 
 @dataclass
@@ -330,8 +329,8 @@ def gradcheck_model(
     model: ModelBundle,
     indices: np.ndarray,
     labels: np.ndarray,
-    h: float = 1e-5,
-    tol: float = 1e-4,
+    h: float,
+    tol: float,
 ) -> GradCheckReport:
     """Central-difference check of the full objective over every parameter
     group: embeddings, gating table, experts, alignment heads, gate MLP,

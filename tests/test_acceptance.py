@@ -17,7 +17,7 @@ from moectr.config import RunConfig
 from moectr.data import gen_synthetic, split_dataset
 from moectr.experts import ExpertConfig
 from moectr.gradsuite import run_suite
-from moectr.losses import LossConfig, corr_loss_pair, cov_loss_pair, decorrelation_total, total_objective
+from moectr.losses import LossConfig, decorrelation_total, total_objective
 from moectr.metrics import auc, cec, pearson_matrix
 from moectr.model import build_model, load_model, save_model
 from moectr.trainer import TrainConfig, evaluate, train_loop
@@ -94,23 +94,22 @@ class TestCriterion3LossAlgebra:
         # identical d=1 outputs: value == N - 1 exactly
         for n in (3, 8, 33):
             col = np.arange(n, dtype=float).reshape(-1, 1) + 0.5
-            value, _, _ = corr_loss_pair(col, col.copy())
-            ok = ok and abs(value - (n - 1)) < 1e-10
-            # alpha * decor / (|B|-1) == alpha for that case
             decor, _ = decorrelation_total([col, col.copy()], "corr")
+            ok = ok and abs(decor - (n - 1)) < 1e-10
+            # alpha * decor / (|B|-1) == alpha for that case
             total = total_objective(0.0, decor, 0.9, n)
             ok = ok and abs(total - 0.9) < 1e-10
         details.append("corr(X,X)=N-1 and alpha-normalization hold")
 
         rng = np.random.default_rng(33)
         x, y = rng.normal(size=(12, 3)), rng.normal(size=(12, 3))
-        corr_base, _, _ = corr_loss_pair(x, y)
+        corr_base, _ = decorrelation_total([x, y], "corr")
         for a in (0.5, 2.0, 10.0):
-            corr_scaled, _, _ = corr_loss_pair(a * x, a * y)
+            corr_scaled, _ = decorrelation_total([a * x, a * y], "corr")
             ok = ok and abs(corr_scaled - corr_base) < 1e-8 * max(1, corr_base)
-            for norm in ("l1", "l2"):
-                cov_base, _, _ = cov_loss_pair(x, y, norm)
-                cov_scaled, _, _ = cov_loss_pair(a * x, a * y, norm)
+            for form in ("cov_l1", "cov_l2"):
+                cov_base, _ = decorrelation_total([x, y], form)
+                cov_scaled, _ = decorrelation_total([a * x, a * y], form)
                 ok = ok and abs(cov_scaled - a * a * cov_base) < 1e-8 * cov_base
         details.append("cov scales as a^2, corr scale-free at a in {0.5, 2, 10}")
         assert _report("3", ok, "; ".join(details))

@@ -8,7 +8,16 @@ import pytest
 
 from moectr import cli, parallel
 from moectr.cli import main
-from moectr.config import RUN_KEYS, RunConfig, SynthSpec, parse_expert_spec, parse_kv_text
+from moectr.config import (
+    GRADCHECK_KEYS,
+    RUN_KEYS,
+    SYNTH_KEYS,
+    GradcheckSpec,
+    RunConfig,
+    SynthSpec,
+    parse_expert_spec,
+    parse_kv_text,
+)
 from moectr.data import gen_synthetic, load_synthetic_params, save_synthetic_params, save_table
 from moectr.gradsuite import suite_cases
 from moectr.losses import LossConfig
@@ -402,26 +411,58 @@ class TestCli:
         assert "FAIL" not in out
 
 
-TRAIN_AND_LOSS_KEYS = [key for key, (target, _) in RUN_KEYS.items() if target.startswith(("train.", "loss."))]
-# (key, value) pairs whose rule allows the value, with the value it loads as
-ALLOWED = {("alpha", "0"): 0.0, ("patience", "0"): 0, ("seed", "0"): 0}
+BOUNDARY_VALUES = ["nan", "inf", "-inf", "1e999", "-1", "0", ""]
+LOADERS = {"run": (RunConfig, RUN_KEYS), "synth": (SynthSpec, SYNTH_KEYS), "gradcheck": (GradcheckSpec, GRADCHECK_KEYS)}
+TEXT = {value: value for value in BOUNDARY_VALUES}  # a path or a column name is any text
+# loader -> key -> {boundary value the key's rule allows: the value it loads
+# as}; every other boundary value must fail at load naming the key
+LOADS = {
+    "run": {
+        "train": TEXT, "valid": TEXT, "test": TEXT, "fields": {}, "label": TEXT, "encoded": {"0": False},
+        "split": {}, "split_seed": {"0": 0}, "mode": {}, "experts": {}, "embed_dim": {}, "gate_embed_dim": {},
+        "expert_out_dim": {}, "gate_hidden": {"": ()}, "tower_hidden": {"": ()}, "loss_form": {},
+        "alpha": {"0": 0.0}, "loss_location": {}, "lr": {}, "batch_size": {}, "epochs": {},
+        "patience": {"0": 0}, "seed": {"0": 0},
+    },
+    "synth": {
+        "rows": {}, "fields": {}, "cardinality": {}, "latent_dim": {}, "seed": {"0": 0},
+        "c0": {"0": 0.0, "-1": -1.0},
+    },
+    "gradcheck": {"gradcheck_h": {}, "gradcheck_tol": {}},
+}
+# run keys keep their bare ids; the other loaders' keys are prefixed, since
+# "fields" and "seed" are keys of two loaders
+KEY_CASES = [
+    pytest.param(loader, key, id=key if loader == "run" else f"{loader}:{key}")
+    for loader, (_, table) in LOADERS.items()
+    for key in table
+]
 
 
 class TestLoadBoundary:
-    """Every training and loss key against the values a config can carry
-    in: each loads, where the key's rule allows it, or fails at load
-    naming the key."""
+    """Every key of the run, synthetic-data and gradcheck configs against
+    the values a config can carry in: each loads, where the key's rule
+    allows it, or fails at load naming the source and the key."""
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "-1", "0"])
-    @pytest.mark.parametrize("key", TRAIN_AND_LOSS_KEYS)
-    def test_value_loads_or_fails_naming_the_key(self, key, value):
-        text = f"fields = a:10, b:10\n{key} = {value}\n"
-        if (key, value) not in ALLOWED:
-            with pytest.raises(ValueError, match=f"^config: key '{key}': "):
-                RunConfig.from_text(text)
+    @pytest.mark.parametrize("value", BOUNDARY_VALUES)
+    @pytest.mark.parametrize("loader,key", KEY_CASES)
+    def test_value_loads_or_fails_naming_the_key(self, tmp_path, loader, key, value):
+        assert key in LOADS[loader], f"{loader} key {key!r} has no declared expectation"
+        cls, table = LOADERS[loader]
+        path = tmp_path / "test.cfg"
+        path.write_text(f"{key} = {value}\n")
+        if value not in LOADS[loader][key]:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: key '{key}': "):
+                cls.from_file(path)
             return
-        part, _, name = RUN_KEYS[key][0].partition(".")
-        assert getattr(getattr(RunConfig.from_text(text), part), name) == ALLOWED[key, value]
+        part, _, name = table[key][0].rpartition(".")
+        loaded = cls.from_file(path)
+        assert getattr(getattr(loaded, part) if part else loaded, name) == LOADS[loader][key][value]
+
+    def test_every_key_has_a_declared_expectation(self):
+        assert {loader: set(table) for loader, (_, table) in LOADERS.items()} == {
+            loader: set(keys) for loader, keys in LOADS.items()
+        }
 
     def test_every_key_target_is_a_real_field(self):
         cfg = RunConfig()
@@ -451,9 +492,28 @@ class TestLoadBoundary:
         with pytest.raises(ValueError, match=message):
             RunConfig.from_text(f"fields = a:10, b:10\n{key} = {prefix}{widths}\n")
 
-    def test_empty_hidden_widths_stay_legal(self):
-        cfg = RunConfig.from_text("fields = a:10, b:10\ngate_hidden =\ntower_hidden =\n")
-        assert (cfg.gate_hidden, cfg.tower_hidden) == ((), ())
+    @pytest.mark.parametrize("value", ["fm, ,fm", "fm, fm,"])
+    def test_empty_expert_spec_fails_naming_the_key(self, value):
+        with pytest.raises(ValueError, match="^config: key 'experts': unknown expert kind ''$"):
+            RunConfig.from_text(f"experts = {value}\n")
+
+    @pytest.mark.parametrize(
+        "key,value,rule",
+        [
+            ("rows", "0", "num_rows must be >= 1, got 0"),
+            ("fields", "1", "num_fields must be >= 2, got 1"),
+            ("latent_dim", "0", "latent_dim must be >= 1, got 0"),
+            ("cardinality", "5, 0", "cardinalities must be >= 1, got 0"),
+        ],
+        ids=["rows", "fields", "latent_dim", "cardinality"],
+    )
+    def test_generator_rule_fails_at_load_naming_the_key(self, tmp_path, key, value, rule):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(f"{key} = {value}\n")
+        out = tmp_path / "synth.csv"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(spec))}: key '{key}': {rule}$"):
+            main(["gen-synth", "--spec", str(spec), "--out", str(out)])
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan, 0.1, 0.1", "0.8, -inf, 0.1"])
     def test_non_finite_split_fails_naming_the_key(self, value):

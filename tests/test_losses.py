@@ -6,8 +6,6 @@ import pytest
 from moectr.losses import (
     LossConfig,
     bce,
-    corr_loss_pair,
-    cov_loss_pair,
     decorrelation_total,
     total_objective,
 )
@@ -82,25 +80,25 @@ def pair_oracle(o_p, o_q, form):
 
 class TestCorrLossPair:
     def test_identical_single_column_equals_n_minus_1(self):
-        value, _, _ = corr_loss_pair(IDENTITY_COLUMN, IDENTITY_COLUMN.copy())
+        value, _ = decorrelation_total([IDENTITY_COLUMN, IDENTITY_COLUMN.copy()], "corr")
         assert value == pytest.approx(2.0, abs=1e-12)  # N - 1
 
     def test_sign_blind(self):
-        value, _, _ = corr_loss_pair(IDENTITY_COLUMN, -IDENTITY_COLUMN)
+        value, _ = decorrelation_total([IDENTITY_COLUMN, -IDENTITY_COLUMN], "corr")
         assert value == pytest.approx(2.0, abs=1e-12)
 
     def test_uncorrelated_columns_zero(self):
-        value, _, _ = corr_loss_pair(IDENTITY_COLUMN, np.array([[1.0], [0.0], [1.0]]))
+        value, _ = decorrelation_total([IDENTITY_COLUMN, np.array([[1.0], [0.0], [1.0]])], "corr")
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(7, 3))
         y = rng.normal(size=(7, 3))
-        base, _, _ = corr_loss_pair(x, y)
+        base, _ = decorrelation_total([x, y], "corr")
         a = rng.uniform(0.5, 3.0, size=(1, 3))
         b = rng.normal(size=(1, 3)) * 5
-        scaled, _, _ = corr_loss_pair(a * x + b, y)
+        scaled, _ = decorrelation_total([a * x + b, y], "corr")
         assert scaled == pytest.approx(base, abs=1e-10)
 
     def test_self_corr_matches_scaled_pearson(self):
@@ -109,7 +107,7 @@ class TestCorrLossPair:
 
         rng = np.random.default_rng(2)
         x = rng.normal(size=(9, 4))
-        value, _, _ = corr_loss_pair(x, x)
+        value, _ = decorrelation_total([x, x], "corr")
         r = pearson_matrix(x, x)
         n = x.shape[0]
         expected = np.sqrt((((n - 1) * r) ** 2).sum()) / 16
@@ -117,44 +115,44 @@ class TestCorrLossPair:
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="insufficient rows"):
-            corr_loss_pair(np.ones((1, 2)), np.ones((1, 2)))
+            decorrelation_total([np.ones((1, 2)), np.ones((1, 2))], "corr")
 
     def test_constant_columns_zero_gradient(self):
         x = np.column_stack([np.ones(4), np.arange(4, dtype=float)])
         y = np.random.default_rng(3).normal(size=(4, 2))
-        _, d_x, _ = corr_loss_pair(x, y)
+        _, (d_x, _) = decorrelation_total([x, y], "corr")
         np.testing.assert_array_equal(d_x[:, 0], np.zeros(4))
 
 
 class TestCovLossPair:
     def test_identical_column_l1(self):
-        value, _, _ = cov_loss_pair(IDENTITY_COLUMN, IDENTITY_COLUMN, "l1")
+        value, _ = decorrelation_total([IDENTITY_COLUMN, IDENTITY_COLUMN], "cov_l1")
         assert value == pytest.approx(2.0, abs=1e-12)  # centered [-1,0,1], sum sq
 
     def test_identical_column_l2_coincides(self):
-        value, _, _ = cov_loss_pair(IDENTITY_COLUMN, IDENTITY_COLUMN, "l2")
+        value, _ = decorrelation_total([IDENTITY_COLUMN, IDENTITY_COLUMN], "cov_l2")
         assert value == pytest.approx(2.0, abs=1e-12)
 
     def test_constant_second_input(self):
         x = np.random.default_rng(4).normal(size=(5, 2))
         const = np.full((5, 2), 3.3)
-        for norm in ("l1", "l2"):
-            value, d_x, d_y = cov_loss_pair(x, const, norm)
+        for form in ("cov_l1", "cov_l2"):
+            value, _ = decorrelation_total([x, const], form)
             assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(6, 3))
         y = rng.normal(size=(6, 3))
-        for norm in ("l1", "l2"):
-            base, _, _ = cov_loss_pair(x, y, norm)
+        for form in ("cov_l1", "cov_l2"):
+            base, _ = decorrelation_total([x, y], form)
             for a in (0.5, 2.0, 10.0):
-                scaled, _, _ = cov_loss_pair(a * x, a * y, norm)
+                scaled, _ = decorrelation_total([a * x, a * y], form)
                 assert scaled == pytest.approx(a * a * base, rel=1e-10)
 
     def test_unknown_norm(self):
-        with pytest.raises(ValueError):
-            cov_loss_pair(IDENTITY_COLUMN, IDENTITY_COLUMN, "linf")
+        with pytest.raises(ValueError, match="^expected one of corr, cov_l1, cov_l2, none, got 'cov_linf'$"):
+            decorrelation_total([IDENTITY_COLUMN, IDENTITY_COLUMN], "cov_linf")
 
 
 class TestPairLossGradients:
@@ -191,15 +189,6 @@ class TestDecorrelationTotal:
     def test_three_identical_experts(self):
         value, _ = decorrelation_total([IDENTITY_COLUMN] * 3, "corr")
         assert value == pytest.approx(6.0, abs=1e-12)  # 3 pairs x 2
-
-    def test_two_experts_equals_pair(self):
-        rng = np.random.default_rng(7)
-        x, y = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-        total, grads = decorrelation_total([x, y], "corr")
-        value, d_x, d_y = corr_loss_pair(x, y)
-        assert total == value
-        np.testing.assert_array_equal(grads[0], d_x)
-        np.testing.assert_array_equal(grads[1], d_y)
 
     def test_permutation_symmetric(self):
         rng = np.random.default_rng(8)

@@ -176,7 +176,7 @@ def _shaped(experts, fields, embed_dim, mode="me"):
     """A model with a benchmark workload's expert shapes and tiny tables."""
     schema = DatasetSchema(tuple(FeatureField(f"f{j}", 3) for j in range(fields)))
     loss = LossConfig(form="corr", alpha=1.0, location="output")
-    return build_model(schema, mode, list(experts), loss, embed_dim=embed_dim, gate_hidden=(4,), tower_hidden=(4,))
+    return build_model(schema, mode, list(experts), loss, embed_dim=embed_dim, gate_hidden=(4,), tower_hidden=(4,), seed=0)
 
 
 REF_DNN = _shaped([ExpertConfig(kind="dnn", out_dim=16, hidden=(500, 500, 500))] * 2, 6, 16)

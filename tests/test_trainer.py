@@ -114,10 +114,13 @@ class TestAdam:
         np.testing.assert_allclose(p1, p2, atol=1e-15)
 
 
+MICRO_SHAPES = dict(embed_dim=2, gate_hidden=(4,), tower_hidden=(4,), seed=0)
+
+
 class TestBuildModel:
     def test_empty_expert_list(self):
         with pytest.raises(ValueError, match="nonempty"):
-            build_model(SCHEMA, "me", [], LossConfig())
+            build_model(SCHEMA, "me", [], LossConfig(), **MICRO_SHAPES)
 
     def test_mismatched_out_dims(self):
         cfgs = [
@@ -125,13 +128,13 @@ class TestBuildModel:
             ExpertConfig(kind="fm", out_dim=4),
         ]
         with pytest.raises(ValueError, match="out_dim"):
-            build_model(SCHEMA, "me", cfgs, LossConfig())
+            build_model(SCHEMA, "me", cfgs, LossConfig(), **MICRO_SHAPES)
 
     def test_intermediate_requires_crossnet(self):
         cfgs = [ExpertConfig(kind="dnn", out_dim=3, hidden=(4,))] * 2
         with pytest.raises(ValueError, match="crossnet"):
             build_model(
-                SCHEMA, "me", cfgs, LossConfig(form="corr", alpha=0.1, location="intermediate")
+                SCHEMA, "me", cfgs, LossConfig(form="corr", alpha=0.1, location="intermediate"), **MICRO_SHAPES
             )
 
     def test_intermediate_requires_equal_layers(self):
@@ -141,7 +144,7 @@ class TestBuildModel:
         ]
         with pytest.raises(ValueError, match="equal cross layer"):
             build_model(
-                SCHEMA, "me", cfgs, LossConfig(form="corr", alpha=0.1, location="intermediate")
+                SCHEMA, "me", cfgs, LossConfig(form="corr", alpha=0.1, location="intermediate"), **MICRO_SHAPES
             )
 
     def test_se_mode_single_table(self):
