@@ -3,7 +3,8 @@
 Builds one micro model (three hashed fields, batch of six) for every cell
 of embedding mode (shared or per-expert tables) x pair-loss form x loss
 location, plus BCE alone in each mode: 20 cases. Each holds one expert of
-every kind (four experts), or three crossnets at the intermediate location.
+every kind (four experts; the DNN has a linear final layer), or three
+crossnets at the intermediate location.
 It then compares the analytic gradient of the total objective against
 central differences for every parameter: embedding tables, gating table,
 expert cores, alignment heads, gate MLP, and tower.

@@ -109,6 +109,7 @@ def _checked(parse, ok, rule: str):
 _seed = _checked(int, lambda seed: seed >= 0, "seeds must be >= 0")
 _dim = _checked(int, lambda dim: dim >= 1, "must be >= 1")
 _finite = _checked(float, math.isfinite, "must be a finite number")
+_nonempty = _checked(str, bool, "must not be empty")  # a path or a column name
 
 
 def _expert_specs(value: str) -> tuple[str, ...]:
@@ -130,11 +131,11 @@ def _positive(value: str) -> float:
 # config key -> (RunConfig attribute, or "train."/"loss." and a field of the
 # TrainConfig/LossConfig that checks it; parser of the value text)
 RUN_KEYS = {
-    "train": ("train_path", str),
-    "valid": ("valid_path", str),
-    "test": ("test_path", str),
+    "train": ("train_path", _nonempty),
+    "valid": ("valid_path", _nonempty),
+    "test": ("test_path", _nonempty),
     "fields": ("fields", _fields),
-    "label": ("label", str),
+    "label": ("label", _nonempty),
     "encoded": ("encoded", _bool),
     "split": ("split", lambda value: check_split([float(tok) for tok in value.split(",")])),
     "split_seed": ("split_seed", _seed),

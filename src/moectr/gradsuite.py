@@ -8,9 +8,8 @@ cases hold three crossnets, the only kind build_model allows there. Each
 case builds a tiny model (B = 6, F = 3, d = 2), draws a seeded batch, and
 checks the analytic gradient of the total objective for every parameter
 group (embedding tables, gating table, experts, alignment heads, gate MLP,
-tower) against central differences of the forward-only objective. Seeds
-whose forward pass lies near a kink are skipped; the ReLU sites come from
-each module's ``relu_inputs``, so no module's cache layout is read here.
+tower) against central differences of the forward-only objective. A seed
+whose finite differences cross a kink (``trainer.kink_sites``) is redrawn.
 """
 
 from __future__ import annotations
@@ -22,23 +21,22 @@ import numpy as np
 from .data import DatasetSchema, FeatureField
 from .experts import ExpertConfig
 from .losses import LOSS_LOCATIONS, LossConfig
-from .model import build_model, forward_full, loss_targets, named_params
-from .numerics import GRADCHECK_H, GRADCHECK_TOL, GradCheckReport, cross_gram, gram_blocks
-from .trainer import gradcheck_model
+from .model import build_model, named_params
+from .numerics import GRADCHECK_H, GRADCHECK_TOL, GradCheckReport
+from .trainer import KinkCrossed, gradcheck_model, kink_sites
 
 MICRO_FIELDS = 3
 MICRO_CARD = 5
 MICRO_EMBED = 2
 MICRO_OUT = 3
 MICRO_BATCH = 6
-KINK_MARGIN = 1e-3  # smallest |pre-activation| a checked micro model may have
-MAX_TRIES = 100  # seeds drawn per case before giving up on that margin
+MAX_TRIES = 100  # seeds drawn per case before giving up on a draw that crosses no kink
 
 # one micro expert of every kind; intermediate cases hold three crossnets,
 # the only kind build_model allows there
 CROSSNET = ExpertConfig(kind="crossnet", out_dim=MICRO_OUT, cross_layers=2)
 ALL_KINDS = (
-    ExpertConfig(kind="dnn", out_dim=MICRO_OUT, hidden=(4,)),
+    ExpertConfig(kind="dnn", out_dim=MICRO_OUT, hidden=(4,), dnn_out=3),
     ExpertConfig(kind="fm", out_dim=MICRO_OUT),
     CROSSNET,
     ExpertConfig(kind="cin", out_dim=MICRO_OUT, cin_maps=(3, 2)),
@@ -82,40 +80,16 @@ def micro_schema() -> DatasetSchema:
 
 
 def kink_margin(model, fc) -> float:
-    """Distance of the forward pass from the nearest non-differentiable point.
-
-    Central differences are only meaningful where the objective is smooth
-    in an h-neighborhood; this takes |pre-activation| at every ReLU site
-    each module reports through ``relu_inputs`` (tower, gate MLP, experts
-    with their alignment heads) and, for the L1 covariance form, |entry| of
-    the centered cross matrices (sign kink), read from the off-diagonal
-    blocks of the centered cross-expert Gram. An entry whose column is
-    exactly zero on every row (an aligned output whose ReLU is dead on the
-    whole batch) is skipped: the ReLU margin keeps that column at zero
-    within +-h, where sign(0) = 0 agrees with the finite differences.
-    """
-    modules = [
-        (model.tower, fc.tower_cache),
-        (model.gate, fc.gate_cache),
-        *zip(model.experts, fc.expert_caches),
-    ]
-    vals = [float(np.abs(z).min()) for module, cache in modules for z in module.relu_inputs(cache)]
-    if model.loss.active and model.loss.form == "cov_l1":
-        for mats in loss_targets(model, fc):
-            _, _, g = cross_gram(mats, standardize=False)
-            live = np.hstack(mats).any(axis=0)
-            g = np.where(np.outer(live, live), g, np.inf)
-            pairs = gram_blocks(g, mats)[np.triu_indices(len(mats), 1)]
-            vals.append(float(np.abs(pairs).min()))
-    return min(vals)
+    """Smallest |kink site| of a forward pass (``trainer.kink_sites``)."""
+    return min(float(np.abs(z).min()) for z in kink_sites(model, fc))
 
 
 def run_case(case: SuiteCase, h: float = GRADCHECK_H, tol: float = GRADCHECK_TOL) -> GradCheckReport:
-    """Gradcheck the case on the first seed whose forward pass clears the
-    differentiability margin.
+    """Gradcheck the case on the first seed whose finite differences
+    cross no kink.
 
-    The seed advance looks only at forward quantities, never at the
-    gradient comparison, so a wrong backward pass cannot slip through.
+    The seed advance looks only at the signs of forward quantities, never
+    at the gradient comparison, so a wrong backward pass cannot slip through.
     """
     for attempt in range(MAX_TRIES):
         seed = case.seed + 101 * attempt
@@ -138,9 +112,10 @@ def run_case(case: SuiteCase, h: float = GRADCHECK_H, tol: float = GRADCHECK_TOL
         indices = rng.integers(0, MICRO_CARD, size=(MICRO_BATCH, MICRO_FIELDS))
         labels = np.zeros(MICRO_BATCH)
         labels[: MICRO_BATCH // 2] = 1.0
-        if kink_margin(model, forward_full(model, indices)) < KINK_MARGIN:
+        try:
+            return gradcheck_model(model, indices, labels, h=h, tol=tol)
+        except KinkCrossed:
             continue
-        return gradcheck_model(model, indices, labels, h=h, tol=tol)
     raise RuntimeError(f"no kink-free micro configuration found for {case.name!r}")
 
 

@@ -6,6 +6,7 @@ prefix), the de-correlation loss targets, and versioned binary persistence.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 from typing import Iterator
@@ -277,10 +278,10 @@ def save_model(model: ModelBundle, path) -> None:
 
 
 def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
+    """The next n bytes; a length past the end of the file is refused unread."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError("truncated model file")
-    return buf
+    return fh.read(n)
 
 
 def load_model(path) -> ModelBundle:

@@ -18,7 +18,7 @@ from .losses import bce, decorrelation_total, total_objective
 from .metrics import CorrelationReport, EvalMetrics, auc, cec_report
 from .model import FullCache, ModelBundle, dense_modules, forward_chunks, forward_full, loss_targets, named_params, table_modules
 from .nnet import prefixed
-from .numerics import GradCheckReport, at_least, central_diff_gradcheck, flatten_arrays, write_arrays
+from .numerics import GradCheckReport, at_least, central_diff_gradcheck, cross_gram, flatten_arrays, gram_blocks, write_arrays
 from .optim import Adam
 from .parallel import map_experts
 
@@ -307,22 +307,27 @@ def train_loop(
     return report
 
 
-def model_objective_and_grads(
-    model: ModelBundle, indices: np.ndarray, labels: np.ndarray
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Total objective and a dense gradient for every named parameter.
+class KinkCrossed(Exception):
+    """A finite-difference evaluation left the base point's smooth piece."""
 
-    Embedding grads go through the scatter train_step runs, with a rule
-    that writes the summed rows into a zero array shaped like the table, so
-    a gradcheck also checks the scatter.
-    """
-    losses, grads, _ = batch_objective(model, indices, labels)
-    out = dict(grads.dense)
-    for prefix, table, sparse in _sparse_groups(model, grads):
-        dense = np.zeros_like(table.weight)
-        apply_sparse_to_table(table, sparse, dense.__setitem__)
-        out.update(prefixed(prefix, EmbeddingTable(dense, table.offsets).params))
-    return losses.total, out
+
+def kink_sites(model: ModelBundle, fc: FullCache) -> list[np.ndarray]:
+    """Every value whose sign picks the objective's smooth piece: each ReLU
+    pre-activation the modules report through ``relu_inputs`` (tower, gate
+    MLP, experts with their alignment heads) and, under cov_l1, each entry
+    of the off-diagonal blocks of the centered cross-expert Gram. A dead
+    column's entries are exactly 0 and stay 0 while no ReLU flips."""
+    modules = [
+        (model.tower, fc.tower_cache),
+        (model.gate, fc.gate_cache),
+        *zip(model.experts, fc.expert_caches),
+    ]
+    sites = [z for module, cache in modules for z in module.relu_inputs(cache)]
+    if model.loss.active and model.loss.form == "cov_l1":
+        for mats in loss_targets(model, fc):
+            g = cross_gram(mats, standardize=False)[2]
+            sites.append(gram_blocks(g, mats)[np.triu_indices(len(mats), 1)])
+    return sites
 
 
 def gradcheck_model(
@@ -334,16 +339,32 @@ def gradcheck_model(
 ) -> GradCheckReport:
     """Central-difference check of the full objective over every parameter
     group: embeddings, gating table, experts, alignment heads, gate MLP,
-    tower. Restores the model parameters afterward."""
+    tower. Every evaluation must keep the sign of each of the base point's
+    kink sites, else KinkCrossed is raised: a difference across a kink says
+    nothing about the gradient. Restores the model parameters afterward.
+
+    Embedding grads go through the scatter train_step runs, with a rule
+    that writes the summed rows into a zero array shaped like the table, so
+    the check also checks the scatter.
+    """
     items = named_params(model)
     arrays = [arr for _, arr in items]
     x0 = flatten_arrays(arrays)
-    total, grads = model_objective_and_grads(model, indices, labels)
+    _, batch_grads, _ = batch_objective(model, indices, labels)
+    grads = dict(batch_grads.dense)
+    for prefix, table, sparse in _sparse_groups(model, batch_grads):
+        dense = np.zeros_like(table.weight)
+        apply_sparse_to_table(table, sparse, dense.__setitem__)
+        grads.update(prefixed(prefix, EmbeddingTable(dense, table.offsets).params))
     analytic = flatten_arrays([grads[name] for name, _ in items])
+    base = [np.sign(z) for z in kink_sites(model, forward_full(model, indices))]
 
     def objective(vec: np.ndarray) -> float:
         write_arrays(arrays, vec)
-        return forward_objective(model, indices, labels)[0].total
+        losses, fc, _, _ = forward_objective(model, indices, labels)
+        if not all(np.array_equal(np.sign(z), s) for z, s in zip(kink_sites(model, fc), base, strict=True)):
+            raise KinkCrossed("a finite-difference step crossed a kink")
+        return losses.total
 
     try:
         return central_diff_gradcheck(objective, x0, analytic, h=h, tol=tol)

@@ -413,7 +413,7 @@ class TestCli:
 
 BOUNDARY_VALUES = ["nan", "inf", "-inf", "1e999", "-1", "0", ""]
 LOADERS = {"run": (RunConfig, RUN_KEYS), "synth": (SynthSpec, SYNTH_KEYS), "gradcheck": (GradcheckSpec, GRADCHECK_KEYS)}
-TEXT = {value: value for value in BOUNDARY_VALUES}  # a path or a column name is any text
+TEXT = {value: value for value in BOUNDARY_VALUES if value}  # a path or a column name is any non-empty text
 # loader -> key -> {boundary value the key's rule allows: the value it loads
 # as}; every other boundary value must fail at load naming the key
 LOADS = {

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from moectr import gradsuite
 from moectr import model as model_module
 from moectr import trainer
 
@@ -16,6 +17,7 @@ from moectr.gradsuite import kink_margin, run_case, suite_cases
 from moectr.losses import LossConfig, bce
 from moectr.metrics import auc, cec_report
 from moectr.model import (
+    MODEL_MAGIC,
     build_model,
     forward_full,
     load_model,
@@ -25,10 +27,11 @@ from moectr.model import (
     save_model,
     table_modules,
 )
-from moectr.numerics import row_softmax, sigmoid
+from moectr.numerics import GRADCHECK_H, GRADCHECK_TOL, row_softmax, sigmoid
 from moectr.optim import Adam
 from moectr.parallel import openblas
 from moectr.trainer import (
+    KinkCrossed,
     TrainConfig,
     batch_objective,
     evaluate,
@@ -543,12 +546,31 @@ class TestPersistence:
             load_model(path)
 
     def test_truncated_file(self, tmp_path):
+        # a cut at every field and block boundary, and one byte either side
+        path = tmp_path / "model.bin"
+        save_model(all_kinds_model("me"), path)
+        data = path.read_bytes()
+        ends = _model_file_boundaries(data)
+        cuts = sorted({cut for end in ends for cut in (end - 1, end, end + 1) if cut < len(data)})
+        assert len(cuts) > 3 * len(_model_file_blocks(data)[1])
+        wrong = {}
+        for cut in cuts:
+            path.write_bytes(data[:cut])
+            want = "unrecognized model file" if cut < len(MODEL_MAGIC) else "truncated model file"
+            if (got := _load_error(path)) != f"{path}: {want}":
+                wrong[cut] = got
+        assert not wrong
+
+    @pytest.mark.parametrize(
+        "length", [None, 2**40, 2**63, 2**64 - 1], ids=["size+1", "2**40", "2**63", "2**64-1"]
+    )
+    def test_config_length_past_the_end_is_refused_unread(self, tmp_path, length):
         path = tmp_path / "model.bin"
         save_model(micro_model(seed=27), path)
         data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: truncated model file$"):
-            load_model(path)
+        length = len(data) + 1 if length is None else length
+        path.write_bytes(data[:12] + struct.pack("<Q", length) + data[20:])
+        assert _load_error(path) == f"{path}: truncated model file"
 
     def test_repeated_block_and_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
@@ -600,20 +622,33 @@ class TestPersistence:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
     def test_non_finite_block_rejected_naming_it(self, tmp_path, bad):
+        # the bad value as the last entry of every block in turn
         path = tmp_path / "model.bin"
-        model = micro_model(seed=33)
+        model = all_kinds_model("me")
         save_model(model, path)
         header, blocks = _model_file_blocks(path.read_bytes())
-        blocks["tower.b1"] = blocks["tower.b1"][:-8] + struct.pack("<d", bad)
-        path.write_bytes(header + b"".join(blocks.values()))
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: parameter block 'tower.b1' holds NaN or inf$"):
-            load_model(path)
+        wrong = {}
+        for name, raw in blocks.items():
+            edited = {**blocks, name: raw[:-8] + struct.pack("<d", bad)}
+            path.write_bytes(header + b"".join(edited.values()))
+            if (got := _load_error(path)) != f"{path}: parameter block {name!r} holds NaN or inf":
+                wrong[name] = got
+        assert not wrong
 
         diverged = tmp_path / "diverged.bin"
         dict(named_params(model))["gate.w0"][0, 0] = bad
         with pytest.raises(ValueError, match=rf"^{re.escape(str(diverged))}: parameter block 'gate.w0' holds NaN or inf$"):
             save_model(model, diverged)
         assert not diverged.exists()
+
+
+def _load_error(path) -> str | None:
+    """The message load_model raises on the file, or None if it loads."""
+    try:
+        load_model(path)
+    except ValueError as err:
+        return str(err)
+    return None
 
 
 def _model_file_blocks(data: bytes) -> tuple[bytes, dict[str, bytes]]:
@@ -632,6 +667,17 @@ def _model_file_blocks(data: bytes) -> tuple[bytes, dict[str, bytes]]:
         blocks[name] = data[pos:end]
         pos = end
     return header, blocks
+
+
+def _model_file_boundaries(data: bytes) -> list[int]:
+    """The offsets where a model file's header fields (magic, version,
+    config length, config echo, block count) and each parameter block end."""
+    header, blocks = _model_file_blocks(data)
+    (blob_len,) = struct.unpack_from("<Q", data, 12)
+    ends = [len(MODEL_MAGIC), 12, 20, 20 + blob_len, len(header)]
+    for raw in blocks.values():
+        ends.append(ends[-1] + len(raw))
+    return ends
 
 
 def all_kinds_model(mode: str, loss=None, gate_hidden=(4,), tower_hidden=(4,)):
@@ -922,30 +968,69 @@ class TestKinkMargin:
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
 
+
+
+def _counting_gradcheck(monkeypatch, edit_first_draw):
+    """Route run_case's gradcheck_model through a wrapper that applies
+    ``edit_first_draw(model, indices)`` to the first draw only; returns the
+    list of (model, indices) calls, one per draw."""
+    calls = []
+
+    def wrapped(model, indices, labels, h, tol):
+        if not calls:
+            edit_first_draw(model, indices)
+        calls.append((model, indices))
+        return trainer.gradcheck_model(model, indices, labels, h=h, tol=tol)
+
+    monkeypatch.setattr(gradsuite, "gradcheck_model", wrapped)
+    return calls
+
+
+def _tower_pre_activation_at(model, indices, value):
+    """Shift the tower's first hidden bias so that row 0's first
+    pre-activation equals ``value``."""
+    z = model.tower.relu_inputs(forward_full(model, indices).tower_cache)[0]
+    model.tower.biases[0][0] += value - z[0, 0]
+
+
+def _dead_alignment_column(model, indices):
+    """Kill the fm expert's first aligned column on every row."""
+    model.experts[1].align.biases[0][0] = -1e3
+    assert not forward_full(model, indices).outputs[1][:, 0].any()
+
+
+class TestKinkGuard:
+    """gradcheck_model rejects a draw whose finite differences cross a kink
+    site, and run_case then draws the next seed; a dead column is not a
+    kink."""
+
     @pytest.mark.parametrize("mode", ["me", "se"])
-    def test_cov_l1_skips_dead_columns(self, mode):
-        # an alignment column dead on every row gives exact-zero cross
-        # entries; they are not kinks, the live entries still are
-        model = all_kinds_model(mode, loss=LossConfig(form="cov_l1", alpha=0.5))
-        model.experts[1].align.biases[0][0] = -1e3
-        idx = micro_batch(8, seed=40)[0]
-        fc = forward_full(model, idx)
-        assert not fc.outputs[1][:, 0].any()
-        z = [o - o.mean(axis=0) for o in fc.outputs]
-        live = [o.any(axis=0) for o in fc.outputs]
-        cross = [
-            np.abs(z[p].T @ z[q])[np.outer(live[p], live[q])].min()
-            for p in range(len(z))
-            for q in range(p + 1, len(z))
-        ]
-        relu = [np.abs(zr).min() for _, zr in _relu_sites(model, idx)]
-        expected = min(*cross, *relu)
-        assert expected > 1e-6  # the dead column's exact zeros are not in it
-        assert kink_margin(model, fc) == pytest.approx(expected, rel=1e-9)
-        # one live cross entry on its kink: live column j of output 2 made
-        # orthogonal to centered live column i of output 0
-        i, j = np.flatnonzero(live[0])[0], np.flatnonzero(live[2])[0]
-        u = z[0][:, i]
-        fc.outputs[2][:, j] -= (u @ z[2][:, j]) / (u @ u) * u
-        assert fc.outputs[2][:, j].any()
-        assert kink_margin(model, fc) < 1e-12
+    def test_crossed_relu_raises_and_restores_params(self, mode):
+        model = all_kinds_model(mode)
+        idx, y = micro_batch(8, seed=42)
+        _tower_pre_activation_at(model, idx, GRADCHECK_H / 4)
+        before = [arr.copy() for _, arr in named_params(model)]
+        with pytest.raises(KinkCrossed):
+            trainer.gradcheck_model(model, idx, y, h=GRADCHECK_H, tol=GRADCHECK_TOL)
+        for (name, arr), saved in zip(named_params(model), before):
+            np.testing.assert_array_equal(arr, saved, err_msg=name)
+
+    @pytest.mark.parametrize("name", ["me corr@output", "se cov_l1@output"])
+    def test_run_case_moves_on_to_the_next_seed(self, monkeypatch, name):
+        case = next(c for c in suite_cases() if c.name == name)
+        calls = _counting_gradcheck(
+            monkeypatch, lambda model, idx: _tower_pre_activation_at(model, idx, GRADCHECK_H / 4)
+        )
+        assert run_case(case).passed
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("mode", ["me", "se"])
+    def test_cov_l1_dead_column_needs_no_redraw(self, monkeypatch, mode):
+        # the dead column's cross entries are exactly 0, so they are kink
+        # sites at margin 0, and they stay 0 under every step
+        case = next(c for c in suite_cases() if c.name == f"{mode} cov_l1@output")
+        calls = _counting_gradcheck(monkeypatch, _dead_alignment_column)
+        assert run_case(case).passed
+        assert len(calls) == 1
+        model, idx = calls[0]
+        assert kink_margin(model, forward_full(model, idx)) == 0.0
