@@ -20,8 +20,8 @@ tic = time.perf_counter()
 print(f"{'case':38s} {'max rel err':>12s}  verdict")
 print("-" * 62)
 failed = 0
-for name, report in run_suite(h=1e-5, tol=1e-4):
-    verdict = "ok" if report.passed else "FAIL"
+for name, report in run_suite():
+    verdict = "ok" if report.passed else "FAIL worst={}[{}]".format(*report.worst)
     print(f"{name:38s} {report.max_relative_error:12.3e}  {verdict}")
     failed += not report.passed
 print("-" * 62)

@@ -19,7 +19,7 @@ from .data import gen_synthetic, load_synthetic_csv, load_table, save_synthetic_
 from .gradsuite import run_suite
 from .model import EVAL_BATCH_ROWS, load_model, param_count, save_model
 from .parallel import describe
-from .trainer import evaluate, train_loop
+from .trainer import check_both_classes, evaluate, train_loop
 
 
 def _cmd_train(args) -> int:
@@ -33,6 +33,7 @@ def _cmd_train(args) -> int:
     print(f"data: train={len(train_ds)} valid={len(valid_ds)} test={len(test_ds)}")
     print(describe(model, min(cfg.train.batch_size, len(train_ds))))
     print(f"evaluation {describe(model, min(len(valid_ds), EVAL_BATCH_ROWS))}")
+    check_both_classes(test_ds, "test")
     report = train_loop(model, train_ds, valid_ds, cfg.train)
     for rec in report.epochs:
         print(
@@ -110,10 +111,9 @@ def _cmd_gradcheck(args) -> int:
     spec = GradcheckSpec.from_file(args.config) if args.config else GradcheckSpec()
     failed = 0
     for name, report in run_suite(h=spec.h, tol=spec.tol):
-        status = "PASS" if report.passed else "FAIL"
-        print(f"{status} {name}: max_rel_err={report.max_relative_error:.3e}")
-        if not report.passed:
-            failed += 1
+        worst = "" if report.passed else " worst={}[{}]".format(*report.worst)
+        print(f"{'PASS' if report.passed else 'FAIL'} {name}: max_rel_err={report.max_relative_error:.3e}{worst}")
+        failed += not report.passed
     if failed:
         print(f"{failed} gradient check(s) failed", file=sys.stderr)
         return 1

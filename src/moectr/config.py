@@ -233,11 +233,15 @@ class RunConfig:
     @classmethod
     def _from_kv(cls, kv: dict[str, str], source: str) -> "RunConfig":
         """Apply the keys; a config that names fields builds its schema
-        here, so a bad field list fails at load naming the key and source."""
+        here, so a bad field list fails at load naming the key and source,
+        and so does a test file without a valid file."""
         cfg = _apply_keys(cls(), RUN_KEYS, kv, source)
         if cfg.fields:
             with _naming_key(source, "fields"):
                 cfg.schema()
+        if cfg.test_path is not None and cfg.valid_path is None:
+            with _naming_key(source, "test"):
+                raise ValueError("needs a 'valid' entry; without one the 'train' file is split")
         return cfg
 
     def schema(self) -> DatasetSchema:

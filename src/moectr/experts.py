@@ -19,8 +19,6 @@ import numpy as np
 from .nnet import Mlp, Module, init_affine, layer_params, prefixed
 from .numerics import at_least
 
-EXPERT_KINDS = ("dnn", "fm", "crossnet", "cin")
-
 
 @dataclass(frozen=True)
 class ExpertConfig:
@@ -327,12 +325,8 @@ class CinExpert(Expert):
         return {**layer_params(d_wl), **align_named(align_grads)}, d_in
 
 
-_EXPERT_CLASSES = {
-    "dnn": DnnExpert,
-    "fm": FmExpert,
-    "crossnet": CrossNetExpert,
-    "cin": CinExpert,
-}
+_EXPERT_CLASSES = {cls.kind: cls for cls in (DnnExpert, FmExpert, CrossNetExpert, CinExpert)}
+EXPERT_KINDS = tuple(_EXPERT_CLASSES)  # ExpertConfig's rule reads it only when it runs
 
 
 def make_expert(

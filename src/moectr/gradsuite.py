@@ -119,5 +119,5 @@ def run_case(case: SuiteCase, h: float = GRADCHECK_H, tol: float = GRADCHECK_TOL
     raise RuntimeError(f"no kink-free micro configuration found for {case.name!r}")
 
 
-def run_suite(h: float, tol: float) -> list[tuple[str, GradCheckReport]]:
+def run_suite(h: float = GRADCHECK_H, tol: float = GRADCHECK_TOL) -> list[tuple[str, GradCheckReport]]:
     return [(case.name, run_case(case, h=h, tol=tol)) for case in suite_cases()]

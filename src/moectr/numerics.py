@@ -133,65 +133,55 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GradCheckReport:
-    """Outcome of a central-difference comparison."""
+    """Outcome of a central-difference comparison; ``worst`` is the
+    (block name, flat index) of the largest error."""
 
     max_relative_error: float
-    worst_coordinate: int
+    worst: tuple[str, int] | None
     passed: bool
 
 
 def central_diff_gradcheck(
-    f: Callable[[np.ndarray], float],
-    x: np.ndarray,
-    analytic_grad: np.ndarray,
+    f: Callable[[], float],
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
     h: float = GRADCHECK_H,
     tol: float = GRADCHECK_TOL,
 ) -> GradCheckReport:
-    """Compare an analytic gradient of scalar f against central differences.
+    """Compare analytic gradients of a scalar f against central differences.
 
-    For every coordinate k:
-        fd  = (f(x + h e_k) - f(x - h e_k)) / (2 h)
+    ``params`` names the live float64 arrays that ``f`` (no arguments)
+    reads, e.g. a module's ``params``; ``grads`` holds each one's gradient
+    under its name, as ``backward`` returns them. For every entry k:
+        fd  = (f(p + h e_k) - f(p - h e_k)) / (2 h)
         err = |fd - g_k| / max(1, |fd|, |g_k|)
-    The report carries the max error over coordinates and whether it is
-    below tol. f is called with a temporarily perturbed copy of x.
+    Each entry is moved in place and its original written back before the
+    next, also when f raises, so every array ends byte-identical.
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=np.float64).ravel().copy()
-    g = np.asarray(analytic_grad, dtype=np.float64).ravel()
-    if g.shape != x.shape:
-        raise ValueError("analytic gradient shape mismatch")
-    if x.size == 0:
-        return GradCheckReport(0.0, 0, True)
-    errs = np.empty(x.size)
-    for k in range(x.size):
-        orig = x[k]
-        x[k] = orig + h
-        f_plus = float(f(x))
-        x[k] = orig - h
-        f_minus = float(f(x))
-        x[k] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise ValueError("objective not finite")
-        fd = (f_plus - f_minus) / (2.0 * h)
-        errs[k] = abs(fd - g[k]) / max(1.0, abs(fd), abs(g[k]))
-    worst = int(np.argmax(errs))
-    worst_err = float(errs[worst])
-    return GradCheckReport(worst_err, worst, worst_err < tol)
-
-
-def flatten_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate arrays into one flat vector (copy)."""
-    if not arrays:
-        return np.zeros(0)
-    return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
-
-
-def write_arrays(arrays: Sequence[np.ndarray], vec: np.ndarray) -> None:
-    """Scatter a flat vector back into the given arrays, in place."""
-    offset = 0
-    for a in arrays:
-        a.flat[:] = vec[offset : offset + a.size]
-        offset += a.size
-    if offset != vec.size:
-        raise ValueError("vector length does not match parameter sizes")
+    if params.keys() != grads.keys():
+        raise ValueError(f"gradient and parameter blocks differ: {sorted(params.keys() ^ grads.keys())}")
+    errs, where = [], []
+    for name, arr in params.items():
+        g = np.asarray(grads[name], dtype=np.float64)
+        if arr.dtype != np.float64 or g.shape != arr.shape:
+            raise ValueError(f"block {name!r}: expected float64 of shape {g.shape}, got {arr.dtype} {arr.shape}")
+        for k, g_k in enumerate(g.flat):
+            orig = arr.flat[k]
+            try:
+                arr.flat[k] = orig + h
+                f_plus = float(f())
+                arr.flat[k] = orig - h
+                f_minus = float(f())
+            finally:
+                arr.flat[k] = orig
+            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                raise ValueError(f"objective not finite at block {name!r} entry {k}")
+            fd = (f_plus - f_minus) / (2.0 * h)
+            errs.append(float(abs(fd - g_k) / max(1.0, abs(fd), abs(g_k))))
+            where.append((name, k))
+    if not errs:
+        return GradCheckReport(0.0, None, True)
+    worst = int(np.argmax(errs))  # the first max; a NaN wins
+    return GradCheckReport(errs[worst], where[worst], errs[worst] < tol)

@@ -18,7 +18,7 @@ from .losses import bce, decorrelation_total, total_objective
 from .metrics import CorrelationReport, EvalMetrics, auc, cec_report
 from .model import FullCache, ModelBundle, dense_modules, forward_chunks, forward_full, loss_targets, named_params, table_modules
 from .nnet import prefixed
-from .numerics import GradCheckReport, at_least, central_diff_gradcheck, cross_gram, flatten_arrays, gram_blocks, write_arrays
+from .numerics import GradCheckReport, at_least, central_diff_gradcheck, cross_gram, gram_blocks
 from .optim import Adam
 from .parallel import map_experts
 
@@ -236,6 +236,12 @@ def evaluate(model: ModelBundle, ds: EncodedDataset) -> tuple[EvalMetrics, Corre
     return metrics, cec_report([np.concatenate(parts) for parts in kept])
 
 
+def check_both_classes(ds: EncodedDataset, name: str) -> None:
+    """Raise unless ``ds`` holds both labels, as its AUC needs."""
+    if len(ds) == 0 or ds.labels.min() == ds.labels.max():
+        raise ValueError(f"{name} set needs both classes (0 and 1) for AUC")
+
+
 def train_loop(
     model: ModelBundle,
     train_ds: EncodedDataset,
@@ -251,8 +257,7 @@ def train_loop(
     """
     if len(train_ds) == 0 or len(valid_ds) == 0:
         raise ValueError("train and valid sets must be nonempty")
-    if valid_ds.labels.min() == valid_ds.labels.max():
-        raise ValueError("validation set needs both classes (0 and 1) for AUC")
+    check_both_classes(valid_ds, "validation")
     if model.loss.active and (config.batch_size < 2 or len(train_ds) % config.batch_size == 1):
         raise ValueError("batch too small for de-correlation: a batch would have 1 row")
     adam = Adam(lr=config.learning_rate)
@@ -341,32 +346,25 @@ def gradcheck_model(
     group: embeddings, gating table, experts, alignment heads, gate MLP,
     tower. Every evaluation must keep the sign of each of the base point's
     kink sites, else KinkCrossed is raised: a difference across a kink says
-    nothing about the gradient. Restores the model parameters afterward.
+    nothing about the gradient. The checker moves each parameter entry in
+    place and writes its original back, so the model ends as it began.
 
     Embedding grads go through the scatter train_step runs, with a rule
     that writes the summed rows into a zero array shaped like the table, so
     the check also checks the scatter.
     """
-    items = named_params(model)
-    arrays = [arr for _, arr in items]
-    x0 = flatten_arrays(arrays)
     _, batch_grads, _ = batch_objective(model, indices, labels)
     grads = dict(batch_grads.dense)
     for prefix, table, sparse in _sparse_groups(model, batch_grads):
         dense = np.zeros_like(table.weight)
         apply_sparse_to_table(table, sparse, dense.__setitem__)
         grads.update(prefixed(prefix, EmbeddingTable(dense, table.offsets).params))
-    analytic = flatten_arrays([grads[name] for name, _ in items])
     base = [np.sign(z) for z in kink_sites(model, forward_full(model, indices))]
 
-    def objective(vec: np.ndarray) -> float:
-        write_arrays(arrays, vec)
+    def objective() -> float:
         losses, fc, _, _ = forward_objective(model, indices, labels)
         if not all(np.array_equal(np.sign(z), s) for z, s in zip(kink_sites(model, fc), base, strict=True)):
             raise KinkCrossed("a finite-difference step crossed a kink")
         return losses.total
 
-    try:
-        return central_diff_gradcheck(objective, x0, analytic, h=h, tol=tol)
-    finally:
-        write_arrays(arrays, x0)
+    return central_diff_gradcheck(objective, dict(named_params(model)), grads, h=h, tol=tol)

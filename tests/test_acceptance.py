@@ -37,7 +37,7 @@ def _report(criterion: str, passed: bool, detail: str = "") -> bool:
 class TestCriterion1GradientSuite:
     def test_full_model_gradient_suite(self):
         tic = time.perf_counter()
-        results = run_suite(h=1e-5, tol=1e-4)
+        results = run_suite()
         elapsed = time.perf_counter() - tic
         worst = max(rep.max_relative_error for _, rep in results)
         all_pass = all(rep.passed for _, rep in results)

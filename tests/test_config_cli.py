@@ -11,6 +11,7 @@ from moectr.cli import main
 from moectr.config import (
     GRADCHECK_KEYS,
     RUN_KEYS,
+    SPEC_PARAMETERS,
     SYNTH_KEYS,
     GradcheckSpec,
     RunConfig,
@@ -321,6 +322,29 @@ class TestCli:
         assert sum(x.startswith("experts: ") for x in lines) == 1
         assert sum(x.startswith("evaluation experts: ") for x in lines) == 1
 
+    def test_test_file_without_valid_fails_at_load_naming_the_key(self, tmp_path, synth_csv):
+        # the test file is absent, so reading it would raise FileNotFoundError instead
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(_train_config_text(synth_csv[0]) + f"test = {tmp_path / 'absent.csv'}\n")
+        model_path = tmp_path / "model.bin"
+        message = "key 'test': needs a 'valid' entry; without one the 'train' file is split"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{cfg_path}: {message}')}$"):
+            main(["train", "--config", str(cfg_path), "--out", str(model_path)])
+        assert not model_path.exists()
+
+    def test_single_class_test_set_fails_before_the_first_step(self, tmp_path, synth_csv, capsys):
+        csv_path, _ = synth_csv
+        header, *rows = csv_path.read_text().splitlines()
+        negatives = tmp_path / "negatives.csv"
+        negatives.write_text("\n".join([header, *(row for row in rows if row.endswith(",0"))]) + "\n")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(_train_config_text(csv_path) + f"valid = {csv_path}\ntest = {negatives}\n")
+        model_path = tmp_path / "model.bin"
+        with pytest.raises(ValueError, match=r"^test set needs both classes \(0 and 1\) for AUC$"):
+            main(["train", "--config", str(cfg_path), "--out", str(model_path)])
+        assert not any(line.startswith("epoch") for line in capsys.readouterr().out.splitlines())
+        assert not model_path.exists()
+
     @pytest.mark.parametrize(
         "key,value,message",
         [
@@ -411,14 +435,14 @@ class TestCli:
         assert "FAIL" not in out
 
 
-BOUNDARY_VALUES = ["nan", "inf", "-inf", "1e999", "-1", "0", ""]
+BOUNDARY_VALUES = ["nan", "inf", "-inf", "1e999", "-1", "0", "", "-3", "64--32", "8-", "8-0"]
 LOADERS = {"run": (RunConfig, RUN_KEYS), "synth": (SynthSpec, SYNTH_KEYS), "gradcheck": (GradcheckSpec, GRADCHECK_KEYS)}
 TEXT = {value: value for value in BOUNDARY_VALUES if value}  # a path or a column name is any non-empty text
 # loader -> key -> {boundary value the key's rule allows: the value it loads
 # as}; every other boundary value must fail at load naming the key
 LOADS = {
     "run": {
-        "train": TEXT, "valid": TEXT, "test": TEXT, "fields": {}, "label": TEXT, "encoded": {"0": False},
+        "train": TEXT, "valid": TEXT, "test": {}, "fields": {}, "label": TEXT, "encoded": {"0": False},
         "split": {}, "split_seed": {"0": 0}, "mode": {}, "experts": {}, "embed_dim": {}, "gate_embed_dim": {},
         "expert_out_dim": {}, "gate_hidden": {"": ()}, "tower_hidden": {"": ()}, "loss_form": {},
         "alpha": {"0": 0.0}, "loss_location": {}, "lr": {}, "batch_size": {}, "epochs": {},
@@ -426,10 +450,13 @@ LOADS = {
     },
     "synth": {
         "rows": {}, "fields": {}, "cardinality": {}, "latent_dim": {}, "seed": {"0": 0},
-        "c0": {"0": 0.0, "-1": -1.0},
+        "c0": {"0": 0.0, "-1": -1.0, "-3": -3.0},
     },
     "gradcheck": {"gradcheck_h": {}, "gradcheck_tol": {}},
 }
+# expert kind with a spec parameter -> {boundary value the parameter's rule
+# allows: the ExpertConfig field value it loads as}
+SPEC_LOADS = {"dnn": {}, "crossnet": {"0": 0, "": 3}, "cin": {}}
 # run keys keep their bare ids; the other loaders' keys are prefixed, since
 # "fields" and "seed" are keys of two loaders
 KEY_CASES = [
@@ -485,12 +512,18 @@ class TestLoadBoundary:
         with pytest.raises(ValueError, match="^learning_rate must be a finite number > 0, got "):
             TrainConfig(learning_rate=alpha)
 
-    @pytest.mark.parametrize("widths", ["-3", "64--32", "8-", "8-0"])
-    @pytest.mark.parametrize("key,prefix", [("gate_hidden", ""), ("tower_hidden", ""), ("experts", "dnn:"), ("experts", "cin:")])
-    def test_malformed_widths_fail_naming_the_key(self, key, prefix, widths):
-        message = f"^config: key '{key}': expected integers >= 1 joined by single '-', got '{widths}'$"
-        with pytest.raises(ValueError, match=message):
-            RunConfig.from_text(f"fields = a:10, b:10\n{key} = {prefix}{widths}\n")
+    @pytest.mark.parametrize("value", BOUNDARY_VALUES)
+    @pytest.mark.parametrize("kind", SPEC_PARAMETERS)
+    def test_spec_parameter_loads_or_fails_naming_the_key(self, kind, value):
+        # "experts = <kind>:<value>": the spec parameter meets every boundary value too
+        assert SPEC_LOADS.keys() == SPEC_PARAMETERS.keys()
+        text = f"experts = {kind}:{value}\n"
+        if value not in SPEC_LOADS[kind]:
+            with pytest.raises(ValueError, match="^config: key 'experts': "):
+                RunConfig.from_text(text)
+            return
+        (loaded,) = RunConfig.from_text(text).expert_configs()
+        assert getattr(loaded, SPEC_PARAMETERS[kind][0]) == SPEC_LOADS[kind][value]
 
     @pytest.mark.parametrize("value", ["fm, ,fm", "fm, fm,"])
     def test_empty_expert_spec_fails_naming_the_key(self, value):

@@ -11,7 +11,7 @@ from moectr.embedding import (
     lookup,
     lookup_gating,
 )
-from moectr.numerics import central_diff_gradcheck, flatten_arrays, write_arrays
+from moectr.numerics import central_diff_gradcheck
 
 SCHEMA = DatasetSchema(
     fields=(FeatureField("a", 4), FeatureField("b", 3)), label_column="y"
@@ -263,18 +263,13 @@ class TestLookupAdjoint:
         idx = rng.integers(0, (4, 3), size=(5, 2))
         upstream = rng.normal(size=(5, 4))
         sparse = SparseGrad.from_dense_rows(idx, upstream)
-        analytic = flatten_arrays(sparse.to_dense(table))
-        arrays = table.fields
-        x0 = flatten_arrays(arrays)
-
-        def objective(vec):
-            write_arrays(arrays, vec)
-            return float((lookup(bank, 0, idx) * upstream).sum())
-
-        try:
-            rep = central_diff_gradcheck(objective, x0, analytic, h=1e-6, tol=1e-9)
-        finally:
-            write_arrays(arrays, x0)
+        rep = central_diff_gradcheck(
+            lambda: float((lookup(bank, 0, idx) * upstream).sum()),
+            table.params,
+            dict(zip(table.params, sparse.to_dense(table))),
+            h=1e-6,
+            tol=1e-9,
+        )
         assert rep.passed, rep
 
     def test_from_dense_rows_layout(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from moectr.gating import aggregate_experts, build_gate, gate_weights, gating_backward
-from moectr.numerics import central_diff_gradcheck, flatten_arrays, row_softmax, write_arrays
+from moectr.numerics import central_diff_gradcheck, row_softmax
 
 
 def _gn(gate_dim=4, hidden=(5,), m=3, seed=0, generic_point=False):
@@ -130,24 +130,13 @@ class TestGatingBackward:
         outs = [rng.normal(size=(5, 3)) for _ in range(3)]
         r = rng.normal(size=(5, 3))
 
-        params = [arr for _, arr in gn.param_items("g")]
-        arrays = params + [x] + outs
-        x0 = flatten_arrays(arrays)
         g, gcache = gate_weights(gn, x)
         grads, d_x, d_outs = gating_backward(gn, gcache, g, outs, r)
-        names = [n for n, _ in gn.param_items("g")]
-        analytic = flatten_arrays(
-            [grads[n.removeprefix("g.")] for n in names] + [d_x] + d_outs
-        )
 
-        def objective(vec):
-            write_arrays(arrays, vec)
-            gg, _ = gate_weights(gn, x)
-            hh = aggregate_experts(gg, outs)
-            return float((hh * r).sum())
+        def objective():
+            return float((aggregate_experts(gate_weights(gn, x)[0], outs) * r).sum())
 
-        try:
-            rep = central_diff_gradcheck(objective, x0, analytic, h=1e-5, tol=1e-4)
-        finally:
-            write_arrays(arrays, x0)
+        inputs = {"x": x, **{f"out{m}": o for m, o in enumerate(outs)}}
+        d_inputs = {"x": d_x, **{f"out{m}": d for m, d in enumerate(d_outs)}}
+        rep = central_diff_gradcheck(objective, {**gn.params, **inputs}, {**grads, **d_inputs})
         assert rep.passed, rep

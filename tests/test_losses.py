@@ -9,13 +9,7 @@ from moectr.losses import (
     decorrelation_total,
     total_objective,
 )
-from moectr.numerics import (
-    central_diff_gradcheck,
-    flatten_arrays,
-    standardize_backward,
-    standardize_columns,
-    write_arrays,
-)
+from moectr.numerics import central_diff_gradcheck, standardize_backward, standardize_columns
 
 
 class TestBce:
@@ -37,17 +31,7 @@ class TestBce:
         y = (rng.random(6) < 0.5).astype(float)
         p = rng.uniform(0.05, 0.95, size=6)
         _, grad = bce(p, y)
-        arrays = [p]
-        x0 = flatten_arrays(arrays)
-
-        def objective(vec):
-            write_arrays(arrays, vec)
-            return bce(p, y)[0]
-
-        try:
-            rep = central_diff_gradcheck(objective, x0, grad, h=1e-7, tol=1e-6)
-        finally:
-            write_arrays(arrays, x0)
+        rep = central_diff_gradcheck(lambda: bce(p, y)[0], {"p": p}, {"p": grad}, h=1e-7, tol=1e-6)
         assert rep.passed, rep
 
 
@@ -165,18 +149,9 @@ class TestPairLossGradients:
             x = rng.normal(size=(n, d))
             y = rng.normal(size=(n, d))
             _, (d_x, d_y) = decorrelation_total([x, y], form)
-            arrays = [x, y]
-            x0 = flatten_arrays(arrays)
-            analytic = flatten_arrays([d_x, d_y])
-
-            def objective(vec):
-                write_arrays(arrays, vec)
-                return decorrelation_total([x, y], form)[0]
-
-            try:
-                rep = central_diff_gradcheck(objective, x0, analytic, h=1e-5, tol=1e-4)
-            finally:
-                write_arrays(arrays, x0)
+            rep = central_diff_gradcheck(
+                lambda: decorrelation_total([x, y], form)[0], {"x": x, "y": y}, {"x": d_x, "y": d_y}
+            )
             assert rep.passed, (form, trial, rep)
 
 

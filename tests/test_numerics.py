@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from moectr.numerics import (
-    central_diff_gradcheck,
-    flatten_arrays,
-    row_softmax,
-    sigmoid,
-    standardize_columns,
-    write_arrays,
-)
+from moectr.numerics import central_diff_gradcheck, row_softmax, sigmoid, standardize_columns
+from moectr.trainer import KinkCrossed
 
 
 class TestRowSoftmax:
@@ -96,19 +90,19 @@ class TestStandardizeColumns:
 
 class TestGradcheck:
     def test_quadratic(self):
-        rep = central_diff_gradcheck(lambda x: float(x[0] ** 2), np.array([3.0]), np.array([6.0]), h=1e-5, tol=1e-4)
+        x = np.array([3.0])
+        rep = central_diff_gradcheck(lambda: float(x[0] ** 2), {"x": x}, {"x": np.array([6.0])})
         assert rep.passed
         assert rep.max_relative_error < 1e-8
 
     def test_constant_function(self):
-        rep = central_diff_gradcheck(lambda x: 7.0, np.array([1.0, 2.0]), np.zeros(2))
+        rep = central_diff_gradcheck(lambda: 7.0, {"x": np.array([1.0, 2.0])}, {"x": np.zeros(2)})
         assert rep.passed
         assert rep.max_relative_error == 0.0
 
     def test_sine_at_zero(self):
-        rep = central_diff_gradcheck(
-            lambda x: math.sin(x[0]), np.array([0.0]), np.array([1.0]), h=1e-5
-        )
+        x = np.array([0.0])
+        rep = central_diff_gradcheck(lambda: math.sin(x[0]), {"x": x}, {"x": np.array([1.0])})
         assert rep.max_relative_error < 1e-9
 
     def test_random_quadratics(self):
@@ -119,37 +113,85 @@ class TestGradcheck:
             a = rng.normal(size=(n, n))
             b = rng.normal(size=n)
             x = rng.normal(size=n)
-
-            def f(v):
-                return float(v @ a @ v + b @ v)
-
             grad = (a + a.T) @ x + b
-            rep = central_diff_gradcheck(f, x, grad, h=1e-5, tol=1e-8)
+            rep = central_diff_gradcheck(lambda: float(x @ a @ x + b @ x), {"x": x}, {"x": grad}, tol=1e-8)
             assert rep.passed, rep
 
     def test_non_finite_objective(self):
-        with pytest.raises(ValueError, match="objective not finite"):
-            central_diff_gradcheck(lambda x: float("nan"), np.array([1.0]), np.array([0.0]))
+        with pytest.raises(ValueError, match="^objective not finite at block 'x' entry 0$"):
+            central_diff_gradcheck(lambda: float("nan"), {"x": np.array([1.0])}, {"x": np.array([0.0])})
 
     def test_reports_worst_coordinate(self):
-        # analytic gradient wrong only in coordinate 1
-        def f(v):
-            return float(v[0] + 2.0 * v[1])
-
-        rep = central_diff_gradcheck(f, np.array([0.0, 0.0]), np.array([1.0, 5.0]))
+        # analytic gradient wrong only in entry (1, 0) of block "b"
+        a, b = np.zeros(2), np.zeros((2, 2))
+        rep = central_diff_gradcheck(
+            lambda: float(a.sum() + 2.0 * b.sum()),
+            {"a": a, "b": b},
+            {"a": np.ones(2), "b": np.array([[2.0, 2.0], [5.0, 2.0]])},
+        )
         assert not rep.passed
-        assert rep.worst_coordinate == 1
+        assert rep.worst == ("b", 2)
+        assert rep.max_relative_error == pytest.approx(3.0 / 5.0)
+
+    def test_empty_blocks_pass(self):
+        rep = central_diff_gradcheck(lambda: 0.0, {"x": np.zeros((0, 3))}, {"x": np.zeros((0, 3))})
+        assert (rep.max_relative_error, rep.worst, rep.passed) == (0.0, None, True)
 
 
-class TestSigmoidAndFlatten:
+class TestGradcheckRestoresEveryArray:
+    """Each entry is moved in place and written back, so every array holds
+    its original bytes however the check ends."""
+
+    @pytest.mark.parametrize(
+        "raise_on,value,raises",
+        [(None, None, None), (1, None, KinkCrossed), (3, None, KinkCrossed), (8, None, KinkCrossed), (None, np.inf, ValueError)],
+        ids=["passes", "raises-on-call-1", "raises-on-call-3", "raises-on-call-8", "non-finite"],
+    )
+    def test_every_array_keeps_its_bytes(self, raise_on, value, raises):
+        rng = np.random.default_rng(7)
+        # a strided view, values that h shifts inexactly, and a 0-d block
+        params = {
+            "view": rng.normal(size=(4, 6))[::2, 1::2],
+            "odd": np.array([0.1, 123.456, -3.7e-9]),
+            "scalar": np.array(2.5),
+        }
+        before = {name: arr.tobytes() for name, arr in params.items()}
+        calls = []
+
+        def f():
+            calls.append(None)
+            if len(calls) == raise_on:
+                raise KinkCrossed
+            return value if value is not None else float(sum((arr**2).sum() for arr in params.values()))
+
+        grads = {name: 2.0 * arr for name, arr in params.items()}
+        if raises is None:
+            assert central_diff_gradcheck(f, params, grads).passed
+        else:
+            with pytest.raises(raises):
+                central_diff_gradcheck(f, params, grads)
+        assert {name: arr.tobytes() for name, arr in params.items()} == before
+
+
+class TestGradcheckRejectsMismatchedBlocks:
+    def test_mismatched_key_names_the_blocks(self):
+        with pytest.raises(ValueError, match=r"^gradient and parameter blocks differ: \['w', 'x'\]$"):
+            central_diff_gradcheck(lambda: 0.0, {"x": np.zeros(2)}, {"w": np.zeros(2)})
+
+    def test_mismatched_shape_names_the_block(self):
+        with pytest.raises(ValueError, match=r"^block 'x': expected float64 of shape \(3, 2\), got float64 \(2, 3\)$"):
+            central_diff_gradcheck(lambda: 0.0, {"x": np.zeros((2, 3))}, {"x": np.zeros((3, 2))})
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_non_float64_parameter_names_the_block(self, dtype):
+        x = np.ones(3, dtype=dtype)
+        with pytest.raises(ValueError, match=rf"^block 'x': expected float64 of shape \(3,\), got {np.dtype(dtype)} \(3,\)$"):
+            central_diff_gradcheck(lambda: 0.0, {"x": x}, {"x": np.zeros(3)})
+        assert (x == 1).all()
+
+
+class TestSigmoid:
     def test_sigmoid_stable(self):
         z = np.array([-800.0, 0.0, 800.0])
         p = sigmoid(z)
         assert p[0] == 0.0 and p[1] == 0.5 and p[2] == 1.0
-
-    def test_flatten_roundtrip(self):
-        rng = np.random.default_rng(5)
-        arrays = [rng.normal(size=(2, 3)), rng.normal(size=4)]
-        vec = flatten_arrays(arrays)
-        write_arrays(arrays, vec * 2)
-        np.testing.assert_allclose(flatten_arrays(arrays), vec * 2)

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from moectr import gradsuite
+from moectr import cli, gradsuite
 from moectr import model as model_module
 from moectr import trainer
 
@@ -586,18 +586,27 @@ class TestPersistence:
         path.write_bytes(data + b"\0")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: trailing bytes after the last parameter block$"):
             load_model(path)
-        path.write_bytes(header[:-4] + struct.pack("<I", len(blocks) + 1) + data[len(header) :])
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: parameter block count does not match config$"):
-            load_model(path)
 
-    def test_bad_version(self, tmp_path):
+    def test_every_header_field_changed_fails_naming_the_file(self, tmp_path):
+        # each field of the layout load_model reads, moved by +1, by -1
+        # (wrapping as its unsigned type) and set to 0
         path = tmp_path / "model.bin"
-        save_model(micro_model(seed=28), path)
-        data = bytearray(path.read_bytes())
-        data[8:12] = (99).to_bytes(4, "little")
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unsupported model file version: 99$"):
-            load_model(path)
+        save_model(all_kinds_model("me"), path)
+        data = path.read_bytes()
+        fields = _model_file_header_fields(data)
+        assert len(fields) > 3 * len(_model_file_blocks(data)[1])
+        wrong = {}
+        for label, offset, fmt in fields:
+            (value,) = struct.unpack_from(fmt, data, offset)
+            size = 2 ** (8 * struct.calcsize(fmt))
+            for changed in sorted({(value + 1) % size, (value - 1) % size, 0} - {value}):
+                edited = bytearray(data)
+                struct.pack_into(fmt, edited, offset, changed)
+                path.write_bytes(edited)
+                want = _header_field_error(label, changed)
+                if (got := _load_error(path)) is None or not re.match(f"^{re.escape(str(path))}: {want}$", got):
+                    wrong[label, changed] = got
+        assert not wrong
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -678,6 +687,31 @@ def _model_file_boundaries(data: bytes) -> list[int]:
     for raw in blocks.values():
         ends.append(ends[-1] + len(raw))
     return ends
+
+
+def _model_file_header_fields(data: bytes) -> list[tuple[str, int, str]]:
+    """(label, offset, struct format) of every header field load_model
+    checks against the config echo: the version, the block count, and each
+    block's name length, ndim and dims."""
+    header, blocks = _model_file_blocks(data)
+    fields = [("version", 8, "<I"), ("block count", len(header) - 4, "<I")]
+    offset = len(header)
+    for name, raw in blocks.items():
+        ndim_at = 2 + len(name)
+        fields += [(f"{name} name length", offset, "<H"), (f"{name} ndim", offset + ndim_at, "<B")]
+        fields += [(f"{name} dim {i}", offset + ndim_at + 1 + 8 * i, "<Q") for i in range(raw[ndim_at])]
+        offset += len(raw)
+    return fields
+
+
+def _header_field_error(label: str, value: int) -> str:
+    """The message (a regex) load_model gives a file whose ``label`` field
+    reads ``value``."""
+    if label == "version":
+        return f"unsupported model file version: {value}"
+    if label == "block count":
+        return "parameter block count does not match config"
+    return "(unexpected or repeated parameter block .*|truncated model file)"
 
 
 def all_kinds_model(mode: str, loss=None, gate_hidden=(4,), tower_hidden=(4,)):
@@ -889,7 +923,20 @@ class TestGradcheckCoversTheScatter:
         monkeypatch.setattr(
             trainer, "apply_sparse_to_table", _first_entry_only(trainer.apply_sparse_to_table)
         )
-        assert not run_case(case).passed
+        report = run_case(case)
+        assert not report.passed
+        assert report.worst[0].startswith("bank."), report
+
+    @pytest.mark.parametrize("mode", ["me", "se"])
+    def test_failing_gradcheck_line_names_the_worst_block(self, monkeypatch, capsys, mode):
+        case = next(c for c in suite_cases() if c.name == f"{mode} corr@output")
+        monkeypatch.setattr(gradsuite, "suite_cases", lambda: [case])
+        monkeypatch.setattr(
+            trainer, "apply_sparse_to_table", _first_entry_only(trainer.apply_sparse_to_table)
+        )
+        assert cli.main(["gradcheck"]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(rf"FAIL {mode} corr@output: max_rel_err=\S+ worst=bank\.table\d\.field\d\[\d+\]", line), line
 
 
 def _relu_sites(model, idx):
