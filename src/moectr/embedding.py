@@ -53,6 +53,10 @@ class EmbeddingBank:
     tables: list[EmbeddingTable]  # length 1 (se) or M (me)
     gating_table: EmbeddingTable
 
+    def __post_init__(self):  # one row plan per batch serves every table
+        if any(not np.array_equal(t.offsets, self.gating_table.offsets) for t in self.tables):
+            raise ValueError("every embedding table needs the gating table's field offsets")
+
     def table_for_expert(self, m: int) -> int:
         """Physical table index backing expert m (se maps every m to 0)."""
         if self.mode == "se":
@@ -126,9 +130,25 @@ def lookup_gating(bank: EmbeddingBank, batch_indices: np.ndarray) -> np.ndarray:
     return _gather(bank.gating_table, batch_indices)
 
 
+@dataclass(frozen=True)
+class RowPlan:
+    """A batch's (field, row) keys sorted once, shared by every table laid
+    out on ``offsets``: entry k's table row is ``keys[inverse[k]]``."""
+
+    offsets: np.ndarray  # (F+1,)
+    keys: np.ndarray  # (U,) distinct table rows, ascending
+    inverse: np.ndarray  # (K,)
+
+
+def plan_rows(offsets: np.ndarray, fields: np.ndarray, rows: np.ndarray) -> RowPlan:
+    """One ``np.unique`` over the table rows of (fields, rows), broadcast together, in C order."""
+    keys, inverse = np.unique(offsets[fields] + rows, return_inverse=True)
+    return RowPlan(offsets, keys, inverse.reshape(-1))
+
+
 @dataclass
 class SparseGrad:
-    """Gradients for a subset of table rows, as parallel arrays.
+    """Gradients for a subset of table rows, as parallel arrays, and their row plan.
 
     Entries may repeat the same (field, row) pair; consumers must sum
     duplicates before updating.
@@ -137,32 +157,31 @@ class SparseGrad:
     fields: np.ndarray  # (K,) int64
     rows: np.ndarray  # (K,) int64
     vecs: np.ndarray  # (K, d) float64
+    plan: RowPlan
 
     @classmethod
-    def from_dense_rows(cls, batch_indices: np.ndarray, d_embed: np.ndarray) -> "SparseGrad":
+    def from_dense_rows(cls, batch_indices: np.ndarray, d_embed: np.ndarray, plan: RowPlan) -> "SparseGrad":
         """Adjoint carrier of lookup: one entry per (sample, field) pair,
         sample-major, so ``vecs`` views a C-contiguous (B, F*d) upstream
         gradient d_embed. A table row belongs to one field, so its
-        duplicates still arrive in sample order.
+        duplicates still arrive in sample order; ``plan`` is the batch's.
         """
         n, f = batch_indices.shape
         vecs = d_embed.reshape(n * f, d_embed.shape[1] // f)
-        return cls(np.tile(np.arange(f, dtype=np.int64), n), batch_indices.reshape(-1), vecs)
+        return cls(np.tile(np.arange(f, dtype=np.int64), n), batch_indices.reshape(-1), vecs, plan)
 
     @classmethod
     def concat(cls, grads: list["SparseGrad"]) -> "SparseGrad":
+        """The parts' entries in turn; they must share one plan, tiled once per part."""
+        plan = grads[0].plan
+        if any(g.plan is not plan for g in grads):
+            raise ValueError("SparseGrad.concat needs parts built on one row plan")
         return cls(
             np.concatenate([g.fields for g in grads]),
             np.concatenate([g.rows for g in grads]),
             np.concatenate([g.vecs for g in grads]),
+            RowPlan(plan.offsets, plan.keys, np.tile(plan.inverse, len(grads))),
         )
-
-    def to_dense(self, table: EmbeddingTable) -> list[np.ndarray]:
-        """Scatter-add into zero arrays shaped like the table (oracle path)."""
-        dense = [np.zeros_like(a) for a in table.fields]
-        for f, r, v in zip(self.fields, self.rows, self.vecs):
-            dense[f][r] += v
-        return dense
 
 
 UpdateRule = Callable[[np.ndarray, np.ndarray], None]
@@ -173,25 +192,25 @@ def apply_sparse_to_table(table: EmbeddingTable, grads: SparseGrad, update: Upda
     ascending, to the update rule as ``update(rows, summed_grads)``, one
     call per field that has entries.
 
-    Duplicates are summed in entry order, one ``np.bincount`` per embedding
-    column, so every sum is bit-identical to a sequential ``np.add.at``.
-    The rule mutates the table rows (the optimizer step lives in the
-    trainer); rows that received no gradient are never touched.
-    Precondition: every entry is in the table (the lookup of the same
-    forward pass accepted its index) and every gradient is finite
-    (``train_step`` checks that before any update).
+    The keys were sorted once per batch, by the row plan every table shares;
+    it must be built on this table's offsets. Duplicates are summed in entry
+    order, one ``np.bincount`` per embedding column, so every sum is
+    bit-identical to a sequential ``np.add.at``. The rule mutates the table
+    rows (the optimizer step lives in the trainer); rows that received no
+    gradient are never touched. Precondition: every entry is in the table
+    (the lookup of the same forward pass accepted its index) and every
+    gradient is finite (``train_step`` checks that before any update).
     """
-    if grads.rows.size == 0:
-        return
-    uniq, inverse = np.unique(table.offsets[grads.fields] + grads.rows, return_inverse=True)
-    summed = np.empty((uniq.size, grads.vecs.shape[1]))
-    for j, column in enumerate(np.ascontiguousarray(grads.vecs.T)):
-        summed[:, j] = np.bincount(inverse, weights=column, minlength=uniq.size)
+    plan = grads.plan
+    if not np.array_equal(plan.offsets, table.offsets):
+        raise ValueError(f"the table at offsets {table.offsets.tolist()} got grads planned on {plan.offsets.tolist()}")
+    summed = np.empty((plan.keys.size, grads.vecs.shape[1]))
+    for j in range(grads.vecs.shape[1]):
+        summed[:, j] = np.bincount(plan.inverse, weights=grads.vecs[:, j], minlength=plan.keys.size)
     # One call per field, not one over the whole table: a row-wise Adam
     # step over every row of a wide table at once makes temporaries that
     # no longer fit in cache, which measured slower than this split.
-    bounds = np.searchsorted(uniq, table.offsets)
+    bounds = np.searchsorted(plan.keys, table.offsets)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi > lo:
-            update(uniq[lo:hi], summed[lo:hi])
-
+            update(plan.keys[lo:hi], summed[lo:hi])

@@ -317,8 +317,10 @@ def load_model(path) -> ModelBundle:
                 (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
                 shape = tuple(struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(ndim))
                 arr = params.pop(name, None)
-                if arr is None or arr.shape != shape:
+                if arr is None:
                     raise ValueError(f"unexpected or repeated parameter block {name!r}")
+                if arr.shape != shape:
+                    raise ValueError(f"parameter block {name!r} has shape {shape}; the config needs {arr.shape}")
                 data = _read_exact(fh, arr.size * 8)
                 arr[...] = np.frombuffer(data, dtype="<f8").reshape(shape)
             if fh.read(1):

@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 
 from .data import EncodedDataset, make_batches
-from .embedding import EmbeddingTable, SparseGrad, apply_sparse_to_table
+from .embedding import EmbeddingTable, SparseGrad, apply_sparse_to_table, plan_rows
 from .gating import gating_backward
 from .losses import bce, decorrelation_total, total_objective
 from .metrics import CorrelationReport, EvalMetrics, auc, cec_report
@@ -80,8 +80,8 @@ def batch_objective(
 ) -> tuple[StepLosses, BatchGrads, FullCache]:
     """forward_objective, then the full backward pass, with each
     de-correlation grad injected at its loss location. The experts'
-    backward passes may run on the expert pool (see parallel); packing
-    their embedding grads stays here, in expert order."""
+    backward passes may run on the expert pool (see parallel); their
+    embedding grads are packed here, in expert order, on one row plan."""
     losses, fc, d_yhat, extra = forward_objective(model, indices, labels)
     loss = model.loss
     coef = loss.alpha / (labels.size - 1) if loss.active else 0.0
@@ -105,19 +105,19 @@ def batch_objective(
             d_e = d_e + coef * extra[0][m]
         return grads_m, d_e
 
+    plan = plan_rows(model.bank.gating_table.offsets, np.arange(indices.shape[1]), indices)
     expert_grads = []
     table_parts: list[list[SparseGrad]] = [[] for _ in model.bank.tables]
     for m, (grads_m, d_e) in enumerate(map_experts(model, labels.size, expert_backward)):
         expert_grads.append(grads_m)
-        t = model.bank.table_for_expert(m)
-        table_parts[t].append(SparseGrad.from_dense_rows(indices, d_e))
+        table_parts[model.bank.table_for_expert(m)].append(SparseGrad.from_dense_rows(indices, d_e, plan))
 
     dense: dict[str, np.ndarray] = {}
     module_grads = [*expert_grads, gate_grads, tower_grads]  # dense_modules order
     for (prefix, _), grads in zip(dense_modules(model), module_grads, strict=True):
         dense.update(prefixed(prefix, grads))
     sparse = [SparseGrad.concat(parts) for parts in table_parts]
-    sparse.append(SparseGrad.from_dense_rows(indices, d_gate_embeds))
+    sparse.append(SparseGrad.from_dense_rows(indices, d_gate_embeds, plan))
     return losses, BatchGrads(dense, sparse), fc
 
 
@@ -195,25 +195,6 @@ class TrainReport:
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = -1
     best_valid_auc: float = float("nan")
-
-    def numeric_identity(self) -> tuple:
-        """Everything reproducible under a fixed seed (wall-clock excluded)."""
-        return (
-            tuple(
-                (
-                    r.epoch,
-                    r.train_logloss,
-                    r.train_objective,
-                    r.valid_auc,
-                    r.valid_logloss,
-                    tuple(sorted(r.valid_cec_pairs.items())),
-                    r.valid_cec_sum,
-                )
-                for r in self.epochs
-            ),
-            self.best_epoch,
-            self.best_valid_auc,
-        )
 
 
 def evaluate(model: ModelBundle, ds: EncodedDataset) -> tuple[EvalMetrics, CorrelationReport]:

@@ -24,6 +24,7 @@ from moectr.trainer import TrainConfig, evaluate, train_loop
 
 from test_config_cli import REPO_ROOT
 from test_metrics import brute_force_pearson
+from test_trainer import numeric_identity
 
 pytestmark = pytest.mark.slow
 
@@ -272,7 +273,7 @@ class TestCriterion8DeterminismAndPersistence:
 
         model_a, report_a = run()
         model_b, report_b = run()
-        identical = report_a.numeric_identity() == report_b.numeric_identity()
+        identical = numeric_identity(report_a) == numeric_identity(report_b)
 
         path = tmp_path / "model.bin"
         save_model(model_a, path)

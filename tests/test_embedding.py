@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from moectr import trainer
 from moectr.data import DatasetSchema, FeatureField
 from moectr.embedding import (
     EmbeddingBank,
@@ -10,8 +11,13 @@ from moectr.embedding import (
     init_bank,
     lookup,
     lookup_gating,
+    plan_rows,
 )
+from moectr.experts import ExpertConfig
+from moectr.losses import LossConfig
+from moectr.model import build_model
 from moectr.numerics import central_diff_gradcheck
+from moectr.optim import Adam
 
 SCHEMA = DatasetSchema(
     fields=(FeatureField("a", 4), FeatureField("b", 3)), label_column="y"
@@ -21,6 +27,21 @@ SCHEMA = DatasetSchema(
 def _table(arrays: list[np.ndarray]) -> EmbeddingTable:
     """A table whose field f holds arrays[f], in order."""
     return EmbeddingTable(np.concatenate(arrays), np.cumsum([0, *map(len, arrays)]))
+
+
+def _grads(table: EmbeddingTable, fields, rows, vecs) -> SparseGrad:
+    """Hand-made entries, with their plan built by the trainer's function."""
+    fields, rows = np.asarray(fields), np.asarray(rows)
+    return SparseGrad(fields, rows, np.asarray(vecs), plan_rows(table.offsets, fields, rows))
+
+
+def _to_dense(grads: SparseGrad, table: EmbeddingTable) -> list[np.ndarray]:
+    """Scatter-add oracle: one entry at a time into zero arrays shaped like
+    the table's fields."""
+    dense = [np.zeros_like(a) for a in table.fields]
+    for f, r, v in zip(grads.fields, grads.rows, grads.vecs):
+        dense[f][r] += v
+    return dense
 
 
 class TestInitBank:
@@ -128,8 +149,8 @@ class TestApplySparseGrads:
     def test_empty_noop(self):
         bank = init_bank(SCHEMA, "se", 1, 2, 2, seed=0)
         before = [a.copy() for a in bank.tables[0].fields]
-        grads = SparseGrad(
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, 2))
+        grads = _grads(
+            bank.tables[0], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, 2))
         )
         apply_sparse_to_table(bank.tables[0], grads, _sgd_rule(bank.tables[0]))
         for a, b in zip(bank.tables[0].fields, before):
@@ -139,9 +160,7 @@ class TestApplySparseGrads:
         bank = init_bank(SCHEMA, "se", 1, 2, 2, seed=0)
         before = [a.copy() for a in bank.tables[0].fields]
         g = np.array([[0.5, -0.25]])
-        grads = SparseGrad(
-            np.array([0, 0]), np.array([1, 1]), np.vstack([g, -g])
-        )
+        grads = _grads(bank.tables[0], [0, 0], [1, 1], np.vstack([g, -g]))
         apply_sparse_to_table(bank.tables[0], grads, _sgd_rule(bank.tables[0]))
         for a, b in zip(bank.tables[0].fields, before):
             np.testing.assert_array_equal(a, b)
@@ -151,12 +170,8 @@ class TestApplySparseGrads:
         bank = init_bank(SCHEMA, "se", 1, 2, 2, seed=3)
         table = bank.tables[0]
         k = 20
-        grads = SparseGrad(
-            rng.integers(0, 2, k),
-            rng.integers(0, 3, k),
-            rng.normal(size=(k, 2)),
-        )
-        dense = grads.to_dense(table)  # scatter-add oracle
+        grads = _grads(table, rng.integers(0, 2, k), rng.integers(0, 3, k), rng.normal(size=(k, 2)))
+        dense = _to_dense(grads, table)
         expected = [a - d for a, d in zip(table.fields, dense)]
         apply_sparse_to_table(bank.tables[0], grads, _sgd_rule(table))
         for a, e in zip(table.fields, expected):
@@ -166,7 +181,7 @@ class TestApplySparseGrads:
         bank = init_bank(SCHEMA, "se", 1, 2, 2, seed=4)
         table = bank.tables[0]
         before = [a.copy() for a in table.fields]
-        grads = SparseGrad(np.array([0]), np.array([2]), np.array([[1.0, 1.0]]))
+        grads = _grads(table, [0], [2], [[1.0, 1.0]])
         apply_sparse_to_table(table, grads, _sgd_rule(table))
         # only field 0 row 2 may differ
         mask = np.ones(4, dtype=bool)
@@ -209,7 +224,7 @@ class TestScatterBitIdentity:
         rows = (rng.zipf(1.5, k) - 1) % np.array(cards)[fields]
         scale = 10.0 ** rng.uniform(-8, 8, size=(k, 1))
         vecs = rng.standard_normal((k, 4)) * scale
-        grads = SparseGrad(fields, rows, vecs)
+        grads = _grads(table, fields, rows, vecs)
         got = _recorded_updates(table, grads)
         expected = _add_at_reference(table, grads)
         assert [r for r, _ in got] == [r for r, _ in expected]
@@ -219,7 +234,7 @@ class TestScatterBitIdentity:
     def test_skips_fields_without_entries(self):
         # field 2 starts at table row 4 + 3 = 7
         table = _table([np.zeros((4, 2)), np.zeros((3, 2)), np.zeros((2, 2))])
-        grads = SparseGrad(np.array([2, 0, 2]), np.array([1, 3, 1]), np.ones((3, 2)))
+        grads = _grads(table, [2, 0, 2], [1, 3, 1], np.ones((3, 2)))
         calls = _recorded_updates(table, grads)
         assert [r for r, _ in calls] == [[3], [8]]
         np.testing.assert_array_equal(calls[1][1], [[2.0, 2.0]])
@@ -238,12 +253,14 @@ class TestScatterBitIdentity:
             rng.standard_normal((n, len(cards) * 4)) * 10.0 ** rng.uniform(-8, 8, (n, 1))
             for _ in range(2)
         ]
-        packed = SparseGrad.concat([SparseGrad.from_dense_rows(idx, d) for d in d_embeds])
+        plan = plan_rows(table.offsets, np.arange(len(cards)), idx)
+        packed = SparseGrad.concat([SparseGrad.from_dense_rows(idx, d, plan) for d in d_embeds])
+        fields, rows = np.repeat(np.arange(len(cards)), n), idx.T.reshape(-1)
+        field_major_plan = plan_rows(table.offsets, fields, rows)
 
         def field_major(d_embed):
             vecs = d_embed.reshape(n, len(cards), 4).transpose(1, 0, 2).reshape(-1, 4)
-            fields = np.repeat(np.arange(len(cards)), n)
-            return SparseGrad(fields, idx.T.reshape(-1), np.ascontiguousarray(vecs))
+            return SparseGrad(fields, rows, np.ascontiguousarray(vecs), field_major_plan)
 
         reference = SparseGrad.concat([field_major(d) for d in d_embeds])
         got = _recorded_updates(table, packed)
@@ -251,6 +268,92 @@ class TestScatterBitIdentity:
         assert [r for r, _ in got] == [r for r, _ in expected]
         for (_, g), (_, e) in zip(got, expected):
             assert g.tobytes() == e.tobytes()
+
+
+def _bank_grads(bank: EmbeddingBank, idx: np.ndarray, rng) -> list[SparseGrad]:
+    """One lookup gradient per expert (4) and one for the gate, packed per
+    table on one plan as the trainer packs them, the gating table last;
+    magnitudes 1e-8..1e8 so that any change of summation order shows."""
+    plan = plan_rows(bank.gating_table.offsets, np.arange(idx.shape[1]), idx)
+
+    def part(table):
+        d_embed = rng.standard_normal((idx.shape[0], idx.shape[1] * table.dim))
+        return SparseGrad.from_dense_rows(idx, d_embed * 10.0 ** rng.uniform(-8, 8, (idx.shape[0], 1)), plan)
+
+    parts: list[list[SparseGrad]] = [[] for _ in bank.tables]
+    for m in range(4):
+        t = bank.table_for_expert(m)
+        parts[t].append(part(bank.tables[t]))
+    return [*map(SparseGrad.concat, parts), part(bank.gating_table)]
+
+
+class TestRowPlan:
+    SCHEMA = DatasetSchema(
+        fields=tuple(FeatureField(f"f{j}", c) for j, c in enumerate([1, 3, 50, 7, 3])),
+        label_column="y",
+    )
+
+    @pytest.mark.parametrize("mode", ["se", "me"])
+    def test_planned_scatter_matches_add_at_exactly(self, mode):
+        # zipf rows repeat across samples; fields of equal cardinality repeat
+        # the same row number across fields
+        rng = np.random.default_rng(17)
+        bank = init_bank(self.SCHEMA, mode, 4, 3, 2, seed=4)
+        cards = np.diff(bank.gating_table.offsets)
+        idx = (rng.zipf(1.5, (300, cards.size)) - 1) % cards
+        assert (idx[:, 1] == idx[:, 4]).any()
+        grads = _bank_grads(bank, idx, rng)
+        assert len(grads) == len(bank.tables) + 1
+        for table, g in zip([*bank.tables, bank.gating_table], grads):
+            got = _recorded_updates(table, g)
+            expected = _add_at_reference(table, g)
+            assert [r for r, _ in got] == [r for r, _ in expected]
+            for (_, a), (_, e) in zip(got, expected):
+                assert a.tobytes() == e.tobytes()
+
+    def test_concat_of_two_plans_raises(self):
+        table = _table([np.zeros((4, 2)), np.zeros((3, 2))])
+        idx = np.array([[0, 1], [3, 1]])
+        parts = [
+            SparseGrad.from_dense_rows(idx, np.ones((2, 4)), plan_rows(table.offsets, np.arange(2), idx))
+            for _ in range(2)
+        ]
+        with pytest.raises(ValueError, match="one row plan"):
+            SparseGrad.concat(parts)
+
+    def test_plan_for_other_offsets_names_the_table(self):
+        table = _table([np.zeros((4, 2)), np.zeros((3, 2))])
+        other = _table([np.zeros((4, 2)), np.zeros((5, 2))])
+        grads = _grads(other, [0, 1], [3, 4], np.ones((2, 2)))
+        message = r"the table at offsets \[0, 4, 7\] got grads planned on \[0, 4, 9\]"
+        with pytest.raises(ValueError, match=message):
+            apply_sparse_to_table(table, grads, _sgd_rule(table))
+
+    def test_bank_tables_share_the_gating_offsets(self):
+        table = _table([np.zeros((4, 2)), np.zeros((3, 2))])
+        other = _table([np.zeros((4, 2)), np.zeros((5, 2))])
+        with pytest.raises(ValueError, match="gating table's field offsets"):
+            EmbeddingBank(mode="se", tables=[other], gating_table=table)
+
+    @pytest.mark.parametrize("mode", ["se", "me"])
+    def test_one_plan_per_training_step(self, monkeypatch, mode):
+        model = build_model(
+            SCHEMA, mode, [ExpertConfig(kind="fm", out_dim=3)] * 4,
+            LossConfig(form="corr", alpha=0.5, location="output"),
+            embed_dim=2, gate_hidden=(4,), tower_hidden=(4,), seed=1,
+        )
+        plans, scattered = [], []
+        monkeypatch.setattr(trainer, "plan_rows", lambda *args: plans.append(plan_rows(*args)) or plans[-1])
+        scatter = trainer.apply_sparse_to_table
+        monkeypatch.setattr(
+            trainer, "apply_sparse_to_table", lambda t, g, u: scattered.append(g.plan) or scatter(t, g, u)
+        )
+        idx = np.random.default_rng(2).integers(0, (4, 3), size=(8, 2))
+        trainer.train_step(model, idx, np.array([0.0, 1.0] * 4), Adam(lr=0.1))
+        assert len(plans) == 1
+        # every table, the gating table last, scatters through the one sort
+        assert len(scattered) == len(model.bank.tables) + 1 == (2 if mode == "se" else 5)
+        assert all(p.keys is plans[0].keys for p in scattered)
 
 
 class TestLookupAdjoint:
@@ -262,11 +365,11 @@ class TestLookupAdjoint:
         table = bank.tables[0]
         idx = rng.integers(0, (4, 3), size=(5, 2))
         upstream = rng.normal(size=(5, 4))
-        sparse = SparseGrad.from_dense_rows(idx, upstream)
+        sparse = SparseGrad.from_dense_rows(idx, upstream, plan_rows(table.offsets, np.arange(2), idx))
         rep = central_diff_gradcheck(
             lambda: float((lookup(bank, 0, idx) * upstream).sum()),
             table.params,
-            dict(zip(table.params, sparse.to_dense(table))),
+            dict(zip(table.params, _to_dense(sparse, table))),
             h=1e-6,
             tol=1e-9,
         )
@@ -276,7 +379,7 @@ class TestLookupAdjoint:
         # entry (sample i, field j) must carry d_embed[i, j*d:(j+1)*d]
         idx = np.array([[3, 1], [0, 2]])
         d_embed = np.arange(8, dtype=float).reshape(2, 4)
-        sg = SparseGrad.from_dense_rows(idx, d_embed)
+        sg = SparseGrad.from_dense_rows(idx, d_embed, plan_rows(np.array([0, 4, 7]), np.arange(2), idx))
         triples = {
             (int(f), int(r)): v.tolist()
             for f, r, v in zip(sg.fields, sg.rows, sg.vecs)
@@ -289,6 +392,6 @@ class TestLookupAdjoint:
     def test_from_dense_rows_vecs_view_d_embed(self):
         idx = np.array([[3, 1], [0, 2]])
         d_embed = np.arange(8, dtype=float).reshape(2, 4)
-        sg = SparseGrad.from_dense_rows(idx, d_embed)
+        sg = SparseGrad.from_dense_rows(idx, d_embed, plan_rows(np.array([0, 4, 7]), np.arange(2), idx))
         assert sg.vecs.shape == (4, 2)
         assert np.shares_memory(sg.vecs, d_embed)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from moectr import model as model_module
 from moectr import trainer
 
 from moectr.data import DatasetSchema, EncodedDataset, FeatureField, gen_synthetic, split_dataset
-from moectr.embedding import EmbeddingTable, SparseGrad, lookup, lookup_gating
+from moectr.embedding import EmbeddingTable, SparseGrad, lookup, lookup_gating, plan_rows
 from moectr.experts import EXPERT_KINDS, ExpertConfig
 from moectr.gradsuite import kink_margin, run_case, suite_cases
 from moectr.losses import LossConfig, bce
@@ -33,6 +34,7 @@ from moectr.parallel import openblas
 from moectr.trainer import (
     KinkCrossed,
     TrainConfig,
+    TrainReport,
     batch_objective,
     evaluate,
     train_loop,
@@ -354,7 +356,7 @@ class TestTrainLoop:
         for _ in range(2):
             model = micro_model(LossConfig(form="corr", alpha=0.3), seed=3)
             reports.append(train_loop(model, tr, va, cfg))
-        assert reports[0].numeric_identity() == reports[1].numeric_identity()
+        assert numeric_identity(reports[0]) == numeric_identity(reports[1])
 
     def test_patience_zero_stops_after_first_non_improving(self):
         ds = _tiny_dataset(80, seed=4)
@@ -704,6 +706,12 @@ def _model_file_header_fields(data: bytes) -> list[tuple[str, int, str]]:
     return fields
 
 
+def numeric_identity(report: TrainReport) -> tuple:
+    """Everything a fixed seed reproduces in a training report: each epoch
+    record with its wall-clock seconds zeroed, and the best epoch and AUC."""
+    return [replace(r, seconds=0.0) for r in report.epochs], report.best_epoch, report.best_valid_auc
+
+
 def _header_field_error(label: str, value: int) -> str:
     """The message (a regex) load_model gives a file whose ``label`` field
     reads ``value``."""
@@ -711,6 +719,9 @@ def _header_field_error(label: str, value: int) -> str:
         return f"unsupported model file version: {value}"
     if label == "block count":
         return "parameter block count does not match config"
+    if shape := re.fullmatch(r"(.+) (ndim|dim \d+)", label):
+        name = re.escape(repr(shape[1]))
+        return rf"parameter block {name} has shape \(.*\); the config needs \(.*\)"
     return "(unexpected or repeated parameter block .*|truncated model file)"
 
 
@@ -882,11 +893,14 @@ class TestModelFileIsPinned:
 
 def _first_entry_only(scatter):
     """A broken scatter that keeps only the first entry of every repeated
-    (field, row), dropping the duplicates it should sum."""
+    (field, row), dropping the duplicates it should sum; the kept entries
+    get their own row plan from the trainer's plan function."""
     def broken(table, grads, update):
         key = grads.fields * (grads.rows.max() + 1) + grads.rows
         keep = np.sort(np.unique(key, return_index=True)[1])
-        scatter(table, SparseGrad(grads.fields[keep], grads.rows[keep], grads.vecs[keep]), update)
+        fields, rows = grads.fields[keep], grads.rows[keep]
+        plan = plan_rows(table.offsets, fields, rows)
+        scatter(table, SparseGrad(fields, rows, grads.vecs[keep], plan), update)
 
     return broken
 
