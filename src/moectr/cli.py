@@ -52,9 +52,11 @@ def _cmd_train(args) -> int:
 
 
 def _evaluate(args):
-    """evaluate() of the --model file on the --data CSV."""
+    """evaluate() of the --model file on the --data CSV, which must hold both classes."""
     model = load_model(args.model)
-    return evaluate(model, (load_synthetic_csv if args.encoded else load_table)(args.data, model.schema))
+    ds = (load_synthetic_csv if args.encoded else load_table)(args.data, model.schema)
+    check_both_classes(ds, f"{args.data}: evaluation")
+    return evaluate(model, ds)
 
 
 def _metrics_record(metrics, corr) -> dict:

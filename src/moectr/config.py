@@ -1,55 +1,24 @@
 """Key-value run configuration for the command-line tools.
 
-Format: one ``key = value`` per line, ``#`` starts a comment, blank lines
-ignored. Lists are comma-separated; layer widths inside one expert spec are
-dash-separated. Run, synthetic-data and gradcheck configs reject unknown
-keys. See configs/default.cfg for a fully commented example.
+Format: ``data.parse_kv_text``'s ``key = value`` lines. Lists are
+comma-separated; layer widths inside one expert spec are dash-separated.
+Run, synthetic-data and gradcheck configs reject unknown keys. See
+configs/default.cfg for a fully commented example.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Collection
 
 from .data import DatasetSchema, EncodedDataset, FeatureField, check_field_count, check_split, check_synthetic
-from .data import load_synthetic_csv, load_table, split_dataset
+from .data import load_synthetic_csv, load_table, naming_key, parse_kv_file, parse_kv_text, split_dataset
 from .embedding import BANK_MODES
 from .experts import ExpertConfig
 from .losses import LossConfig
 from .model import ModelBundle, build_model
 from .numerics import GRADCHECK_H, GRADCHECK_TOL, one_of
 from .trainer import TrainConfig
-
-
-def parse_kv_text(text: str, known: Collection[str] | None = None, source: str = "config") -> dict[str, str]:
-    """Parse ``key = value`` lines; a repeated key is an error naming both
-    lines, and with ``known`` given, so is any other key. Errors read
-    ``<source> line N: ...``."""
-    kv: dict[str, str] = {}
-    seen: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{source} line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if known is not None and key not in known:
-            raise ValueError(f"{source} line {lineno}: unknown key {key!r}")
-        if key in seen:
-            raise ValueError(f"{source} line {lineno}: key {key!r} repeats line {seen[key]}")
-        seen[key] = lineno
-        kv[key] = value.strip()
-    return kv
-
-
-def parse_kv_file(path, known: Collection[str] | None = None) -> dict[str, str]:
-    """parse_kv_text over a file; errors name the path."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_kv_text(fh.read(), known, source=str(path))
 
 
 def _ints(value: str) -> tuple[int, ...]:
@@ -172,15 +141,6 @@ GRADCHECK_KEYS = {
 }
 
 
-@contextmanager
-def _naming_key(source: str, key: str):
-    """Re-raise a rejected value as ``<source>: key '<key>': <reason>``."""
-    try:
-        yield
-    except ValueError as err:
-        raise ValueError(f"{source}: key {key!r}: {err}") from err
-
-
 def _apply_keys(obj, table: dict, kv: dict[str, str], source: str):
     """Set each key's target through its table row: an attribute of obj,
     or for ``part.name`` a dataclasses.replace copy of ``obj.part``, whose
@@ -188,7 +148,7 @@ def _apply_keys(obj, table: dict, kv: dict[str, str], source: str):
     for key, value in kv.items():
         target, parse = table[key]
         part, _, name = target.rpartition(".")
-        with _naming_key(source, key):
+        with naming_key(source, key):
             parsed = parse(value)
             if part:
                 setattr(obj, part, replace(getattr(obj, part), **{name: parsed}))
@@ -237,10 +197,10 @@ class RunConfig:
         and so does a test file without a valid file."""
         cfg = _apply_keys(cls(), RUN_KEYS, kv, source)
         if cfg.fields:
-            with _naming_key(source, "fields"):
+            with naming_key(source, "fields"):
                 cfg.schema()
         if cfg.test_path is not None and cfg.valid_path is None:
-            with _naming_key(source, "test"):
+            with naming_key(source, "test"):
                 raise ValueError("needs a 'valid' entry; without one the 'train' file is split")
         return cfg
 
@@ -296,7 +256,7 @@ class SynthSpec:
         spec = _apply_keys(cls(), SYNTH_KEYS, parse_kv_file(path, SYNTH_KEYS), str(path))
         if len(spec.cardinalities) == 1:
             spec.cardinalities = spec.cardinalities * spec.num_fields
-        with _naming_key(str(path), "cardinality"):
+        with naming_key(str(path), "cardinality"):
             check_field_count(spec.cardinalities, spec.num_fields)
         return spec
 

@@ -1,5 +1,6 @@
-"""Dataset schema, CSV ingestion with feature hashing, and a synthetic
-click-log generator for desk-scale experiments.
+"""Dataset schema, CSV ingestion with feature hashing, a synthetic
+click-log generator for desk-scale experiments, and the key-value text
+parser that its parameter sidecar and every config file share.
 
 File format: UTF-8 CSV, first line header, one label column holding literal
 "0"/"1", every other referenced column treated as a categorical token and
@@ -12,7 +13,9 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Collection
 
 import numpy as np
 
@@ -49,8 +52,7 @@ class FeatureField:
     cardinality: int
 
     def __post_init__(self):
-        if self.cardinality < 1:
-            raise ValueError(f"field {self.name!r}: cardinality must be >= 1")
+        at_least(f"field {self.name!r}: cardinality", self.cardinality, 1)
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ class Batch:
         return self.rows.shape[0]
 
 
-CSV_CHUNK_ROWS = 4096  # rows held as text at once while reading
+CSV_CHUNK_ROWS = 4096  # rows held as text at once while reading or writing
 
 
 def _read_csv(path, schema: DatasetSchema, encode) -> EncodedDataset:
@@ -196,8 +198,7 @@ def fnv1a_buckets(tokens: list[bytes], cardinality: int) -> np.ndarray:
     The tokens are sorted longest first and padded to the longest, so byte
     position p updates only the leading tokens that are longer than p.
     """
-    if cardinality < 1:
-        raise ValueError("cardinality must be >= 1")
+    at_least("cardinality", cardinality, 1)
     lengths = np.fromiter(map(len, tokens), np.int64, len(tokens))
     order = np.argsort(-lengths, kind="stable")
     padded = np.array([tokens[i] for i in order], dtype=bytes)
@@ -248,10 +249,9 @@ def save_table(ds: EncodedDataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(ds.schema.field_names + [ds.schema.label_column])
-        for i in range(len(ds)):
-            writer.writerow(
-                [str(v) for v in ds.indices[i]] + [str(int(ds.labels[i]))]
-            )
+        for i in range(0, len(ds), CSV_CHUNK_ROWS):
+            block = slice(i, i + CSV_CHUNK_ROWS)
+            writer.writerows(np.column_stack([ds.indices[block], ds.labels[block].astype(np.int64)]).tolist())
 
 
 def load_synthetic_csv(path, schema: DatasetSchema) -> EncodedDataset:
@@ -306,6 +306,44 @@ def make_batches(
     if shuffle_seed is not None:
         order = np.random.default_rng(shuffle_seed).permutation(n)
     return [Batch(order[i : i + batch_size]) for i in range(0, n, batch_size)]
+
+
+def parse_kv_text(text: str, known: Collection[str] | None = None, source: str = "config") -> dict[str, str]:
+    """Parse ``key = value`` lines; ``#`` starts a comment and blank lines
+    are skipped. A repeated key is an error naming both lines, and with
+    ``known`` given, so is any other key. Errors read ``<source> line N: ...``."""
+    kv: dict[str, str] = {}
+    seen: dict[str, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{source} line {lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if known is not None and key not in known:
+            raise ValueError(f"{source} line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"{source} line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
+        kv[key] = value.strip()
+    return kv
+
+
+def parse_kv_file(path, known: Collection[str] | None = None) -> dict[str, str]:
+    """parse_kv_text over a file; errors name the path."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_kv_text(fh.read(), known, source=str(path))
+
+
+@contextmanager
+def naming_key(source: str, key: str):
+    """Re-raise a rejected value as ``<source>: key '<key>': <reason>``."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{source}: key {key!r}: {err}") from err
 
 
 @dataclass
@@ -432,22 +470,29 @@ def save_synthetic_params(params: SyntheticParams, path) -> None:
 
 
 def load_synthetic_params(path) -> SyntheticParams:
-    """Inverse of save_synthetic_params; a missing key is a ValueError
-    naming it."""
-    from .config import parse_kv_file  # config imports this module
-
+    """Inverse of save_synthetic_params. A missing key, a value that is not
+    a number, a count below 1, and a u.<f> or v.<f> that does not hold
+    cardinality.<f> rows of its width are ValueErrors naming the file and
+    the key."""
     kv = parse_kv_file(path)
 
-    def value(key: str) -> str:
+    def count(tok: str) -> int:
+        return at_least("count", int(tok), 1)
+
+    def numbers(key: str, parse=float, size: int = 1) -> list:
+        """The comma-separated values of ``key``, raising unless there are ``size``."""
         if key not in kv:
             raise ValueError(f"{path}: missing key {key!r}")
-        return kv[key]
+        with naming_key(str(path), key):
+            values = [parse(tok) for tok in kv[key].split(",")]
+            if len(values) != size:
+                raise ValueError(f"expected {size} numbers, got {len(values)}")
+        return values
 
-    latent_dim = int(value("latent_dim"))
-    params = SyntheticParams(seed=int(value("seed")), c0=float(value("c0")))
-    for j in range(int(value("fields"))):
-        card = int(value(f"cardinality.{j}"))
-        u = np.array([float(x) for x in value(f"u.{j}").split(",")])
-        params.u.append(u.reshape(card, latent_dim))
-        params.v.append(np.array([float(x) for x in value(f"v.{j}").split(",")]))
+    latent_dim = numbers("latent_dim", count)[0]
+    params = SyntheticParams(seed=numbers("seed", int)[0], c0=numbers("c0")[0])
+    for j in range(numbers("fields", count)[0]):
+        card = numbers(f"cardinality.{j}", count)[0]
+        params.u.append(np.array(numbers(f"u.{j}", float, card * latent_dim)).reshape(card, latent_dim))
+        params.v.append(np.array(numbers(f"v.{j}", float, card)))
     return params

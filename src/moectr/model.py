@@ -19,7 +19,7 @@ from .experts import Expert, ExpertConfig, make_expert
 from .gating import aggregate_experts, build_gate, gate_weights
 from .losses import LossConfig
 from .nnet import Mlp, Module
-from .numerics import sigmoid
+from .numerics import first_non_finite, sigmoid
 from .parallel import map_experts
 
 MODEL_MAGIC = b"MOECTRBN"
@@ -249,9 +249,8 @@ def _model_from_echo(echo: dict) -> ModelBundle:
 
 def _check_finite(path, items) -> None:
     """Raise naming the first parameter block that holds NaN or inf."""
-    for name, arr in items:
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{path}: parameter block {name!r} holds NaN or inf")
+    if (name := first_non_finite(items)) is not None:
+        raise ValueError(f"{path}: parameter block {name!r} holds NaN or inf")
 
 
 def save_model(model: ModelBundle, path) -> None:

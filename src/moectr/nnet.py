@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import at_least
+
 
 def prefixed(prefix: str, named: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """{"w": a} -> {"prefix.w": a}, keeping the order."""
@@ -75,24 +77,14 @@ class Mlp(Module):
         rng: np.random.Generator,
     ) -> "Mlp":
         """Hidden layers are rectified; a final out_dim layer (if any) is linear."""
-        widths_in = [in_dim, *hidden]
-        for width in (in_dim, *hidden, out_dim):
-            if width is not None and width < 1:
-                raise ValueError(f"Mlp layer widths must be >= 1, got width {width}")
-        weights, biases, acts = [], [], []
-        for i, w in enumerate(hidden):
-            wm, bm = init_affine(widths_in[i], w, rng)
-            weights.append(wm)
-            biases.append(bm)
-            acts.append(True)
-        if out_dim is not None:
-            wm, bm = init_affine(widths_in[-1], out_dim, rng)
-            weights.append(wm)
-            biases.append(bm)
-            acts.append(False)
-        if not weights:
+        outs = [*hidden] if out_dim is None else [*hidden, out_dim]
+        for width in (in_dim, *outs):
+            at_least("Mlp layer width", width, 1)
+        if not outs:
             raise ValueError("Mlp needs at least one layer")
-        return cls(weights, biases, acts)
+        layers = [init_affine(n_in, n_out, rng) for n_in, n_out in zip([in_dim, *outs], outs)]
+        acts = [True] * len(hidden) + [False] * (len(outs) - len(hidden))
+        return cls([w for w, _ in layers], [b for _, b in layers], acts)
 
     @property
     def params(self) -> dict[str, np.ndarray]:

@@ -3,13 +3,14 @@
 Matrices are plain 2-D ``numpy.ndarray`` objects in double precision. The
 gradient checker here is the verification oracle for every hand-written
 backward pass in the package. ``one_of`` and ``at_least`` are its checks
-of a value against a vocabulary and against a named lower bound.
+of a value against a vocabulary and against a named lower bound, and
+``first_non_finite`` its one walk of named arrays for NaN and inf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +29,15 @@ def at_least(name: str, value, least):
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
     return value
+
+
+def first_non_finite(items: Iterable[tuple[str, np.ndarray]]) -> str | None:
+    """The name of the first ``(name, array)`` pair whose array holds NaN
+    or inf, or None when every one is finite."""
+    for name, arr in items:
+        if not np.isfinite(arr).all():
+            return name
+    return None
 
 
 def as_matrix(x) -> np.ndarray:

@@ -18,7 +18,7 @@ from .losses import bce, decorrelation_total, total_objective
 from .metrics import CorrelationReport, EvalMetrics, auc, cec_report
 from .model import FullCache, ModelBundle, dense_modules, forward_chunks, forward_full, loss_targets, named_params, table_modules
 from .nnet import prefixed
-from .numerics import GradCheckReport, at_least, central_diff_gradcheck, cross_gram, gram_blocks
+from .numerics import GradCheckReport, at_least, central_diff_gradcheck, cross_gram, first_non_finite, gram_blocks
 from .optim import Adam
 from .parallel import map_experts
 
@@ -127,18 +127,6 @@ def _sparse_groups(model: ModelBundle, grads: BatchGrads) -> list[tuple[str, Emb
     return [(*module, g) for module, g in zip(table_modules(model), grads.sparse, strict=True)]
 
 
-def _check_finite(model: ModelBundle, grads: BatchGrads) -> None:
-    """The step's one finiteness pass: raise naming the first gradient
-    group that holds a NaN or inf."""
-    groups = [
-        *grads.dense.items(),
-        *((prefix, sparse.vecs) for prefix, _, sparse in _sparse_groups(model, grads)),
-    ]
-    for name, g in groups:
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient in {name}")
-
-
 def train_step(
     model: ModelBundle,
     indices: np.ndarray,
@@ -154,11 +142,14 @@ def train_step(
     if params is None:
         params = dict(named_params(model))
     losses, grads, _ = batch_objective(model, indices, labels)
-    _check_finite(model, grads)
+    sparse_groups = _sparse_groups(model, grads)
+    groups = [*grads.dense.items(), *((prefix, sparse.vecs) for prefix, _, sparse in sparse_groups)]
+    if (bad := first_non_finite(groups)) is not None:
+        raise ValueError(f"non-finite gradient in {bad}")
     adam.begin_step()
     for name, g in grads.dense.items():
         adam.update(name, params[name], g)
-    for prefix, table, sparse in _sparse_groups(model, grads):
+    for prefix, table, sparse in sparse_groups:
         apply_sparse_to_table(table, sparse, partial(adam.update_rows, prefix, table.weight))
     return losses
 
@@ -334,13 +325,13 @@ def gradcheck_model(
     that writes the summed rows into a zero array shaped like the table, so
     the check also checks the scatter.
     """
-    _, batch_grads, _ = batch_objective(model, indices, labels)
+    _, batch_grads, fc = batch_objective(model, indices, labels)
+    base = [np.sign(z) for z in kink_sites(model, fc)]
     grads = dict(batch_grads.dense)
     for prefix, table, sparse in _sparse_groups(model, batch_grads):
         dense = np.zeros_like(table.weight)
         apply_sparse_to_table(table, sparse, dense.__setitem__)
         grads.update(prefixed(prefix, EmbeddingTable(dense, table.offsets).params))
-    base = [np.sign(z) for z in kink_sites(model, forward_full(model, indices))]
 
     def objective() -> float:
         losses, fc, _, _ = forward_objective(model, indices, labels)

@@ -17,9 +17,8 @@ from moectr.config import (
     RunConfig,
     SynthSpec,
     parse_expert_spec,
-    parse_kv_text,
 )
-from moectr.data import gen_synthetic, load_synthetic_params, save_synthetic_params, save_table
+from moectr.data import EncodedDataset, gen_synthetic, load_synthetic_params, parse_kv_text, save_synthetic_params, save_table
 from moectr.gradsuite import suite_cases
 from moectr.losses import LossConfig
 from moectr.model import save_model
@@ -107,6 +106,10 @@ class TestRunConfig:
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ValueError, match=r"line 2: unknown key 'learning_rate'"):
             RunConfig.from_text("fields = a:10\nlearning_rate = 0.01\n")
+
+    def test_datasets_need_a_train_entry(self):
+        with pytest.raises(ValueError, match="^config needs a 'train' entry$"):
+            RunConfig.from_text("fields = a:10, b:10\n").load_datasets()
 
     def test_bad_value_names_key_and_source(self, tmp_path):
         with pytest.raises(ValueError, match="^config: key 'lr': could not convert string to float: 'fast'"):
@@ -345,6 +348,24 @@ class TestCli:
         assert not any(line.startswith("epoch") for line in capsys.readouterr().out.splitlines())
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "cec-report"])
+    @pytest.mark.parametrize("rows", ["one-class", "header-only"])
+    def test_eval_commands_need_both_classes_naming_the_file(self, tmp_path, synth_csv, command, rows):
+        csv_path, ds = synth_csv
+        model_path = tmp_path / "model.bin"
+        save_model(RunConfig.from_text(_train_config_text(csv_path)).build(), model_path)
+        data = tmp_path / "eval.csv"
+        if rows == "one-class":
+            save_table(EncodedDataset(ds.schema, ds.indices[:50], np.ones(50)), data)
+        else:
+            data.write_text("f0,f1,f2,label\n")
+        out = tmp_path / "out"
+        flag = "--report" if command == "eval" else "--csv"
+        message = f"{data}: evaluation set needs both classes (0 and 1) for AUC"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            main([command, "--model", str(model_path), "--data", str(data), "--encoded", flag, str(out)])
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key,value,message",
         [
@@ -427,6 +448,14 @@ class TestCli:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: key '{key}': {re.escape(message)}"):
             main(["gradcheck", "--config", str(path)])
         assert capsys.readouterr().out == ""
+
+    def test_gradcheck_config_values_reach_the_suite(self, tmp_path, monkeypatch):
+        path = tmp_path / "gc.cfg"
+        path.write_text("gradcheck_h = 1e-6\ngradcheck_tol = 1e-3\n")
+        calls = []
+        monkeypatch.setattr(cli, "run_suite", lambda **kwargs: calls.append(kwargs) or [])
+        assert main(["gradcheck", "--config", str(path)]) == 0
+        assert calls == [{"h": 1e-6, "tol": 1e-3}]
 
     def test_gradcheck_command(self, capsys):
         assert main(["gradcheck"]) == 0

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -70,7 +72,7 @@ class TestFnv1aBuckets:
         assert fnv1a_buckets([], 5).tolist() == []
 
     def test_bad_cardinality(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cardinality must be >= 1, got 0$"):
             fnv1a_buckets([b"x"], 0)
 
 
@@ -296,15 +298,26 @@ class TestGenSynthetic:
             (lambda text: text + "seed = 99\n", "key 'seed' repeats line 2"),
             (lambda text: text + "latent_dim 2\n", "expected 'key = value'"),
             (lambda text: text.replace("\nv.2 = ", "\n# v.2 = "), "missing key 'v.2'"),
+            (lambda text: text.replace("\nseed = 21", "\nseed = x"), "key 'seed': invalid literal for int() with base 10: 'x'"),
+            (lambda text: re.sub(r"^(u\.0 = )[^,]*", r"\1abc", text, flags=re.M), "key 'u.0': could not convert string to float: 'abc'"),
+            (lambda text: re.sub(r"^(u\.0 = .*),.*$", r"\1", text, flags=re.M), "key 'u.0': expected 10 numbers, got 9"),
+            (lambda text: re.sub(r"^(v\.0 = .*),.*$", r"\1", text, flags=re.M), "key 'v.0': expected 5 numbers, got 4"),
+            (lambda text: text.replace("\nlatent_dim = 2", "\nlatent_dim = 3"), "key 'u.0': expected 15 numbers, got 10"),
+            (lambda text: text.replace("\ncardinality.0 = 5", "\ncardinality.0 = -5").replace("\nlatent_dim = 2", "\nlatent_dim = -2"),
+             "key 'latent_dim': count must be >= 1, got -2"),
+            (lambda text: text.replace("\ncardinality.1 = 6", "\ncardinality.1 = 0"), "key 'cardinality.1': count must be >= 1, got 0"),
         ],
-        ids=["repeated-key", "no-equals", "missing-key"],
+        ids=[
+            "repeated-key", "no-equals", "missing-key", "seed-not-a-number", "word-in-u", "short-u", "short-v",
+            "wrong-latent-dim", "negative-sizes", "zero-cardinality",
+        ],
     )
     def test_bad_params_file_rejected(self, tmp_path, edit, message):
         _, params = gen_synthetic(3, [5, 6, 7], 2, 10, seed=21)
         path = tmp_path / "gen.params"
         save_synthetic_params(params, path)
         path.write_text(edit(path.read_text()))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}.*{re.escape(message)}$"):
             load_synthetic_params(path)
 
     def test_csv_roundtrip(self, tmp_path):
@@ -353,6 +366,28 @@ class TestLoadSyntheticCsv:
             load_synthetic_csv(path, ds.schema)
 
 
+def _save_table_row_by_row(ds, path):
+    """save_table as one writerow per row, the reference its block writer matches."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ds.schema.field_names + [ds.schema.label_column])
+        for i in range(len(ds)):
+            writer.writerow([str(v) for v in ds.indices[i]] + [str(int(ds.labels[i]))])
+
+
+class TestSaveTable:
+    @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 50_000])
+    def test_bytes_match_the_row_loop(self, tmp_path, rows):
+        ds, _ = gen_synthetic(6, 100_000, 2, 50_000, seed=4)
+        ds = ds.take(np.arange(rows))
+        digests = []
+        for write in (save_table, _save_table_row_by_row):
+            path = tmp_path / f"{write.__name__}.csv"
+            write(ds, path)
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
+
+
 class TestEncodedDatasetValidation:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
@@ -362,6 +397,10 @@ class TestEncodedDatasetValidation:
         idx = np.array([[50, 0], [0, 0]])
         with pytest.raises(ValueError, match="cardinality"):
             EncodedDataset(SCHEMA, idx, np.zeros(2))
+
+    def test_zero_cardinality_field_rejected_naming_it(self):
+        with pytest.raises(ValueError, match="^field 'site': cardinality must be >= 1, got 0$"):
+            FeatureField("site", 0)
 
     def test_batch_size(self):
         assert Batch(np.arange(4)).size == 4

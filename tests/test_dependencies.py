@@ -1,6 +1,9 @@
 """numpy stays the only runtime dependency: every absolute import in the
 package names a standard-library module or numpy. And every name comes
-from its module: ``from moectr import X`` only imports a module X."""
+from its module: ``from moectr import X`` only imports a module X. The
+package's modules import each other without a cycle, and each check has
+one home: a message is raised at one site, and a lower bound is checked
+by ``numerics.at_least``."""
 
 import ast
 import sys
@@ -64,18 +67,55 @@ def test_guard_sees_a_name_imported_from_the_package_root():
     assert root_names_not_modules(tree) == ["train_loop"]
 
 
+def package_imports(tree: ast.AST) -> set[str]:
+    """The package modules a module imports, at any depth: ``from .x import``
+    and ``from . import x``, inside functions too."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else (alias.name for alias in node.names))
+    return names
+
+
+def modules_on_cycles(sources: dict[str, str]) -> list[str]:
+    """The modules of ``{module name: source}`` left after repeatedly
+    dropping those that import no remaining module: [] exactly when the
+    import graph has no cycle."""
+    graph = {name: package_imports(ast.parse(source)) & sources.keys() for name, source in sources.items()}
+    while leaves := [name for name, imported in graph.items() if not imported & graph.keys()]:
+        for name in leaves:
+            del graph[name]
+    return sorted(graph)
+
+
+def test_package_import_graph_has_no_cycle():
+    assert modules_on_cycles({path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}) == []
+
+
+def test_guard_sees_a_cycle_through_a_function_level_import():
+    sources = {
+        "config": "from .data import load\nfrom . import numerics\n",
+        "data": "import numpy\n\ndef load():\n    from .config import parse\n",
+        "numerics": "import math\n",
+    }
+    assert modules_on_cycles(sources) == ["config", "data"]
+    del sources["data"]
+    assert modules_on_cycles(sources) == []
+
+
 # the scalar FNV-1a reference: it keeps its own checks, since the vectorised
 # hash it is the oracle for must not share its code
 REFERENCE_FUNCTIONS = {("data.py", "hash_token")}
+LOWER_BOUND_HOME = {("numerics.py", "at_least")}
 
 
-def raise_texts(tree: ast.AST, filename: str) -> list[tuple[str, str]]:
+def raise_texts(tree: ast.AST, filename: str, exempt=REFERENCE_FUNCTIONS) -> list[tuple[str, str]]:
     """(message text, "file:line") of every ``raise E("...")`` outside the
-    reference functions; an f-string's fields read as ``{}``."""
+    ``exempt`` (file, function) pairs; an f-string's fields read as ``{}``."""
     skipped = {
         id(node)
         for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef) and (filename, fn.name) in REFERENCE_FUNCTIONS
+        if isinstance(fn, ast.FunctionDef) and (filename, fn.name) in exempt
         for node in ast.walk(fn)
     }
     sites = []
@@ -114,3 +154,29 @@ def test_guard_sees_a_message_raised_twice():
         "data.py": 'def hash_token(c):\n    raise ValueError("other")\n',
     }
     assert shared_raise_texts(sources) == {"unknown kind {}": ["a.py:2", "b.py:3"]}
+
+
+def lower_bound_raises(sources: dict[str, str]) -> list[str]:
+    """Sites outside at_least and the reference functions that raise a
+    ``must be >= `` message of their own."""
+    exempt = REFERENCE_FUNCTIONS | LOWER_BOUND_HOME
+    return [
+        site
+        for filename, source in sources.items()
+        for text, site in raise_texts(ast.parse(source, filename=filename), filename, exempt)
+        if "must be >= " in text
+    ]
+
+
+def test_lower_bounds_are_checked_by_at_least():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert lower_bound_raises(sources) == []
+
+
+def test_guard_sees_a_lower_bound_check_of_its_own():
+    sources = {
+        "numerics.py": 'def at_least(name, value, least):\n    raise ValueError(f"{name} must be >= {least}")\n',
+        "data.py": 'def hash_token(c):\n    raise ValueError("cardinality must be >= 1")\n',
+        "nnet.py": 'def build(w):\n    if w < 1:\n        raise ValueError(f"widths must be >= 1, got {w}")\n',
+    }
+    assert lower_bound_raises(sources) == ["nnet.py:3"]

@@ -291,6 +291,17 @@ class TestAlignmentHead:
         )
 
 
+class TestMlpBuild:
+    @pytest.mark.parametrize("in_dim,hidden,out_dim", [(0, (3,), None), (4, (3, 0), 1), (4, (), 0)])
+    def test_zero_width_rejected_naming_it(self, in_dim, hidden, out_dim):
+        with pytest.raises(ValueError, match="^Mlp layer width must be >= 1, got 0$"):
+            Mlp.build(in_dim, hidden, out_dim, _rng(7))
+
+    def test_no_layer_rejected(self):
+        with pytest.raises(ValueError, match="^Mlp needs at least one layer$"):
+            Mlp.build(4, (), None, _rng(7))
+
+
 def _masked_on_z_backward(mlp, x, d_out):
     """Mlp.backward's reference: keeps every pre-activation z and masks the
     rectified layers on z > 0."""

@@ -28,7 +28,7 @@ from moectr.model import (
     save_model,
     table_modules,
 )
-from moectr.numerics import GRADCHECK_H, GRADCHECK_TOL, row_softmax, sigmoid
+from moectr.numerics import GRADCHECK_H, GRADCHECK_TOL, GradCheckReport, row_softmax, sigmoid
 from moectr.optim import Adam
 from moectr.parallel import openblas
 from moectr.trainer import (
@@ -1095,3 +1095,37 @@ class TestKinkGuard:
         assert len(calls) == 1
         model, idx = calls[0]
         assert kink_margin(model, forward_full(model, idx)) == 0.0
+
+
+class TestOneForwardPerCheck:
+    """gradcheck_model takes the base point's kink signs from the cache
+    batch_objective returns, so it runs one forward for the base point and
+    one per finite-difference evaluation."""
+
+    def test_forward_count(self, monkeypatch):
+        model = micro_model(LossConfig(form="corr", alpha=0.5))
+        idx, y = micro_batch(6, seed=3)
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return forward_full(*args)
+
+        monkeypatch.setattr(trainer, "forward_full", counted)
+        assert trainer.gradcheck_model(model, idx, y, h=GRADCHECK_H, tol=GRADCHECK_TOL).passed
+        assert len(calls) == 1 + 2 * param_count(model)
+
+    def test_cached_kink_signs_equal_a_fresh_forward(self, monkeypatch):
+        compared = []
+
+        def compare(model, indices, labels, h, tol):
+            cached = trainer.kink_sites(model, batch_objective(model, indices, labels)[2])
+            fresh = trainer.kink_sites(model, forward_full(model, indices))
+            assert [np.sign(z).tobytes() for z in cached] == [np.sign(z).tobytes() for z in fresh]
+            compared.append(len(cached))
+            return GradCheckReport(0.0, None, True)
+
+        monkeypatch.setattr(gradsuite, "gradcheck_model", compare)
+        for case in suite_cases():
+            run_case(case)
+        assert len(compared) == len(suite_cases()) and min(compared) > 0
