@@ -9,6 +9,7 @@ configs/default.cfg for a fully commented example.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 from .data import DatasetSchema, EncodedDataset, FeatureField, check_field_count, check_split, check_synthetic
@@ -17,7 +18,7 @@ from .embedding import BANK_MODES
 from .experts import ExpertConfig
 from .losses import LossConfig
 from .model import ModelBundle, build_model
-from .numerics import GRADCHECK_H, GRADCHECK_TOL, one_of
+from .numerics import GRADCHECK_H, GRADCHECK_TOL, finite_positive, one_of
 from .trainer import TrainConfig
 
 
@@ -90,13 +91,6 @@ def _expert_specs(value: str) -> tuple[str, ...]:
     return specs
 
 
-def _positive(value: str) -> float:
-    number = float(value)
-    if not 0.0 < number < float("inf"):
-        raise ValueError(f"must be a finite number > 0, got {value!r}")
-    return number
-
-
 # config key -> (RunConfig attribute, or "train."/"loss." and a field of the
 # TrainConfig/LossConfig that checks it; parser of the value text)
 RUN_KEYS = {
@@ -136,8 +130,8 @@ SYNTH_KEYS = {
     "c0": ("c0", _finite),
 }
 GRADCHECK_KEYS = {
-    "gradcheck_h": ("h", _positive),
-    "gradcheck_tol": ("tol", _positive),
+    "gradcheck_h": ("h", finite_positive),
+    "gradcheck_tol": ("tol", finite_positive),
 }
 
 
@@ -229,10 +223,16 @@ class RunConfig:
         return (load_synthetic_csv if self.encoded else load_table)(path, self.schema())
 
     def load_datasets(self) -> tuple[EncodedDataset, EncodedDataset, EncodedDataset]:
-        """Explicit valid/test paths win; otherwise split the train file."""
+        """Explicit valid/test paths win; otherwise split the train file.
+        A valid or test path that names the train file (``os.path.samefile``,
+        so also through a link) fails: its rows would be training rows."""
         if self.train_path is None:
             raise ValueError("config needs a 'train' entry")
         train = self._load_csv(self.train_path)
+        for key, path in (("valid", self.valid_path), ("test", self.test_path)):
+            if path is not None and os.path.samefile(path, self.train_path):
+                with naming_key(path, key):
+                    raise ValueError("is the 'train' file")
         if self.valid_path is not None:
             valid = self._load_csv(self.valid_path)
             test = self._load_csv(self.test_path) if self.test_path else valid

@@ -2,9 +2,10 @@
 
 Matrices are plain 2-D ``numpy.ndarray`` objects in double precision. The
 gradient checker here is the verification oracle for every hand-written
-backward pass in the package. ``one_of`` and ``at_least`` are its checks
-of a value against a vocabulary and against a named lower bound, and
-``first_non_finite`` its one walk of named arrays for NaN and inf.
+backward pass in the package. ``one_of``, ``at_least`` and
+``finite_positive`` are its checks of a value against a vocabulary, a
+named lower bound and the finite numbers above 0, and ``first_non_finite``
+its one walk of named arrays for NaN and inf.
 """
 
 from __future__ import annotations
@@ -29,6 +30,15 @@ def at_least(name: str, value, least):
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
     return value
+
+
+def finite_positive(value) -> float:
+    """``value`` as a float, raising unless it is a finite number > 0; the
+    message shows ``value`` as given (a config's text, or a number)."""
+    number = float(value)
+    if not 0.0 < number < np.inf:
+        raise ValueError(f"must be a finite number > 0, got {value!r}")
+    return number
 
 
 def first_non_finite(items: Iterable[tuple[str, np.ndarray]]) -> str | None:

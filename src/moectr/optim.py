@@ -1,6 +1,8 @@
 """Adam with bias correction, shared step counter, and lazy row updates for
 embedding tables (rows that received no gradient are left bit-identical,
-moments included).
+moments included). A table's row-wise moments are held only for the rows
+that have had a gradient, so they cost memory in proportion to the rows a
+run touches, not to the table.
 """
 
 from __future__ import annotations
@@ -22,6 +24,58 @@ class AdamState:
         return cls(np.zeros_like(param), np.zeros_like(param))
 
 
+ROW_SLOTS_MIN = 1024  # a row-wise slot's first capacity, unless the table is smaller
+
+
+@dataclass
+class RowAdamState:
+    """Row-wise moments of one table, for the rows that have had a gradient.
+
+    ``slot_of[r]`` is table row r's slot, its row in ``m`` and ``v``, or -1
+    for a row that has had none. Slots are handed out in first-touch order;
+    the first ``used`` rows of ``m`` and ``v`` hold moments, the rest of their
+    capacity is zero. Capacity grows by doubling, never past the table's
+    row count.
+    """
+
+    slot_of: np.ndarray  # (table rows,) int32, or int64 past int32's range
+    m: np.ndarray  # (capacity, d)
+    v: np.ndarray
+    used: int = 0
+
+    @classmethod
+    def like(cls, param: np.ndarray) -> "RowAdamState":
+        rows = param.shape[0]
+        index = np.int32 if rows <= np.iinfo(np.int32).max else np.int64
+        empty = np.zeros((0, *param.shape[1:]))
+        return cls(np.full(rows, -1, dtype=index), empty, empty.copy())
+
+    def slots_for(self, rows: np.ndarray) -> np.ndarray:
+        """The slots of ``rows`` (distinct table rows); a row without one
+        gets the next free slot, whose moments are 0.0, as a dense array's
+        untouched row."""
+        slots = self.slot_of[rows]
+        new = slots < 0
+        fresh = int(np.count_nonzero(new))
+        if fresh:
+            self._reserve(self.used + fresh)
+            slots[new] = np.arange(self.used, self.used + fresh)
+            self.slot_of[rows[new]] = slots[new]
+            self.used += fresh
+        return slots
+
+    def _reserve(self, size: int) -> None:
+        capacity = self.m.shape[0]
+        if size <= capacity:
+            return
+        capacity = min(self.slot_of.size, max(size, 2 * capacity, ROW_SLOTS_MIN))
+        for name in ("m", "v"):
+            old = getattr(self, name)
+            grown = np.zeros((capacity, *old.shape[1:]))
+            grown[: self.used] = old[: self.used]
+            setattr(self, name, grown)
+
+
 @dataclass
 class Adam:
     lr: float = 1e-3
@@ -29,22 +83,24 @@ class Adam:
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    slots: dict[str, AdamState] = field(default_factory=dict)
+    slots: dict[str, AdamState | RowAdamState] = field(default_factory=dict)
 
     def begin_step(self) -> None:
         """Advance the shared step counter; call once per optimizer step."""
         self.t += 1
 
-    def _slot(self, key: str, param: np.ndarray) -> AdamState:
+    def _slot(self, key: str, param: np.ndarray, kind: type) -> AdamState | RowAdamState:
         state = self.slots.get(key)
         if state is None:
-            state = AdamState.like(param)
+            state = kind.like(param)
             self.slots[key] = state
+        elif not isinstance(state, kind):
+            raise ValueError(f"Adam slot {key!r} is updated both densely and by rows")
         return state
 
     def update(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
         """Dense in-place update: p -= lr * m_hat / (sqrt(v_hat) + eps)."""
-        state = self._slot(key, param)
+        state = self._slot(key, param, AdamState)
         scratch = self._accumulate(state.m, state.v, grad)
         m_hat = np.divide(state.m, 1.0 - self.beta1**self.t, out=scratch)
         v_hat = state.v / (1.0 - self.beta2**self.t)
@@ -58,14 +114,15 @@ class Adam:
         ``rows`` must be distinct rows of ``param`` and ``grad_rows`` finite
         (``train_step`` checks every gradient before any update); the
         gathered moment rows are updated in place, written back, then
-        reused for the step.
+        reused for the step. The moments live in a ``RowAdamState``.
         """
-        state = self._slot(key, param)
-        m = state.m[rows]
-        v = state.v[rows]
+        state = self._slot(key, param, RowAdamState)
+        slots = state.slots_for(rows)
+        m = state.m[slots]
+        v = state.v[slots]
         self._accumulate(m, v, grad_rows)
-        state.m[rows] = m
-        state.v[rows] = v
+        state.m[slots] = m
+        state.v[slots] = v
         m /= 1.0 - self.beta1**self.t
         v /= 1.0 - self.beta2**self.t
         param[rows] -= self._direction(m, v)

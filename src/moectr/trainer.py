@@ -8,6 +8,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .losses import bce, decorrelation_total, total_objective
 from .metrics import CorrelationReport, EvalMetrics, auc, cec_report
 from .model import FullCache, ModelBundle, dense_modules, forward_chunks, forward_full, loss_targets, named_params, table_modules
 from .nnet import prefixed
-from .numerics import GradCheckReport, at_least, central_diff_gradcheck, cross_gram, first_non_finite, gram_blocks
+from .numerics import GradCheckReport, at_least, central_diff_gradcheck, cross_gram, finite_positive, first_non_finite, gram_blocks
 from .optim import Adam
 from .parallel import map_experts
 
@@ -133,11 +134,14 @@ def train_step(
     labels: np.ndarray,
     adam: Adam,
     params: dict[str, np.ndarray] | None = None,
+    before_rows: Callable[[np.ndarray], None] | None = None,
 ) -> StepLosses:
     """One optimizer step on one batch; t advances once for all groups.
 
     Every gradient is checked before anything moves, so a step either
     applies in full or raises with parameters, moments and t untouched.
+    ``before_rows``, if given, is called with the table rows this step
+    writes in every embedding table, before anything moves.
     """
     if params is None:
         params = dict(named_params(model))
@@ -146,6 +150,8 @@ def train_step(
     groups = [*grads.dense.items(), *((prefix, sparse.vecs) for prefix, _, sparse in sparse_groups)]
     if (bad := first_non_finite(groups)) is not None:
         raise ValueError(f"non-finite gradient in {bad}")
+    if before_rows is not None:
+        before_rows(grads.sparse[-1].plan.keys)
     adam.begin_step()
     for name, g in grads.dense.items():
         adam.update(name, params[name], g)
@@ -163,8 +169,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate!r}")
+        finite_positive(self.learning_rate)
         for name, least in (("batch_size", 1), ("epochs", 1), ("patience", 0), ("seed", 0)):
             at_least(name, getattr(self, name), least)
 
@@ -190,9 +195,9 @@ class TrainReport:
 
 def evaluate(model: ModelBundle, ds: EncodedDataset) -> tuple[EvalMetrics, CorrelationReport]:
     """AUC and logloss over the full set, one forward_chunks chunk at a
-    time; cross-expert correlations over the first CEC_ROW_CAP rows' outputs."""
-    if len(ds) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
+    time; cross-expert correlations over the first CEC_ROW_CAP rows' outputs.
+    The set must hold both labels, as its AUC needs."""
+    check_both_classes(ds, "evaluation")
     scores = np.empty(len(ds))
     kept: list[list[np.ndarray]] = [[] for _ in range(model.num_experts)]
     for start, y_hat, outputs in forward_chunks(model, ds.indices):
@@ -214,6 +219,42 @@ def check_both_classes(ds: EncodedDataset, name: str) -> None:
         raise ValueError(f"{name} set needs both classes (0 and 1) for AUC")
 
 
+class RowUndoLog:
+    """The values the embedding tables' rows had at the best epoch, kept
+    only for the rows written since, so restoring the best epoch costs
+    memory in proportion to those rows, not to the tables.
+
+    Every table of a bank shares one row layout, and a step writes the
+    same rows in each (its row plan's keys): ``save`` runs before the
+    step and keeps each row's current value in every table, the first
+    time the row is written since ``clear``.
+    """
+
+    def __init__(self, tables: list[np.ndarray]):
+        self.tables = tables
+        self.saved = np.zeros(tables[0].shape[0], dtype=bool)
+        self.rows: list[np.ndarray] = []
+        self.values: list[list[np.ndarray]] = []  # per save, one block per table
+
+    def save(self, rows: np.ndarray) -> None:
+        fresh = rows[~self.saved[rows]]
+        if fresh.size:
+            self.saved[fresh] = True
+            self.rows.append(fresh)
+            self.values.append([table[fresh] for table in self.tables])
+
+    def clear(self) -> None:
+        for rows in self.rows:
+            self.saved[rows] = False
+        self.rows, self.values = [], []
+
+    def restore(self) -> None:
+        """Write every saved row back into its table."""
+        for rows, blocks in zip(self.rows, self.values):
+            for table, block in zip(self.tables, blocks):
+                table[rows] = block
+
+
 def train_loop(
     model: ModelBundle,
     train_ds: EncodedDataset,
@@ -223,9 +264,11 @@ def train_loop(
     """Epochs of seeded-shuffle batches with early stopping on valid AUC.
 
     The epoch shuffle is reseeded as seed + epoch; the best-AUC parameters
-    are restored into the model before returning. Identical (model seed,
-    config, data) reruns produce identical numeric trajectories. A step
-    that raises ValueError is re-raised with its epoch and batch in front.
+    are restored into the model before returning: the dense ones from a
+    copy taken at the best epoch, the embedding tables from a RowUndoLog.
+    Identical (model seed, config, data) reruns produce identical numeric
+    trajectories. A step that raises ValueError is re-raised with its
+    epoch and batch in front.
     """
     if len(train_ds) == 0 or len(valid_ds) == 0:
         raise ValueError("train and valid sets must be nonempty")
@@ -234,9 +277,11 @@ def train_loop(
         raise ValueError("batch too small for de-correlation: a batch would have 1 row")
     adam = Adam(lr=config.learning_rate)
     params = dict(named_params(model))
+    dense = dict(item for prefix, module in dense_modules(model) for item in module.param_items(prefix))
+    undo = RowUndoLog([table.weight for _, table in table_modules(model)])
     report = TrainReport()
     best_auc = -np.inf
-    best_snapshot: dict[str, np.ndarray] | None = None
+    best_dense: dict[str, np.ndarray] | None = None
     stale = 0
     for epoch in range(config.epochs):
         tic = time.perf_counter()
@@ -251,6 +296,7 @@ def train_loop(
                     train_ds.labels[batch.rows],
                     adam,
                     params,
+                    before_rows=None if best_dense is None else undo.save,
                 )
             except ValueError as err:
                 raise ValueError(f"epoch {epoch} batch {b}: {err}") from err
@@ -272,15 +318,17 @@ def train_loop(
             best_auc = metrics.auc
             report.best_epoch = epoch
             report.best_valid_auc = metrics.auc
-            best_snapshot = {name: arr.copy() for name, arr in params.items()}
+            best_dense = {name: arr.copy() for name, arr in dense.items()}
+            undo.clear()
             stale = 0
         else:
             stale += 1
             if stale > config.patience:
                 break
-    if best_snapshot is not None:
-        for name, arr in params.items():
-            arr[...] = best_snapshot[name]
+    if best_dense is not None:
+        for name, arr in dense.items():
+            arr[...] = best_dense[name]
+        undo.restore()
     return report
 
 

@@ -335,13 +335,33 @@ class TestCli:
             main(["train", "--config", str(cfg_path), "--out", str(model_path)])
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("key", ["valid", "test"])
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_held_out_file_that_is_the_train_file_fails_at_load(self, tmp_path, synth_csv, key, link):
+        csv_path, _ = synth_csv
+        held_out = csv_path
+        if link:
+            held_out = tmp_path / "held_out.csv"
+            held_out.symlink_to(csv_path)
+        copy = tmp_path / "copy.csv"
+        copy.write_text(csv_path.read_text())
+        paths = {"valid": copy, "test": copy, key: held_out}
+        text = _train_config_text(csv_path) + "".join(f"{k} = {path}\n" for k, path in paths.items())
+        cfg = RunConfig.from_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(held_out))}: key '{key}': is the 'train' file$"):
+            cfg.load_datasets()
+        cfg = RunConfig.from_text(_train_config_text(csv_path) + f"valid = {copy}\ntest = {copy}\n")
+        assert [len(ds) for ds in cfg.load_datasets()] == [400, 400, 400]  # a copy is another file
+
     def test_single_class_test_set_fails_before_the_first_step(self, tmp_path, synth_csv, capsys):
         csv_path, _ = synth_csv
         header, *rows = csv_path.read_text().splitlines()
         negatives = tmp_path / "negatives.csv"
         negatives.write_text("\n".join([header, *(row for row in rows if row.endswith(",0"))]) + "\n")
+        valid = tmp_path / "valid.csv"  # a copy: the train file itself is rejected as a valid set
+        valid.write_text(csv_path.read_text())
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(_train_config_text(csv_path) + f"valid = {csv_path}\ntest = {negatives}\n")
+        cfg_path.write_text(_train_config_text(csv_path) + f"valid = {valid}\ntest = {negatives}\n")
         model_path = tmp_path / "model.bin"
         with pytest.raises(ValueError, match=r"^test set needs both classes \(0 and 1\) for AUC$"):
             main(["train", "--config", str(cfg_path), "--out", str(model_path)])
@@ -377,7 +397,7 @@ class TestCli:
             ("loss_form", "foo", "^{cfg}: key 'loss_form': expected one of corr, cov_l1, cov_l2, none, got 'foo'$"),
             ("loss_location", "foo", "^{cfg}: key 'loss_location': expected one of input, intermediate, output, got 'foo'$"),
             ("embed_dim", 0, "^{cfg}: key 'embed_dim': must be >= 1, got 0$"),
-            ("lr", "inf", "^{cfg}: key 'lr': learning_rate must be a finite number > 0, got inf$"),
+            ("lr", "inf", "^{cfg}: key 'lr': must be a finite number > 0, got inf$"),
         ],
         ids=[
             "epochs-0", "patience--1", "split-over-1", "experts-bad-width", "mode", "loss_form", "loss_location", "embed_dim-0",
@@ -538,7 +558,7 @@ class TestLoadBoundary:
     def test_loss_and_train_config_reject_non_finite_values(self, alpha):
         with pytest.raises(ValueError, match="^alpha must be a finite number >= 0, got "):
             LossConfig(alpha=alpha)
-        with pytest.raises(ValueError, match="^learning_rate must be a finite number > 0, got "):
+        with pytest.raises(ValueError, match="^must be a finite number > 0, got "):
             TrainConfig(learning_rate=alpha)
 
     @pytest.mark.parametrize("value", BOUNDARY_VALUES)

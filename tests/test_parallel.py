@@ -23,7 +23,15 @@ from moectr.model import build_model, forward_chunks, forward_full, named_params
 from moectr.optim import Adam
 from moectr.trainer import evaluate, train_step
 
-from test_trainer import _tiny_dataset, _trained_state_digest, all_kinds_model, micro_batch, micro_model
+from test_trainer import (
+    _tiny_dataset,
+    _trained_state_digest,
+    adam_state,
+    all_kinds_model,
+    assert_same_adam_state,
+    micro_batch,
+    micro_model,
+)
 
 
 @pytest.fixture
@@ -126,7 +134,7 @@ class TestPooledIsSerial:
         with force_pool():
             train_step(model, idx, y, adam)  # every parameter now has moments
             params_before = {name: arr.copy() for name, arr in named_params(model)}
-            moments_before = {key: (s.m.copy(), s.v.copy()) for key, s in adam.slots.items()}
+            state_before = adam_state(adam)
             raised_on = []
 
             def broken(cache, d_out):
@@ -141,10 +149,7 @@ class TestPooledIsSerial:
             assert adam.t == 1
             for name, arr in named_params(model):
                 np.testing.assert_array_equal(arr, params_before[name])
-            assert adam.slots.keys() == moments_before.keys()
-            for key, state in adam.slots.items():
-                np.testing.assert_array_equal(state.m, moments_before[key][0])
-                np.testing.assert_array_equal(state.v, moments_before[key][1])
+            assert_same_adam_state(adam, state_before)
             train_step(model, idx, y, adam)
         assert adam.t == 2
 

@@ -29,10 +29,11 @@ from moectr.model import (
     table_modules,
 )
 from moectr.numerics import GRADCHECK_H, GRADCHECK_TOL, GradCheckReport, row_softmax, sigmoid
-from moectr.optim import Adam
+from moectr.optim import ROW_SLOTS_MIN, Adam, AdamState, RowAdamState
 from moectr.parallel import openblas
 from moectr.trainer import (
     KinkCrossed,
+    RowUndoLog,
     TrainConfig,
     TrainReport,
     batch_objective,
@@ -66,6 +67,123 @@ def micro_batch(n=8, seed=0):
     y = np.zeros(n)
     y[: n // 2] = 1.0
     return idx, y
+
+
+def dense_moments(state: AdamState | RowAdamState) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of a slot's (m, v) shaped like its parameter: a row-wise
+    slot's rows are scattered back from first-touch order, and a row that
+    has had no gradient reads 0.0, as in a dense slot."""
+    if isinstance(state, AdamState):
+        return state.m.copy(), state.v.copy()
+    touched = np.flatnonzero(state.slot_of >= 0)
+    dense = []
+    for a in (state.m, state.v):
+        full = np.zeros((state.slot_of.size, *a.shape[1:]))
+        full[touched] = a[state.slot_of[touched]]
+        dense.append(full)
+    return dense[0], dense[1]
+
+
+def adam_state(adam: Adam) -> dict[str, tuple]:
+    """Every slot's densified moments, and a row-wise slot's row map and
+    used count, as copies."""
+    return {
+        key: (*dense_moments(s), *((s.slot_of.copy(), s.used) if isinstance(s, RowAdamState) else ()))
+        for key, s in adam.slots.items()
+    }
+
+
+def assert_same_adam_state(adam: Adam, before: dict[str, tuple]) -> None:
+    now = adam_state(adam)
+    assert now.keys() == before.keys()
+    for key, parts in now.items():
+        for a, b in zip(parts, before[key], strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
+def _dense_update_rows(adam: Adam, m: np.ndarray, v: np.ndarray, param: np.ndarray, rows, grad_rows) -> None:
+    """The row-wise step on moments as large as the table, operation for
+    operation as ``Adam.update_rows`` ran before it kept only touched rows:
+    the oracle the compact moments are held to."""
+    m_rows, v_rows = m[rows], v[rows]
+    m_rows *= adam.beta1
+    scratch = np.multiply(1.0 - adam.beta1, grad_rows)
+    m_rows += scratch
+    v_rows *= adam.beta2
+    np.square(grad_rows, out=scratch)
+    scratch *= 1.0 - adam.beta2
+    v_rows += scratch
+    m[rows], v[rows] = m_rows, v_rows
+    m_rows /= 1.0 - adam.beta1**adam.t
+    v_rows /= 1.0 - adam.beta2**adam.t
+    np.sqrt(v_rows, out=v_rows)
+    v_rows += adam.eps
+    m_rows *= adam.lr
+    m_rows /= v_rows
+    param[rows] -= m_rows
+
+
+class TestRowAdamState:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_compact_moments_equal_dense_ones_byte_for_byte(self, seed):
+        # three fields of one table, visited in a fresh order each step; every
+        # call repeats some rows of earlier steps and brings new ones
+        rng = np.random.default_rng(seed)
+        offsets = [0, 900, 2_600, 6_000]
+        p = rng.normal(size=(offsets[-1], 3))
+        p_ref = p.copy()
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        adam = Adam(lr=0.05)
+        capacities = []
+        for step in range(10):
+            adam.begin_step()
+            for f in rng.permutation(3):
+                lo, hi = offsets[f], offsets[f + 1]
+                size = min(hi - lo, int(rng.integers(1, 80 * (step + 1))))
+                rows = lo + rng.choice(hi - lo, size=size, replace=False)
+                g = rng.normal(size=(size, 3)) * 10.0 ** rng.integers(-8, 9, size=(size, 1))
+                adam.update_rows("t", p, rows, g)
+                _dense_update_rows(adam, m, v, p_ref, rows, g)
+            state = adam.slots["t"]
+            capacities.append(state.m.shape[0])
+            assert state.m.shape == state.v.shape and state.m.shape[0] <= p.shape[0]
+            assert state.used == np.count_nonzero(state.slot_of >= 0) <= state.m.shape[0]
+            assert p.tobytes() == p_ref.tobytes()
+            dm, dv = dense_moments(state)
+            assert dm.tobytes() == m.tobytes() and dv.tobytes() == v.tobytes()
+        untouched = state.slot_of < 0
+        assert untouched.any()
+        assert not dm[untouched].any() and not np.signbit(dm[untouched]).any()
+        assert not dv[untouched].any() and not np.signbit(dv[untouched]).any()
+        assert capacities[0] == ROW_SLOTS_MIN and len(set(capacities)) >= 3  # grown by doubling
+
+    def test_capacity_never_exceeds_the_table(self):
+        adam = Adam(lr=0.1)
+        p = np.zeros((600, 2))
+        adam.begin_step()
+        adam.update_rows("t", p, np.array([5, 9]), np.ones((2, 2)))
+        state = adam.slots["t"]
+        assert state.m.shape == state.v.shape == (600, 2) and state.used == 2
+        assert state.slot_of.dtype == np.int32 and state.slot_of.shape == (600,)
+        adam.begin_step()
+        adam.update_rows("t", p, np.arange(600), np.ones((600, 2)))
+        assert state.m.shape == (600, 2) and state.used == 600
+
+    def test_first_touch_order(self):
+        adam = Adam(lr=0.1)
+        p = np.zeros((10, 1))
+        adam.begin_step()
+        adam.update_rows("t", p, np.array([7, 2]), np.ones((2, 1)))
+        adam.update_rows("t", p, np.array([2, 4, 7]), np.ones((3, 1)))
+        assert adam.slots["t"].slot_of.tolist() == [-1, -1, 1, -1, 2, -1, -1, 0, -1, -1]
+
+    def test_one_key_is_either_dense_or_row_wise(self):
+        adam = Adam(lr=0.1)
+        p = np.zeros((4, 2))
+        adam.begin_step()
+        adam.update("p", p, np.ones((4, 2)))
+        with pytest.raises(ValueError, match="^Adam slot 'p' is updated both densely and by rows$"):
+            adam.update_rows("p", p, np.array([1]), np.ones((1, 2)))
 
 
 class TestAdam:
@@ -322,7 +440,7 @@ class TestTrainStep:
         idx, y = micro_batch(8, seed=19)
         train_step(model, idx, y, adam)  # every parameter now has moments
         params_before = {name: arr.copy() for name, arr in named_params(model)}
-        moments_before = {key: (s.m.copy(), s.v.copy()) for key, s in adam.slots.items()}
+        state_before = adam_state(adam)
         real = trainer.batch_objective
 
         def poisoned(*args):
@@ -336,10 +454,7 @@ class TestTrainStep:
         assert adam.t == 1
         for name, arr in named_params(model):
             np.testing.assert_array_equal(arr, params_before[name])
-        assert adam.slots.keys() == moments_before.keys()
-        for key, state in adam.slots.items():
-            np.testing.assert_array_equal(state.m, moments_before[key][0])
-            np.testing.assert_array_equal(state.v, moments_before[key][1])
+        assert_same_adam_state(adam, state_before)
 
 
 def _tiny_dataset(n=60, seed=0):
@@ -445,7 +560,65 @@ class TestTrainLoop:
         assert report.best_valid_auc > threshold, (report.best_valid_auc, threshold)
 
 
+class TestBestEpochRestore:
+    @pytest.mark.parametrize("mode,seed,best", [("se", 0, 3), ("me", 1, 4)])
+    def test_restore_equals_a_full_copy_at_the_best_epoch(self, monkeypatch, mode, seed, best):
+        # the reference copies every parameter, every table row included, as
+        # each epoch's evaluation starts
+        ds = _tiny_dataset(200, seed=40 + seed)
+        tr, va, _ = split_dataset(ds, (0.6, 0.3, 0.1), seed=41)
+        model = all_kinds_model(mode, LossConfig(form="corr", alpha=0.3))
+        copies = []
+        real = trainer.evaluate
+
+        def copying(m, d):
+            copies.append({name: arr.copy() for name, arr in named_params(m)})
+            return real(m, d)
+
+        monkeypatch.setattr(trainer, "evaluate", copying)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=16, epochs=6, patience=10, seed=43)
+        report = train_loop(model, tr, va, cfg)
+        assert report.best_epoch == best < len(report.epochs) - 1
+        assert any(not np.array_equal(arr, copies[-1][name]) for name, arr in named_params(model))
+        for name, arr in named_params(model):
+            assert arr.tobytes() == copies[best][name].tobytes(), name
+
+    def test_undo_log_saves_a_row_once_and_restores_every_table(self):
+        tables = [np.arange(12.0).reshape(6, 2), -np.arange(6.0).reshape(6, 1)]
+        before = [t.copy() for t in tables]
+        log = RowUndoLog(tables)
+        log.save(np.array([1, 3]))
+        for t in tables:
+            t[[1, 3]] += 10.0
+        log.save(np.array([3, 4]))
+        for t in tables:
+            t[[3, 4]] += 100.0
+        assert [rows.tolist() for rows in log.rows] == [[1, 3], [4]]
+        log.restore()
+        for t, b in zip(tables, before):
+            assert t.tobytes() == b.tobytes()
+        log.clear()
+        assert not log.rows and not log.values and not log.saved.any()
+
+    def test_no_row_is_saved_before_the_first_best_epoch(self, monkeypatch):
+        saves = []
+        real = RowUndoLog.save
+        monkeypatch.setattr(RowUndoLog, "save", lambda log, rows: saves.append(rows.size) or real(log, rows))
+        ds = _tiny_dataset(64, seed=17)
+        cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=2, patience=10, seed=19)
+        train_loop(micro_model(seed=18), ds, ds, cfg)
+        assert len(saves) == 4  # the second epoch's four batches
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("rows", ["one-class", "empty"])
+    def test_set_without_both_classes_is_named(self, rows):
+        ds = _tiny_dataset(50, seed=15)
+        keep = ds.labels == 1 if rows == "one-class" else np.zeros(len(ds), dtype=bool)
+        subset = EncodedDataset(ds.schema, ds.indices[keep], ds.labels[keep])
+        with pytest.raises(ValueError, match=r"^evaluation set needs both classes \(0 and 1\) for AUC$"):
+            evaluate(micro_model(seed=16), subset)
+
     def test_perfect_scorer_auc_one(self, monkeypatch):
         # force the model to output the label by overwriting predictions:
         # instead, check evaluate against direct metric recomputation
@@ -787,11 +960,10 @@ def _trained_state_digest(model, steps=6) -> str:
         idx = rng.integers(0, 5, size=(64, 3))
         y = (rng.random(64) < 0.5).astype(float)
         train_step(model, idx, y, adam)
-    moments = {name: (slot.m, slot.v) for name, slot in adam.slots.items()}
+    moments = {name: dense_moments(slot) for name, slot in adam.slots.items()}
     for prefix, table in table_modules(model):
         # a field's moments are its rows of the table's one slot
-        slot = adam.slots[prefix]
-        m, v = (EmbeddingTable(a, table.offsets).params for a in (slot.m, slot.v))
+        m, v = (EmbeddingTable(a, table.offsets).params for a in moments[prefix])
         moments.update({f"{prefix}.{f}": (m[f], v[f]) for f in m})
     h = hashlib.sha256()
     for name, arr in named_params(model):
