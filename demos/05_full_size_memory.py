@@ -54,7 +54,7 @@ adam = Adam(lr=cfg.train.learning_rate)
 params = dict(named_params(model))
 for b, batch in enumerate(make_batches(train, cfg.train.batch_size, shuffle_seed=cfg.train.seed)):
     tic = time.perf_counter()
-    losses = train_step(model, train.indices[batch.rows], train.labels[batch.rows], adam, params)
+    losses = train_step(model, train.indices.take(batch.rows, axis=0), train.labels.take(batch.rows), adam, params)
     print(f"step {b}: {1000 * (time.perf_counter() - tic):,.0f} ms, objective {losses.total:.4f}")
 
 touched = {key: state.used for key, state in adam.slots.items() if key.startswith("bank.")}

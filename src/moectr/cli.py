@@ -19,7 +19,7 @@ from .data import gen_synthetic, load_synthetic_csv, load_table, save_synthetic_
 from .gradsuite import run_suite
 from .model import EVAL_BATCH_ROWS, load_model, param_count, save_model
 from .parallel import describe
-from .trainer import check_both_classes, evaluate, train_loop
+from .trainer import check_both_classes, evaluate, run_warnings, train_loop
 
 
 def _cmd_train(args) -> int:
@@ -42,6 +42,8 @@ def _cmd_train(args) -> int:
             f"({rec.seconds:.1f}s)"
         )
     print(f"best epoch {report.best_epoch}: valid_auc={report.best_valid_auc:.6f}")
+    for line in run_warnings(report):
+        print(line)
     metrics, corr = evaluate(model, test_ds)
     print(f"test: auc={metrics.auc:.6f} logloss={metrics.logloss:.6f}")
     if corr.pairs:

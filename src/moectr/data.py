@@ -108,7 +108,8 @@ class EncodedDataset:
         return self.indices.shape[0]
 
     def take(self, rows: np.ndarray) -> "EncodedDataset":
-        return EncodedDataset(self.schema, self.indices[rows], self.labels[rows])
+        """The dataset's rows ``rows`` (integer row numbers), in that order."""
+        return EncodedDataset(self.schema, self.indices.take(rows, axis=0), self.labels.take(rows))
 
 
 @dataclass
@@ -365,11 +366,11 @@ class SyntheticParams:
         """True log-odds for each sample row of hashed feature ids."""
         n, f = indices.shape
         uvec = np.stack(
-            [self.u[j][indices[:, j]] for j in range(f)], axis=1
+            [self.u[j].take(indices[:, j], axis=0) for j in range(f)], axis=1
         )  # (N, F, d_u)
         total = uvec.sum(axis=1)  # (N, d_u)
         pair = 0.5 * ((total**2).sum(axis=1) - (uvec**2).sum(axis=(1, 2)))
-        vval = np.stack([self.v[j][indices[:, j]] for j in range(f)], axis=1)  # (N, F)
+        vval = np.stack([self.v[j].take(indices[:, j]) for j in range(f)], axis=1)  # (N, F)
         p1 = vval.sum(axis=1)
         p2 = (vval**2).sum(axis=1)
         p3 = (vval**3).sum(axis=1)

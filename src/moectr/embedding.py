@@ -102,10 +102,13 @@ def init_bank(
 
 
 def _gather(table: EmbeddingTable, indices: np.ndarray) -> np.ndarray:
-    """One fancy index over table rows. An index array whose column count
+    """One ``take`` of whole table rows, which copies the same bytes as
+    ``weight[flat]`` in far less time. An index array whose column count
     is not the table's field count is rejected (it would broadcast against
     the offsets), and so is a row outside [0, cardinality) of its field,
-    naming the field and row (numpy would read a neighbouring field's row)."""
+    naming the field and row. That check must run first: ``take`` wraps a
+    negative index to the table's end and reads a row past a field's
+    cardinality from the next field."""
     cards = np.diff(table.offsets)
     if indices.ndim != 2 or indices.shape[1] != cards.size:
         raise ValueError(
@@ -117,7 +120,7 @@ def _gather(table: EmbeddingTable, indices: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"lookup of field {j}, row {indices[i, j]}: rows must be in [0, {cards[j]})"
         )
-    return table.weight[indices + table.offsets[:-1]].reshape(n, cards.size * table.dim)
+    return table.weight.take(indices + table.offsets[:-1], axis=0).reshape(n, cards.size * table.dim)
 
 
 def lookup(bank: EmbeddingBank, expert: int, batch_indices: np.ndarray) -> np.ndarray:

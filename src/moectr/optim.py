@@ -115,17 +115,22 @@ class Adam:
         (``train_step`` checks every gradient before any update); the
         gathered moment rows are updated in place, written back, then
         reused for the step. The moments live in a ``RowAdamState``.
+        Rows are gathered with ``take`` (the bytes of ``arr[rows]``, copied
+        row by row rather than element by element) and scattered back by
+        index, so the parameter step is the one ``param[rows] -= step`` makes.
         """
         state = self._slot(key, param, RowAdamState)
         slots = state.slots_for(rows)
-        m = state.m[slots]
-        v = state.v[slots]
+        m = state.m.take(slots, axis=0)
+        v = state.v.take(slots, axis=0)
         self._accumulate(m, v, grad_rows)
         state.m[slots] = m
         state.v[slots] = v
         m /= 1.0 - self.beta1**self.t
         v /= 1.0 - self.beta2**self.t
-        param[rows] -= self._direction(m, v)
+        upd = param.take(rows, axis=0)
+        upd -= self._direction(m, v)
+        param[rows] = upd
 
     def _accumulate(self, m: np.ndarray, v: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g^2, in place, with the

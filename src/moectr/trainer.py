@@ -193,6 +193,16 @@ class TrainReport:
     best_valid_auc: float = float("nan")
 
 
+def run_warnings(report: TrainReport) -> list[str]:
+    """``warning: ...`` lines for a finished run that went wrong without
+    raising; a healthy run gets none. A best validation AUC that is not
+    above chance (0.5), NaN included, means the run learned nothing usable."""
+    warnings = []
+    if not report.best_valid_auc > 0.5:
+        warnings.append(f"warning: best valid AUC {report.best_valid_auc:.6f} is not above chance (0.5)")
+    return warnings
+
+
 def evaluate(model: ModelBundle, ds: EncodedDataset) -> tuple[EvalMetrics, CorrelationReport]:
     """AUC and logloss over the full set, one forward_chunks chunk at a
     time; cross-expert correlations over the first CEC_ROW_CAP rows' outputs.
@@ -241,7 +251,7 @@ class RowUndoLog:
         if fresh.size:
             self.saved[fresh] = True
             self.rows.append(fresh)
-            self.values.append([table[fresh] for table in self.tables])
+            self.values.append([table.take(fresh, axis=0) for table in self.tables])
 
     def clear(self) -> None:
         for rows in self.rows:
@@ -292,8 +302,8 @@ def train_loop(
             try:
                 losses = train_step(
                     model,
-                    train_ds.indices[batch.rows],
-                    train_ds.labels[batch.rows],
+                    train_ds.indices.take(batch.rows, axis=0),
+                    train_ds.labels.take(batch.rows),
                     adam,
                     params,
                     before_rows=None if best_dense is None else undo.save,

@@ -266,6 +266,7 @@ class TestCli:
         assert model_path.exists()
         out = capsys.readouterr().out
         assert "best epoch" in out
+        assert "warning:" not in out
 
         report_path = tmp_path / "report.json"
         assert main([
@@ -324,6 +325,24 @@ class TestCli:
         assert lines[2:4] == [train_line, eval_line]
         assert sum(x.startswith("experts: ") for x in lines) == 1
         assert sum(x.startswith("evaluation experts: ") for x in lines) == 1
+
+    def test_train_warns_after_best_epoch_when_auc_is_not_above_chance(self, tmp_path, synth_csv, capsys, monkeypatch):
+        def chance_run(*args):
+            report = train_loop(*args)
+            report.best_valid_auc = 0.5
+            return report
+
+        monkeypatch.setattr(cli, "train_loop", chance_run)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(_train_config_text(synth_csv[0]))
+        model_path = tmp_path / "model.bin"
+        assert main(["train", "--config", str(cfg_path), "--out", str(model_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        best = next(i for i, line in enumerate(lines) if line.startswith("best epoch"))
+        assert lines[best].endswith("valid_auc=0.500000")
+        assert lines[best + 1] == "warning: best valid AUC 0.500000 is not above chance (0.5)"
+        assert sum(line.startswith("warning:") for line in lines) == 1
+        assert model_path.exists()
 
     def test_test_file_without_valid_fails_at_load_naming_the_key(self, tmp_path, synth_csv):
         # the test file is absent, so reading it would raise FileNotFoundError instead

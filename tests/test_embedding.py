@@ -122,6 +122,13 @@ class TestLookup:
             with pytest.raises(ValueError, match=r"field 1, row 3: rows must be in \[0, 3\)"):
                 gather(np.array([[0, 0], [3, 3]]))
 
+    def test_row_past_a_non_last_field_rejected(self):
+        # flat row 4 is field "b"'s row 0: inside the table, so a bare take would read it
+        bank = init_bank(SCHEMA, "me", 2, 2, 2, seed=0)
+        for gather in (lambda idx: lookup(bank, 1, idx), lambda idx: lookup_gating(bank, idx)):
+            with pytest.raises(ValueError, match=r"field 0, row 4: rows must be in \[0, 4\)"):
+                gather(np.array([[4, 0]]))
+
     @pytest.mark.parametrize("columns", [1, 3])
     def test_column_count_must_match_field_count(self, columns):
         # one column would broadcast against the two fields' offsets
@@ -136,6 +143,40 @@ class TestLookup:
         out = lookup_gating(bank, np.array([[1, 2]]))
         assert out.shape == (1, 6)
         np.testing.assert_array_equal(out[0, :3], bank.gating_table.fields[0][1])
+
+
+class TestGatherMatchesFancyIndex:
+    """lookup gathers with take; its bytes are those of weight[flat rows]."""
+
+    SCHEMA = DatasetSchema(
+        fields=tuple(FeatureField(f"f{j}", c) for j, c in enumerate((5, 1, 9, 2))), label_column="y"
+    )
+
+    @staticmethod
+    def _reference(table: EmbeddingTable, idx: np.ndarray) -> np.ndarray:
+        return table.weight[idx + table.offsets[:-1]].reshape(idx.shape[0], idx.shape[1] * table.dim)
+
+    def _batches(self, seed: int) -> list[np.ndarray]:
+        cards = np.array(self.SCHEMA.cardinalities)
+        rng = np.random.default_rng(seed)
+        return [
+            rng.integers(0, cards, size=(37, cards.size)),
+            (cards - 1)[None, :],  # every field's last row
+            np.zeros((0, cards.size), dtype=np.int64),
+        ]
+
+    @pytest.mark.parametrize("mode", ["se", "me"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_byte_for_byte(self, mode, seed):
+        bank = init_bank(self.SCHEMA, mode, 3, 4, 3, seed=seed)
+        for idx in self._batches(seed):
+            for m in range(3):
+                table = bank.tables[bank.table_for_expert(m)]
+                out = lookup(bank, m, idx)
+                assert out.shape == (idx.shape[0], idx.shape[1] * 4)
+                assert out.tobytes() == self._reference(table, idx).tobytes()
+            out = lookup_gating(bank, idx)
+            assert out.tobytes() == self._reference(bank.gating_table, idx).tobytes()
 
 
 def _sgd_rule(table):

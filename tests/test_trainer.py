@@ -38,6 +38,7 @@ from moectr.trainer import (
     TrainReport,
     batch_objective,
     evaluate,
+    run_warnings,
     train_loop,
     train_step,
 )
@@ -558,6 +559,20 @@ class TestTrainLoop:
             null.append(auc(scores, shuffled))
         threshold = 0.5 + 3.0 * float(np.std(null))
         assert report.best_valid_auc > threshold, (report.best_valid_auc, threshold)
+
+
+class TestRunWarnings:
+    @pytest.mark.parametrize(
+        "auc,lines",
+        [
+            (0.5, ["warning: best valid AUC 0.500000 is not above chance (0.5)"]),
+            (0.25, ["warning: best valid AUC 0.250000 is not above chance (0.5)"]),
+            (float("nan"), ["warning: best valid AUC nan is not above chance (0.5)"]),
+            (0.500001, []),
+        ],
+    )
+    def test_chance_auc(self, auc, lines):
+        assert run_warnings(TrainReport(best_epoch=0, best_valid_auc=auc)) == lines
 
 
 class TestBestEpochRestore:
