@@ -18,7 +18,7 @@ from .embedding import BANK_MODES
 from .experts import ExpertConfig
 from .losses import LossConfig
 from .model import ModelBundle, build_model
-from .numerics import GRADCHECK_H, GRADCHECK_TOL, finite_positive, one_of
+from .numerics import GRADCHECK_H, GRADCHECK_TOL, at_least, finite_positive, one_of
 from .trainer import TrainConfig
 
 
@@ -76,8 +76,14 @@ def _checked(parse, ok, rule: str):
     return checked
 
 
-_seed = _checked(int, lambda seed: seed >= 0, "seeds must be >= 0")
-_dim = _checked(int, lambda dim: dim >= 1, "must be >= 1")
+def _seed(value: str) -> int:
+    return at_least("seed", int(value), 0)
+
+
+def _dim(value: str) -> int:
+    return at_least("dim", int(value), 1)
+
+
 _finite = _checked(float, math.isfinite, "must be a finite number")
 _nonempty = _checked(str, bool, "must not be empty")  # a path or a column name
 

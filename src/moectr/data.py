@@ -138,7 +138,7 @@ def _read_csv(path, schema: DatasetSchema, encode) -> EncodedDataset:
     """
     index_parts, label_parts = [], []
     done = 0  # data rows read before the current chunk
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         position = {name: j for j, name in enumerate(header)}
@@ -178,7 +178,7 @@ def _read_csv(path, schema: DatasetSchema, encode) -> EncodedDataset:
 
 def _line_of(path, data_row: int) -> int:
     """Line on which the given 1-based data row ends (for error messages)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = (row for row in itertools.islice(reader, 1, None) if row)
         next(itertools.islice(rows, data_row - 1, None))
@@ -216,18 +216,17 @@ def fnv1a_buckets(tokens: list[bytes], cardinality: int) -> np.ndarray:
 
 
 def _bucket_cells(cells: list[str], cardinality: int) -> np.ndarray:
-    """Cells taken as literal bucket ids."""
-    try:
-        return np.fromiter(map(int, cells), np.int64, len(cells))
-    except (ValueError, OverflowError):
-        return np.array([_bucket_id(cell, cardinality) for cell in cells], dtype=np.int64)
-
-
-def _bucket_id(cell: str, cardinality: int) -> int:
-    try:
-        return int(cell) if 0 <= int(cell) < cardinality else -1
-    except ValueError:
-        return -1
+    """Cells taken as literal bucket ids: a cell is one only if it is a run
+    of ASCII digits. Any other cell reads as -1, an id past int64 as
+    ``cardinality``."""
+    joined = "".join(cells)
+    # on ASCII text bytes.isdigit gives str.isdigit's answer, ten times faster
+    if joined.isascii() and joined.encode().isdigit():
+        try:  # fails on an empty cell or an id past int64
+            return np.fromiter(map(int, cells), np.int64, len(cells))
+        except (ValueError, OverflowError):
+            pass
+    return np.array([min(int(c), cardinality) if c.isascii() and c.isdigit() else -1 for c in cells], np.int64)
 
 
 def load_table(path, schema: DatasetSchema) -> EncodedDataset:
@@ -334,7 +333,7 @@ def parse_kv_text(text: str, known: Collection[str] | None = None, source: str =
 
 def parse_kv_file(path, known: Collection[str] | None = None) -> dict[str, str]:
     """parse_kv_text over a file; errors name the path."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_kv_text(fh.read(), known, source=str(path))
 
 

@@ -249,9 +249,8 @@ class CinExpert(Expert):
     and its backward is two: dW^k = dX^k @ z^k.T and dz^k = W^k.T @ dX^k.
     The B*d axis runs b outer and e inner, the order in which a per-sample
     (B, H, d) layout contracts over (b, e), so dW^k sums its terms in the
-    order that layout did. The cache holds the caller's input, not the X^0
-    copy, so an evaluation pass over several experts holds one copy at a
-    time.
+    order that layout did. The cache holds X^0..X^K, so backward reuses
+    the X^0 copy forward made.
     """
 
     kind = "cin"
@@ -273,16 +272,10 @@ class CinExpert(Expert):
     def params(self):
         return {**layer_params(self.ws), **align_named(self.align.params)}
 
-    def _batch_last(self, embeds):
-        """X^0 as a contiguous (F, B, d) copy of the (B, F*d) input."""
-        n = embeds.shape[0]
-        x0 = embeds.reshape(n, self.num_fields, self.embed_dim)
-        return np.ascontiguousarray(x0.transpose(1, 0, 2))
-
     def forward(self, embeds):
         self._check_input(embeds)
-        x0 = self._batch_last(embeds)
-        f, n, d = x0.shape
+        n, f, d = embeds.shape[0], self.num_fields, self.embed_dim
+        x0 = np.ascontiguousarray(embeds.reshape(n, f, d).transpose(1, 0, 2))  # X^0, (F, B, d)
         xs = [x0]
         zs = []
         for w in self.ws:
@@ -292,17 +285,16 @@ class CinExpert(Expert):
             zs.append(z)
         pooled = np.concatenate([x.sum(axis=2).T for x in xs[1:]], axis=1)
         out, align_cache = self.align.forward(pooled)
-        return out, (embeds, xs[1:], zs, align_cache)
+        return out, (xs, zs, align_cache)
 
     def feature_maps(self, cache) -> list[np.ndarray]:
         """Feature maps X^1..X^K as (B, H_k, d) views."""
-        _, maps, _, _ = cache
-        return [x.transpose(1, 0, 2) for x in maps]
+        xs, _, _ = cache
+        return [x.transpose(1, 0, 2) for x in xs[1:]]
 
     def backward(self, cache, d_out):
-        embeds, maps, zs, align_cache = cache
-        x0 = self._batch_last(embeds)
-        xs = [x0, *maps]
+        xs, zs, align_cache = cache
+        x0 = xs[0]
         f, n, d = x0.shape
         align_grads, d_pooled = self.align.backward(align_cache, d_out)
         # split pooled gradient per layer, broadcast back over d

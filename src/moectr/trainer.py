@@ -286,7 +286,6 @@ def train_loop(
     if model.loss.active and (config.batch_size < 2 or len(train_ds) % config.batch_size == 1):
         raise ValueError("batch too small for de-correlation: a batch would have 1 row")
     adam = Adam(lr=config.learning_rate)
-    params = dict(named_params(model))
     dense = dict(item for prefix, module in dense_modules(model) for item in module.param_items(prefix))
     undo = RowUndoLog([table.weight for _, table in table_modules(model)])
     report = TrainReport()
@@ -305,7 +304,7 @@ def train_loop(
                     train_ds.indices.take(batch.rows, axis=0),
                     train_ds.labels.take(batch.rows),
                     adam,
-                    params,
+                    dense,
                     before_rows=None if best_dense is None else undo.save,
                 )
             except ValueError as err:

@@ -99,6 +99,12 @@ class TestRunConfig:
         assert cfg.loss == LossConfig(form="cov_l1", alpha=0.25, location="input")
         assert cfg.train == TrainConfig(learning_rate=0.01, batch_size=64, epochs=2)
 
+    def test_file_with_a_byte_order_mark_loads(self, tmp_path):
+        text = "fields = a:10, b:3\nexperts = fm, fm\nepochs = 2\n"
+        marked = tmp_path / "run.cfg"
+        marked.write_text(text, encoding="utf-8-sig")
+        assert RunConfig.from_file(marked) == RunConfig.from_text(text)
+
     def test_schema_requires_fields(self):
         with pytest.raises(ValueError, match="fields"):
             RunConfig.from_text("lr = 0.1\n").schema()
@@ -166,9 +172,9 @@ class TestRunConfig:
             ("loss_location = hidden", "key 'loss_location': expected one of input, intermediate, output, got 'hidden'"),
             ("experts = fm, dnn:64-x", r"key 'experts': invalid literal for int\(\) with base 10: 'x'"),
             ("experts = fm, gbdt", "key 'experts': unknown expert kind 'gbdt'"),
-            ("embed_dim = 0", "key 'embed_dim': must be >= 1, got 0"),
-            ("gate_embed_dim = -1", "key 'gate_embed_dim': must be >= 1, got -1"),
-            ("expert_out_dim = 0", "key 'expert_out_dim': must be >= 1, got 0"),
+            ("embed_dim = 0", "key 'embed_dim': dim must be >= 1, got 0"),
+            ("gate_embed_dim = -1", "key 'gate_embed_dim': dim must be >= 1, got -1"),
+            ("expert_out_dim = 0", "key 'expert_out_dim': dim must be >= 1, got 0"),
         ],
         ids=[
             "mode", "loss_form", "loss_location", "experts-bad-width", "experts-unknown-kind",
@@ -213,7 +219,7 @@ class TestSynthSpec:
     def test_negative_seed_rejected_naming_key(self, tmp_path):
         path = tmp_path / "spec.cfg"
         path.write_text("rows = 10\nseed = -1\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: key 'seed': seeds must be >= 0, got -1"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: key 'seed': seed must be >= 0, got -1"):
             SynthSpec.from_file(path)
 
     def test_unknown_key_rejected_with_line(self, tmp_path):
@@ -415,7 +421,7 @@ class TestCli:
             ("mode", "xx", "^{cfg}: key 'mode': expected one of se, me, got 'xx'$"),
             ("loss_form", "foo", "^{cfg}: key 'loss_form': expected one of corr, cov_l1, cov_l2, none, got 'foo'$"),
             ("loss_location", "foo", "^{cfg}: key 'loss_location': expected one of input, intermediate, output, got 'foo'$"),
-            ("embed_dim", 0, "^{cfg}: key 'embed_dim': must be >= 1, got 0$"),
+            ("embed_dim", 0, "^{cfg}: key 'embed_dim': dim must be >= 1, got 0$"),
             ("lr", "inf", "^{cfg}: key 'lr': must be a finite number > 0, got inf$"),
         ],
         ids=[

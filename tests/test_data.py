@@ -332,7 +332,11 @@ class TestGenSynthetic:
 class TestLoadSyntheticCsv:
     @pytest.mark.parametrize(
         "cell,shown",
-        [("", "''"), ("7x", "'7x'"), ("2.0", "'2.0'"), ("30", "'30'"), ("-1", "'-1'")],
+        [
+            ("", "''"), ("7x", "'7x'"), ("2.0", "'2.0'"), ("30", "'30'"), ("-1", "'-1'"),
+            ("1_0", "'1_0'"), ("\u0663", "'\u0663'"), (" 7", "' 7'"), ("+5", r"'\+5'"),
+            ("12345678901234567890", "'12345678901234567890'"),
+        ],
     )
     def test_bad_bucket_id_names_column_and_row(self, tmp_path, cell, shown):
         path = tmp_path / "t.csv"
@@ -341,6 +345,11 @@ class TestLoadSyntheticCsv:
             ValueError, match=rf"column 'device', data row 3 \(line 5\): {shown} is not a bucket id"
         ):
             load_synthetic_csv(path, SCHEMA)
+
+    def test_leading_zero_reads_as_its_value(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("site,device,click\n07,0,1\n")
+        assert load_synthetic_csv(path, SCHEMA).indices.tolist() == [[7, 0]]
 
     def test_short_row_reads_an_empty_cell(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -375,6 +384,19 @@ def _save_table_row_by_row(ds, path):
             writer.writerow([str(v) for v in ds.indices[i]] + [str(int(ds.labels[i]))])
 
 
+@pytest.mark.parametrize("reader", [load_table, load_synthetic_csv], ids=["hashed", "encoded"])
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path, reader):
+    text = "site,device,click\n1,2,0\n3,4,1\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    want, got = reader(plain, SCHEMA), reader(marked, SCHEMA)
+    assert got.schema == want.schema
+    assert got.indices.tobytes() == want.indices.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+
+
 class TestSaveTable:
     @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 50_000])
     def test_bytes_match_the_row_loop(self, tmp_path, rows):
@@ -389,6 +411,31 @@ class TestSaveTable:
 
 
 class TestEncodedDatasetValidation:
+    @pytest.mark.parametrize(
+        "fields,label,message",
+        [
+            ((), "click", "^schema needs at least one field$"),
+            ((FeatureField("site", 5), FeatureField("click", 2)), "click", "^label column must be distinct from feature columns$"),
+        ],
+        ids=["no-field", "label-is-a-field"],
+    )
+    def test_rejects_bad_schema(self, fields, label, message):
+        with pytest.raises(ValueError, match=message):
+            DatasetSchema(fields, label)
+
+    @pytest.mark.parametrize(
+        "indices,labels,message",
+        [
+            (np.zeros((2, 3)), np.zeros(2), "^indices shape does not match schema$"),
+            (np.zeros(4), np.zeros(2), "^indices shape does not match schema$"),
+            (np.zeros((2, 2)), np.zeros(3), "^labels length does not match indices$"),
+        ],
+        ids=["three-fields", "flat-indices", "three-labels"],
+    )
+    def test_rejects_mismatched_shapes(self, indices, labels, message):
+        with pytest.raises(ValueError, match=message):
+            EncodedDataset(SCHEMA, indices, labels)
+
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
             EncodedDataset(SCHEMA, np.zeros((2, 2), dtype=np.int64), np.array([0.0, 2.0]))

@@ -109,15 +109,20 @@ REFERENCE_FUNCTIONS = {("data.py", "hash_token")}
 LOWER_BOUND_HOME = {("numerics.py", "at_least")}
 
 
-def raise_texts(tree: ast.AST, filename: str, exempt=REFERENCE_FUNCTIONS) -> list[tuple[str, str]]:
-    """(message text, "file:line") of every ``raise E("...")`` outside the
-    ``exempt`` (file, function) pairs; an f-string's fields read as ``{}``."""
-    skipped = {
+def exempt_nodes(tree: ast.AST, filename: str, exempt) -> set[int]:
+    """ids of every node inside the ``exempt`` (file, function) pairs."""
+    return {
         id(node)
         for fn in ast.walk(tree)
         if isinstance(fn, ast.FunctionDef) and (filename, fn.name) in exempt
         for node in ast.walk(fn)
     }
+
+
+def raise_texts(tree: ast.AST, filename: str, exempt=REFERENCE_FUNCTIONS) -> list[tuple[str, str]]:
+    """(message text, "file:line") of every ``raise E("...")`` outside the
+    ``exempt`` (file, function) pairs; an f-string's fields read as ``{}``."""
+    skipped = exempt_nodes(tree, filename, exempt)
     sites = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Raise) or id(node) in skipped or not isinstance(node.exc, ast.Call):
@@ -156,21 +161,29 @@ def test_guard_sees_a_message_raised_twice():
     assert shared_raise_texts(sources) == {"unknown kind {}": ["a.py:2", "b.py:3"]}
 
 
-def lower_bound_raises(sources: dict[str, str]) -> list[str]:
-    """Sites outside at_least and the reference functions that raise a
-    ``must be >= `` message of their own."""
+def lower_bound_rules(sources: dict[str, str]) -> list[str]:
+    """Sites outside at_least and the reference functions whose string
+    constants state a ``must be >= `` rule of their own: a raise's message,
+    or a rule handed on as a string for some other code to raise."""
     exempt = REFERENCE_FUNCTIONS | LOWER_BOUND_HOME
-    return [
-        site
-        for filename, source in sources.items()
-        for text, site in raise_texts(ast.parse(source, filename=filename), filename, exempt)
-        if "must be >= " in text
-    ]
+    sites = []
+    for filename, source in sources.items():
+        tree = ast.parse(source, filename=filename)
+        skipped = exempt_nodes(tree, filename, exempt)
+        sites.extend(
+            f"{filename}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in skipped
+            and isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and "must be >= " in node.value
+        )
+    return sites
 
 
 def test_lower_bounds_are_checked_by_at_least():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
-    assert lower_bound_raises(sources) == []
+    assert lower_bound_rules(sources) == []
 
 
 def test_guard_sees_a_lower_bound_check_of_its_own():
@@ -179,4 +192,12 @@ def test_guard_sees_a_lower_bound_check_of_its_own():
         "data.py": 'def hash_token(c):\n    raise ValueError("cardinality must be >= 1")\n',
         "nnet.py": 'def build(w):\n    if w < 1:\n        raise ValueError(f"widths must be >= 1, got {w}")\n',
     }
-    assert lower_bound_raises(sources) == ["nnet.py:3"]
+    assert lower_bound_rules(sources) == ["nnet.py:3"]
+
+
+def test_guard_sees_a_lower_bound_rule_passed_as_a_string():
+    sources = {
+        "config.py": 'def checked(parse, ok, rule):\n    return parse\n\n'
+        '_seed = checked(int, lambda s: s >= 0, "seeds must be >= 0")\n',
+    }
+    assert lower_bound_rules(sources) == ["config.py:4"]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -335,6 +337,17 @@ class TestMlpCache:
             a = np.maximum(z, 0.0) if act else z
             assert cache[i + 1].tobytes() == a.tobytes()
 
+    def test_forward_rejects_an_input_of_another_width(self):
+        mlp = Mlp.build(4, (5,), 2, _rng(33))
+        with pytest.raises(ValueError, match="^input width 3 does not match first layer 4$"):
+            mlp.forward(np.zeros((6, 3)))
+
+    def test_backward_rejects_a_cache_of_another_depth(self):
+        mlp = Mlp.build(4, (5, 3), 2, _rng(34))
+        out, cache = mlp.forward(_rng(35).normal(size=(6, 4)))
+        with pytest.raises(ValueError, match="^cache does not match layer count$"):
+            mlp.backward(cache[:-1], np.zeros_like(out))
+
     def test_dnn_expert_holds_no_pre_activations(self):
         rng = _rng(31)
         e = make_expert(ExpertConfig(kind="dnn", out_dim=3, hidden=(4, 3), dnn_out=2), 3, 2, rng)
@@ -464,6 +477,24 @@ class TestInputIsReadOnly:
             injections = {"layer_grads": [rng.normal(size=(5, 6)) for _ in range(cfg.cross_layers)]}
         e.backward(cache, rng.normal(size=out.shape), **injections)
         assert x.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ExpertConfig(kind="dnn", out_dim=2, hidden=(4,)),
+        ExpertConfig(kind="fm", out_dim=2),
+        ExpertConfig(kind="crossnet", out_dim=2, cross_layers=1),
+        ExpertConfig(kind="cin", out_dim=2, cin_maps=(3,)),
+    ],
+    ids=lambda c: c.kind,
+)
+@pytest.mark.parametrize("shape", [(5, 7), (6,)], ids=["too-wide", "flat"])
+def test_input_of_another_shape_rejected(cfg, shape):
+    e = make_expert(cfg, 3, 2, _rng(22))
+    message = rf"^{cfg.kind} expert expects \(B, 6\) input, got {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        e.forward(np.zeros(shape))
 
 
 class TestCoreOutput:

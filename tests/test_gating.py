@@ -80,6 +80,10 @@ class TestAggregateExperts:
         with pytest.raises(ValueError, match="expert outputs"):
             aggregate_experts(np.ones((2, 3)) / 3, [np.zeros((2, 2))] * 2)
 
+    def test_mixed_shapes_rejected(self):
+        with pytest.raises(ValueError, match="^expert outputs must share one shape$"):
+            aggregate_experts(np.ones((2, 2)) / 2, [np.zeros((2, 2)), np.zeros((2, 3))])
+
 
 class TestGatingComposite:
     def test_logit_shift_leaves_everything_unchanged(self):

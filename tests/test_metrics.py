@@ -83,6 +83,19 @@ class TestPearsonMatrix:
         with pytest.raises(ValueError):
             pearson_matrix(np.ones((1, 2)), np.ones((1, 2)))
 
+    @pytest.mark.parametrize(
+        "x,y,message",
+        [
+            (np.ones(3), np.ones((3, 2)), r"^expected 2-D array, got shape \(3,\)$"),
+            (np.ones((3, 2)), np.ones((3, 2, 1)), r"^expected 2-D array, got shape \(3, 2, 1\)$"),
+            (np.ones((3, 2)), np.ones((4, 2)), "^cross-Gram inputs must share the row count$"),
+        ],
+        ids=["flat-x", "3-d-y", "row-counts-differ"],
+    )
+    def test_rejects_inputs_that_are_not_one_batch_of_columns(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            pearson_matrix(x, y)
+
 
 class TestCec:
     def test_self_single_column(self):

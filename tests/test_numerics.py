@@ -174,6 +174,11 @@ class TestGradcheckRestoresEveryArray:
 
 
 class TestGradcheckRejectsMismatchedBlocks:
+    @pytest.mark.parametrize("h", [0.0, -1e-6])
+    def test_non_positive_step_rejected(self, h):
+        with pytest.raises(ValueError, match="^h must be positive$"):
+            central_diff_gradcheck(lambda: 0.0, {"x": np.zeros(2)}, {"x": np.zeros(2)}, h=h)
+
     def test_mismatched_key_names_the_blocks(self):
         with pytest.raises(ValueError, match=r"^gradient and parameter blocks differ: \['w', 'x'\]$"):
             central_diff_gradcheck(lambda: 0.0, {"x": np.zeros(2)}, {"w": np.zeros(2)})

@@ -1272,6 +1272,19 @@ class TestKinkGuard:
         assert run_case(case).passed
         assert len(calls) == 2
 
+    def test_run_case_gives_up_after_its_last_draw(self, monkeypatch):
+        case = next(c for c in suite_cases() if c.name == "me corr@output")
+        draws = []
+
+        def always_kinked(*args, **kwargs):
+            draws.append(None)
+            raise KinkCrossed
+
+        monkeypatch.setattr(gradsuite, "gradcheck_model", always_kinked)
+        with pytest.raises(RuntimeError, match=r"^no kink-free micro configuration found for 'me corr@output'$"):
+            run_case(case)
+        assert len(draws) == gradsuite.MAX_TRIES
+
     @pytest.mark.parametrize("mode", ["me", "se"])
     def test_cov_l1_dead_column_needs_no_redraw(self, monkeypatch, mode):
         # the dead column's cross entries are exactly 0, so they are kink
