@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .config import GradcheckSpec, RunConfig, SynthSpec
@@ -22,7 +23,19 @@ from .parallel import describe
 from .trainer import check_both_classes, evaluate, run_warnings, train_loop
 
 
+def _check_outputs(*outputs: tuple[str, str]) -> None:
+    """Fail before any work when an (option, path) output could not be
+    written: the path is a directory, or its directory does not exist."""
+    for option, path in outputs:
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise ValueError(f"{option} {path}: is a directory")
+        if not os.path.isdir(folder):
+            raise ValueError(f"{option} {path}: directory {folder} does not exist")
+
+
 def _cmd_train(args) -> int:
+    _check_outputs(("--out", args.out))
     cfg = RunConfig.from_file(args.config)
     model = cfg.build()
     train_ds, valid_ds, test_ds = cfg.load_datasets()
@@ -72,6 +85,7 @@ def _metrics_record(metrics, corr) -> dict:
 
 
 def _cmd_eval(args) -> int:
+    _check_outputs(("--report", args.report))
     metrics, corr = _evaluate(args)
     record = _metrics_record(metrics, corr)
     with open(args.report, "w", encoding="utf-8") as fh:
@@ -82,6 +96,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_cec_report(args) -> int:
+    _check_outputs(("--csv", args.csv))
     _, corr = _evaluate(args)
     if not corr.pairs:
         print("model has a single expert; no pairs to report", file=sys.stderr)
@@ -93,6 +108,8 @@ def _cmd_cec_report(args) -> int:
 
 
 def _cmd_gen_synth(args) -> int:
+    sidecar = args.out + ".params"
+    _check_outputs(("--out", args.out), ("--out sidecar", sidecar))
     spec = SynthSpec.from_file(args.spec)
     ds, params = gen_synthetic(
         spec.num_fields,
@@ -103,7 +120,6 @@ def _cmd_gen_synth(args) -> int:
         c0=spec.c0,
     )
     save_table(ds, args.out)
-    sidecar = args.out + ".params"
     save_synthetic_params(params, sidecar)
     rate = float(ds.labels.mean())
     print(f"wrote {len(ds)} rows to {args.out} (positive rate {rate:.4f})")

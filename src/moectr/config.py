@@ -194,7 +194,8 @@ class RunConfig:
     def _from_kv(cls, kv: dict[str, str], source: str) -> "RunConfig":
         """Apply the keys; a config that names fields builds its schema
         here, so a bad field list fails at load naming the key and source,
-        and so does a test file without a valid file."""
+        and so do a test file without a valid file and a split of a train
+        file that a valid file leaves whole."""
         cfg = _apply_keys(cls(), RUN_KEYS, kv, source)
         if cfg.fields:
             with naming_key(source, "fields"):
@@ -202,6 +203,10 @@ class RunConfig:
         if cfg.test_path is not None and cfg.valid_path is None:
             with naming_key(source, "test"):
                 raise ValueError("needs a 'valid' entry; without one the 'train' file is split")
+        for key in ("split", "split_seed"):
+            if key in kv and cfg.valid_path is not None:
+                with naming_key(source, key):
+                    raise ValueError("is not used when 'valid' is given")
         return cfg
 
     def schema(self) -> DatasetSchema:

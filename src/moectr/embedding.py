@@ -202,7 +202,7 @@ def apply_sparse_to_table(table: EmbeddingTable, grads: SparseGrad, update: Upda
     rows (the optimizer step lives in the trainer); rows that received no
     gradient are never touched. Precondition: every entry is in the table
     (the lookup of the same forward pass accepted its index) and every
-    gradient is finite (``train_step`` checks that before any update).
+    gradient is finite (``trainer.apply_grads`` checks that before any update).
     """
     plan = grads.plan
     if not np.array_equal(plan.offsets, table.offsets):

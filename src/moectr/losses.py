@@ -39,6 +39,11 @@ class LossConfig:
     def active(self) -> bool:
         return self.form != "none" and self.alpha > 0.0
 
+    def check_batch(self, rows: int) -> None:
+        """An active loss divides by rows - 1 (total_objective), so a batch needs two rows."""
+        if self.active and rows < 2:
+            raise ValueError(f"batch too small for de-correlation: a batch would have {rows} row(s)")
+
 
 def bce(y_hat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy with probabilities clipped to
@@ -98,8 +103,8 @@ def decorrelation_total(
 def total_objective(
     bce_value: float, decor_value: float, alpha: float, batch_size: int
 ) -> float:
-    """L = BCE + alpha * decor / (|B| - 1); with alpha > 0 the caller
-    (trainer.forward_objective) has already rejected a batch of one."""
+    """L = BCE + alpha * decor / (|B| - 1); with alpha > 0 the caller has
+    already rejected a batch of one (LossConfig.check_batch)."""
     if alpha == 0.0:
         return bce_value
     return bce_value + alpha * decor_value / (batch_size - 1)

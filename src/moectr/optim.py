@@ -112,7 +112,7 @@ class Adam:
         """Lazy sparse update: only the given rows move (or decay moments).
 
         ``rows`` must be distinct rows of ``param`` and ``grad_rows`` finite
-        (``train_step`` checks every gradient before any update); the
+        (``trainer.apply_grads`` checks every gradient before any update); the
         gathered moment rows are updated in place, written back, then
         reused for the step. The moments live in a ``RowAdamState``.
         Rows are gathered with ``take`` (the bytes of ``arr[rows]``, copied

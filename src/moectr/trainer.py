@@ -8,12 +8,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
 from .data import EncodedDataset, make_batches
-from .embedding import EmbeddingTable, SparseGrad, apply_sparse_to_table, plan_rows
+from .embedding import EmbeddingTable, RowPlan, SparseGrad, apply_sparse_to_table, plan_rows
 from .gating import gating_backward
 from .losses import bce, decorrelation_total, total_objective
 from .metrics import CorrelationReport, EvalMetrics, auc, cec_report
@@ -38,12 +37,14 @@ class BatchGrads:
     """Gradients of the total objective for one batch.
 
     dense: grads for every non-embedding parameter, keyed like
-    named_params. sparse: duplicate-bearing sparse row grads, one per
-    embedding table in table_modules order (the gating table last).
+    named_params. tables: (name prefix, table, duplicate-bearing sparse
+    grad) per table_modules entry. plan: the batch's row plan; its keys
+    are the rows a step writes in every table.
     """
 
     dense: dict[str, np.ndarray]
-    sparse: list[SparseGrad]
+    tables: list[tuple[str, EmbeddingTable, SparseGrad]]
+    plan: RowPlan
 
 
 def forward_objective(
@@ -58,13 +59,11 @@ def forward_objective(
     layer's output across experts (crossnet only, enforced at build time);
     model.loss_targets picks the matrix sets.
     """
-    fc = forward_full(model, indices)
-    batch = int(labels.size)
-    bce_val, d_yhat = bce(fc.y_hat, labels)
-
     loss = model.loss
-    if loss.active and batch < 2:
-        raise ValueError("batch too small for de-correlation")
+    batch = int(labels.size)
+    loss.check_batch(batch)
+    fc = forward_full(model, indices)
+    bce_val, d_yhat = bce(fc.y_hat, labels)
     decor_val = 0.0
     extra: list[list[np.ndarray]] = []  # per target set, per expert
     if loss.active:
@@ -117,15 +116,24 @@ def batch_objective(
     module_grads = [*expert_grads, gate_grads, tower_grads]  # dense_modules order
     for (prefix, _), grads in zip(dense_modules(model), module_grads, strict=True):
         dense.update(prefixed(prefix, grads))
-    sparse = [SparseGrad.concat(parts) for parts in table_parts]
-    sparse.append(SparseGrad.from_dense_rows(indices, d_gate_embeds, plan))
-    return losses, BatchGrads(dense, sparse), fc
+    sparse = [*map(SparseGrad.concat, table_parts), SparseGrad.from_dense_rows(indices, d_gate_embeds, plan)]
+    tables = [(*module, g) for module, g in zip(table_modules(model), sparse, strict=True)]
+    return losses, BatchGrads(dense, tables, plan), fc
 
 
-def _sparse_groups(model: ModelBundle, grads: BatchGrads) -> list[tuple[str, EmbeddingTable, SparseGrad]]:
-    """(name prefix, table, sparse grad) for every embedding table, the
-    gating table last."""
-    return [(*module, g) for module, g in zip(table_modules(model), grads.sparse, strict=True)]
+def apply_grads(grads: BatchGrads, adam: Adam, params: dict[str, np.ndarray]) -> None:
+    """One optimizer step; t advances once for all groups, and ``params``
+    holds every dense parameter by name. Every gradient is checked before
+    anything moves, so a step either applies in full or raises with
+    parameters, moments and t untouched."""
+    groups = [*grads.dense.items(), *((prefix, sparse.vecs) for prefix, _, sparse in grads.tables)]
+    if (bad := first_non_finite(groups)) is not None:
+        raise ValueError(f"non-finite gradient in {bad}")
+    adam.begin_step()
+    for name, g in grads.dense.items():
+        adam.update(name, params[name], g)
+    for prefix, table, sparse in grads.tables:
+        apply_sparse_to_table(table, sparse, partial(adam.update_rows, prefix, table.weight))
 
 
 def train_step(
@@ -134,29 +142,11 @@ def train_step(
     labels: np.ndarray,
     adam: Adam,
     params: dict[str, np.ndarray] | None = None,
-    before_rows: Callable[[np.ndarray], None] | None = None,
 ) -> StepLosses:
-    """One optimizer step on one batch; t advances once for all groups.
-
-    Every gradient is checked before anything moves, so a step either
-    applies in full or raises with parameters, moments and t untouched.
-    ``before_rows``, if given, is called with the table rows this step
-    writes in every embedding table, before anything moves.
-    """
-    if params is None:
-        params = dict(named_params(model))
+    """One optimizer step on one batch: batch_objective, then apply_grads
+    (``params`` defaults to the model's named_params)."""
     losses, grads, _ = batch_objective(model, indices, labels)
-    sparse_groups = _sparse_groups(model, grads)
-    groups = [*grads.dense.items(), *((prefix, sparse.vecs) for prefix, _, sparse in sparse_groups)]
-    if (bad := first_non_finite(groups)) is not None:
-        raise ValueError(f"non-finite gradient in {bad}")
-    if before_rows is not None:
-        before_rows(grads.sparse[-1].plan.keys)
-    adam.begin_step()
-    for name, g in grads.dense.items():
-        adam.update(name, params[name], g)
-    for prefix, table, sparse in sparse_groups:
-        apply_sparse_to_table(table, sparse, partial(adam.update_rows, prefix, table.weight))
+    apply_grads(grads, adam, dict(named_params(model)) if params is None else params)
     return losses
 
 
@@ -235,9 +225,10 @@ class RowUndoLog:
     memory in proportion to those rows, not to the tables.
 
     Every table of a bank shares one row layout, and a step writes the
-    same rows in each (its row plan's keys): ``save`` runs before the
-    step and keeps each row's current value in every table, the first
-    time the row is written since ``clear``.
+    same rows in each (``BatchGrads.plan.keys``): ``save`` runs between
+    the step's batch_objective and its apply_grads and keeps each row's
+    current value in every table, the first time the row is written
+    since ``clear``.
     """
 
     def __init__(self, tables: list[np.ndarray]):
@@ -283,8 +274,7 @@ def train_loop(
     if len(train_ds) == 0 or len(valid_ds) == 0:
         raise ValueError("train and valid sets must be nonempty")
     check_both_classes(valid_ds, "validation")
-    if model.loss.active and (config.batch_size < 2 or len(train_ds) % config.batch_size == 1):
-        raise ValueError("batch too small for de-correlation: a batch would have 1 row")
+    model.loss.check_batch(len(train_ds) % config.batch_size or config.batch_size)  # the smallest batch
     adam = Adam(lr=config.learning_rate)
     dense = dict(item for prefix, module in dense_modules(model) for item in module.param_items(prefix))
     undo = RowUndoLog([table.weight for _, table in table_modules(model)])
@@ -299,14 +289,12 @@ def train_loop(
         objective_sum = 0.0
         for b, batch in enumerate(batches):
             try:
-                losses = train_step(
-                    model,
-                    train_ds.indices.take(batch.rows, axis=0),
-                    train_ds.labels.take(batch.rows),
-                    adam,
-                    dense,
-                    before_rows=None if best_dense is None else undo.save,
+                losses, grads, _ = batch_objective(
+                    model, train_ds.indices.take(batch.rows, axis=0), train_ds.labels.take(batch.rows)
                 )
+                if best_dense is not None:
+                    undo.save(grads.plan.keys)
+                apply_grads(grads, adam, dense)
             except ValueError as err:
                 raise ValueError(f"epoch {epoch} batch {b}: {err}") from err
             loss_sum += losses.bce * batch.size
@@ -378,14 +366,14 @@ def gradcheck_model(
     nothing about the gradient. The checker moves each parameter entry in
     place and writes its original back, so the model ends as it began.
 
-    Embedding grads go through the scatter train_step runs, with a rule
+    Embedding grads go through the scatter apply_grads runs, with a rule
     that writes the summed rows into a zero array shaped like the table, so
     the check also checks the scatter.
     """
     _, batch_grads, fc = batch_objective(model, indices, labels)
     base = [np.sign(z) for z in kink_sites(model, fc)]
     grads = dict(batch_grads.dense)
-    for prefix, table, sparse in _sparse_groups(model, batch_grads):
+    for prefix, table, sparse in batch_grads.tables:
         dense = np.zeros_like(table.weight)
         apply_sparse_to_table(table, sparse, dense.__setitem__)
         grads.update(prefixed(prefix, EmbeddingTable(dense, table.offsets).params))

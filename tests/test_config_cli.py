@@ -262,6 +262,12 @@ def _train_config_text(csv_path):
     )
 
 
+def _held_out_config_text(csv_path, **held_out):
+    """_train_config_text with held-out files (valid, test) in place of its split."""
+    text = _train_config_text(csv_path).replace("split = 0.7, 0.2, 0.1\n", "")
+    return text + "".join(f"{key} = {path}\n" for key, path in held_out.items())
+
+
 class TestCli:
     def test_train_eval_cec_roundtrip(self, tmp_path, synth_csv, capsys):
         csv_path, _ = synth_csv
@@ -360,6 +366,16 @@ class TestCli:
             main(["train", "--config", str(cfg_path), "--out", str(model_path)])
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("key,value", [("split", "0.5, 0.25, 0.25"), ("split_seed", "9")])
+    def test_split_with_a_valid_file_fails_at_load_naming_the_key(self, tmp_path, synth_csv, key, value):
+        # the valid file is absent, so reading it would raise FileNotFoundError instead
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(_held_out_config_text(synth_csv[0], valid=tmp_path / "absent.csv") + f"{key} = {value}\n")
+        message = f"{cfg_path}: key '{key}': is not used when 'valid' is given"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "model.bin")])
+        assert not (tmp_path / "model.bin").exists()
+
     @pytest.mark.parametrize("key", ["valid", "test"])
     @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
     def test_held_out_file_that_is_the_train_file_fails_at_load(self, tmp_path, synth_csv, key, link):
@@ -371,11 +387,10 @@ class TestCli:
         copy = tmp_path / "copy.csv"
         copy.write_text(csv_path.read_text())
         paths = {"valid": copy, "test": copy, key: held_out}
-        text = _train_config_text(csv_path) + "".join(f"{k} = {path}\n" for k, path in paths.items())
-        cfg = RunConfig.from_text(text)
+        cfg = RunConfig.from_text(_held_out_config_text(csv_path, **paths))
         with pytest.raises(ValueError, match=f"^{re.escape(str(held_out))}: key '{key}': is the 'train' file$"):
             cfg.load_datasets()
-        cfg = RunConfig.from_text(_train_config_text(csv_path) + f"valid = {copy}\ntest = {copy}\n")
+        cfg = RunConfig.from_text(_held_out_config_text(csv_path, valid=copy, test=copy))
         assert [len(ds) for ds in cfg.load_datasets()] == [400, 400, 400]  # a copy is another file
 
     def test_single_class_test_set_fails_before_the_first_step(self, tmp_path, synth_csv, capsys):
@@ -386,7 +401,7 @@ class TestCli:
         valid = tmp_path / "valid.csv"  # a copy: the train file itself is rejected as a valid set
         valid.write_text(csv_path.read_text())
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(_train_config_text(csv_path) + f"valid = {valid}\ntest = {negatives}\n")
+        cfg_path.write_text(_held_out_config_text(csv_path, valid=valid, test=negatives))
         model_path = tmp_path / "model.bin"
         with pytest.raises(ValueError, match=r"^test set needs both classes \(0 and 1\) for AUC$"):
             main(["train", "--config", str(cfg_path), "--out", str(model_path)])
@@ -438,6 +453,41 @@ class TestCli:
         with pytest.raises(ValueError, match=message.format(cfg=re.escape(str(cfg_path)))):
             main(["train", "--config", str(cfg_path), "--out", str(model_path)])
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("command,option", [("train", "--out"), ("eval", "--report"), ("cec-report", "--csv"), ("gen-synth", "--out")])
+    @pytest.mark.parametrize("bad", ["missing-directory", "directory"])
+    def test_unwritable_output_fails_before_any_work(self, tmp_path, synth_csv, capsys, command, option, bad):
+        csv_path, _ = synth_csv
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(_train_config_text(csv_path))
+        model_path = tmp_path / "model.bin"
+        save_model(RunConfig.from_file(cfg_path).build(), model_path)
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("rows = 200\nfields = 3\ncardinality = 8\nlatent_dim = 2\nseed = 11\n")
+        data = ["--model", str(model_path), "--data", str(csv_path), "--encoded"]
+        inputs = {"train": ["--config", str(cfg_path)], "eval": data, "cec-report": data, "gen-synth": ["--spec", str(spec)]}
+        out = tmp_path / "out"
+        if bad == "directory":
+            out.mkdir()
+            message = f"{option} {out}: is a directory"
+        else:
+            out = out / "result"
+            message = f"{option} {out}: directory {out.parent} does not exist"
+        files = sorted(tmp_path.rglob("*"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            main([command, *inputs[command], option, str(out)])
+        assert not any(line.startswith("epoch") for line in capsys.readouterr().out.splitlines())
+        assert sorted(tmp_path.rglob("*")) == files
+
+    def test_gen_synth_sidecar_that_is_a_directory_fails_before_writing(self, tmp_path):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("rows = 200\nfields = 3\ncardinality = 8\nlatent_dim = 2\nseed = 11\n")
+        out = tmp_path / "synth.csv"
+        (tmp_path / "synth.csv.params").mkdir()
+        message = f"--out sidecar {out}.params: is a directory"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            main(["gen-synth", "--spec", str(spec), "--out", str(out)])
+        assert not out.exists()
 
     def test_gen_synth(self, tmp_path):
         spec = tmp_path / "spec.cfg"

@@ -11,7 +11,7 @@ from moectr import cli, gradsuite
 from moectr import model as model_module
 from moectr import trainer
 
-from moectr.data import DatasetSchema, EncodedDataset, FeatureField, gen_synthetic, split_dataset
+from moectr.data import DatasetSchema, EncodedDataset, FeatureField, gen_synthetic, make_batches, split_dataset
 from moectr.embedding import EmbeddingTable, SparseGrad, lookup, lookup_gating, plan_rows
 from moectr.experts import EXPERT_KINDS, ExpertConfig
 from moectr.gradsuite import kink_margin, run_case, suite_cases
@@ -36,6 +36,7 @@ from moectr.trainer import (
     RowUndoLog,
     TrainConfig,
     TrainReport,
+    apply_grads,
     batch_objective,
     evaluate,
     run_warnings,
@@ -383,12 +384,14 @@ class TestTrainStep:
             wins += last < first
         assert wins >= 9
 
-    def test_batch_of_one_rejected_when_active(self):
+    @pytest.mark.parametrize("rows", [1, 0])
+    def test_batch_of_one_rejected_when_active(self, rows):
         model = micro_model(LossConfig(form="corr", alpha=0.5), seed=14)
         adam = Adam()
         idx, y = micro_batch(8, seed=15)
-        with pytest.raises(ValueError, match="batch too small"):
-            train_step(model, idx[:1], y[:1], adam)
+        message = f"batch too small for de-correlation: a batch would have {rows} row(s)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train_step(model, idx[:rows], y[:rows], adam)
 
     def test_decorrelation_reported(self):
         model = micro_model(LossConfig(form="corr", alpha=0.5), seed=16)
@@ -446,7 +449,7 @@ class TestTrainStep:
 
         def poisoned(*args):
             losses, grads, fc = real(*args)
-            grads.sparse[-1].vecs[-1, 0] = np.nan  # the gating table, the last group applied
+            grads.tables[-1][2].vecs[-1, 0] = np.nan  # the gating table, the last group applied
             return losses, grads, fc
 
         monkeypatch.setattr(trainer, "batch_objective", poisoned)
@@ -456,6 +459,23 @@ class TestTrainStep:
         for name, arr in named_params(model):
             np.testing.assert_array_equal(arr, params_before[name])
         assert_same_adam_state(adam, state_before)
+
+    @pytest.mark.parametrize("mode", ["se", "me"])
+    def test_plan_keys_are_the_rows_apply_grads_writes(self, mode):
+        model = all_kinds_model(mode, LossConfig(form="corr", alpha=0.3))
+        adam = Adam(lr=0.01)
+        train_step(model, *micro_batch(8, seed=3), adam)  # rows outside the next batch get moments
+        idx, y = micro_batch(3, seed=4)  # 3 samples x 3 fields: at most 9 of the 15 rows
+        before = [table.weight.copy() for _, table in table_modules(model)]
+        _, grads, _ = batch_objective(model, idx, y)
+        np.testing.assert_array_equal(grads.plan.keys, np.unique(idx + [0, 5, 10]))
+        apply_grads(grads, adam, dict(named_params(model)))
+        outside = np.setdiff1d(np.arange(15), grads.plan.keys)
+        changed = np.zeros(15, dtype=bool)
+        for (name, table), old in zip(table_modules(model), before, strict=True):
+            assert table.weight[outside].tobytes() == old[outside].tobytes(), name
+            changed |= (table.weight != old).any(axis=1)
+        np.testing.assert_array_equal(np.flatnonzero(changed), grads.plan.keys)
 
 
 def _tiny_dataset(n=60, seed=0):
@@ -516,12 +536,44 @@ class TestTrainLoop:
         for (_, arr), old in zip(named_params(model), before):
             np.testing.assert_array_equal(arr, old)
 
-    def test_final_batch_of_one_rejected_upfront(self):
-        ds = _tiny_dataset(65, seed=12)  # 65 % 16 == 1
+    @pytest.mark.parametrize("rows,batch_size", [(65, 16), (64, 1)])  # 65 % 16 == 1
+    def test_final_batch_of_one_rejected_upfront(self, rows, batch_size):
+        ds = _tiny_dataset(rows, seed=12)
         model = micro_model(LossConfig(form="corr", alpha=0.4), seed=13)
-        cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=1, seed=14)
-        with pytest.raises(ValueError, match="batch too small"):
+        before = [arr.copy() for _, arr in named_params(model)]
+        cfg = TrainConfig(learning_rate=0.01, batch_size=batch_size, epochs=1, seed=14)
+        message = "batch too small for de-correlation: a batch would have 1 row(s)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             train_loop(model, ds, ds, cfg)
+        for (_, arr), old in zip(named_params(model), before):
+            np.testing.assert_array_equal(arr, old)
+
+    @pytest.mark.parametrize("mode", ["se", "me"])
+    def test_updates_equal_train_step_byte_for_byte(self, monkeypatch, mode):
+        # the loop runs batch_objective and apply_grads itself, around its
+        # undo log; a second model stepped by train_step on the same
+        # batches must hold the same bytes at every epoch's evaluation
+        ds = _tiny_dataset(200, seed=44)
+        tr, va, _ = split_dataset(ds, (0.6, 0.3, 0.1), seed=45)
+        loss = LossConfig(form="corr", alpha=0.3)
+        copies = []
+        real = trainer.evaluate
+
+        def copying(m, d):
+            copies.append({name: arr.copy() for name, arr in named_params(m)})
+            return real(m, d)
+
+        monkeypatch.setattr(trainer, "evaluate", copying)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=16, epochs=4, patience=10, seed=46)
+        train_loop(all_kinds_model(mode, loss), tr, va, cfg)
+        assert len(copies) == cfg.epochs
+        stepped = all_kinds_model(mode, loss)
+        adam = Adam(lr=cfg.learning_rate)
+        for epoch, copy in enumerate(copies):
+            for batch in make_batches(tr, cfg.batch_size, shuffle_seed=cfg.seed + epoch):
+                train_step(stepped, tr.indices[batch.rows], tr.labels[batch.rows], adam)
+            for name, arr in named_params(stepped):
+                assert arr.tobytes() == copy[name].tobytes(), (epoch, name)
 
     def test_step_error_names_epoch_and_batch(self, monkeypatch):
         ds = _tiny_dataset(64, seed=17)
@@ -534,7 +586,7 @@ class TestTrainLoop:
             losses, grads, fc = real(*args)
             calls.append(None)
             if len(calls) == 6:  # second batch of the second epoch
-                grads.sparse[-1].vecs[0, 0] = np.inf
+                grads.tables[-1][2].vecs[0, 0] = np.inf
             return losses, grads, fc
 
         monkeypatch.setattr(trainer, "batch_objective", poisoned)
