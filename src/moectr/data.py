@@ -5,7 +5,9 @@ parser that its parameter sidecar and every config file share.
 File format: UTF-8 CSV, first line header, one label column holding literal
 "0"/"1", every other referenced column treated as a categorical token and
 hashed into its field's bucket range. Empty cells map to the sentinel token
-"__MISSING__" and are hashed like any other token.
+"__MISSING__" and are hashed like any other token. A row may hold fewer
+cells than the header (the rest read as empty) but not more. Each chunk of
+rows is hashed in one FNV-1a pass over a byte buffer of all its cells.
 """
 
 from __future__ import annotations
@@ -131,16 +133,20 @@ CSV_CHUNK_ROWS = 4096  # rows held as text at once while reading or writing
 
 def _read_csv(path, schema: DatasetSchema, encode) -> EncodedDataset:
     """Shared body of the two readers: header check, then per chunk of rows
-    the label check and one ``encode(cells, cardinality)`` per feature column.
+    the row-length and label checks and one ``encode(cells, width, columns,
+    cards)``, where ``cells`` holds the chunk's rows one after another,
+    ``width`` cells each. It returns the (rows, fields) bucket ids of the
+    cells at ``columns``, -1 where a cell is not one.
 
-    Blank lines are skipped and a short row's missing cells read as empty.
-    ``encode`` returns the column's bucket ids, -1 where a cell is not one.
+    Blank lines are skipped, a short row's missing cells read as empty and a
+    row longer than the header is an error.
     """
     index_parts, label_parts = [], []
     done = 0  # data rows read before the current chunk
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
+        width = len(header)
         position = {name: j for j, name in enumerate(header)}
         for col in schema.field_names + [schema.label_column]:
             if col not in position:
@@ -149,29 +155,36 @@ def _read_csv(path, schema: DatasetSchema, encode) -> EncodedDataset:
                 raise ValueError(
                     f"column {col!r} appears {header.count(col)} times in the header of {path}"
                 )
+        columns = [position[name] for name in schema.field_names]
+        cards = np.array(schema.cardinalities, dtype=np.int64)
         while chunk := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
             rows = [row for row in chunk if row]
-            if rows and min(map(len, rows)) < len(header):
-                rows = [row + [""] * (len(header) - len(row)) for row in rows]
-            raw = np.array([row[position[schema.label_column]] for row in rows], dtype=str)
+            counts = np.fromiter(map(len, rows), np.int64, len(rows))
+            if (counts > width).any():
+                i = int(np.argmax(counts > width))
+                line = _line_of(path, done + i + 1)
+                raise ValueError(f"data row {done + i + 1} (line {line}) has {counts[i]} cells; the header has {width}")
+            if (counts < width).any():
+                rows = [row + [""] * (width - len(row)) for row in rows]
+            cells = list(itertools.chain.from_iterable(rows))
+            raw = np.array(cells[position[schema.label_column] :: width], dtype=str)
             bad = np.flatnonzero((raw != "0") & (raw != "1"))
             if bad.size:
                 raise ValueError(f"invalid label at line {_line_of(path, done + bad[0] + 1)}")
             label_parts.append((raw == "1").astype(np.float64))
-            part = np.empty((len(rows), schema.num_fields), dtype=np.int64)
-            for j, fld in enumerate(schema.fields):
-                cells = [row[position[fld.name]] for row in rows]
-                part[:, j] = ids = encode(cells, fld.cardinality)
-                bad = np.flatnonzero((ids < 0) | (ids >= fld.cardinality))
-                if bad.size:
-                    row_no = done + int(bad[0]) + 1
-                    raise ValueError(
-                        f"column {fld.name!r}, data row {row_no} (line "
-                        f"{_line_of(path, row_no)}): {cells[bad[0]]!r} is not a "
-                        f"bucket id in [0, {fld.cardinality})"
-                    )
+            part = encode(cells, width, columns, cards)
+            bad = np.argwhere(((part < 0) | (part >= cards)).T)  # field by field
+            if bad.size:
+                j, i = bad[0].tolist()
+                fld, row_no = schema.fields[j], done + i + 1
+                raise ValueError(
+                    f"column {fld.name!r}, data row {row_no} (line "
+                    f"{_line_of(path, row_no)}): {cells[i * width + columns[j]]!r} is not a "
+                    f"bucket id in [0, {fld.cardinality})"
+                )
             index_parts.append(part)
             done += len(rows)
+            del chunk, rows, cells  # free this chunk's text before the next is read
     indices = np.concatenate([np.empty((0, schema.num_fields), np.int64), *index_parts])
     return EncodedDataset(schema, indices, np.concatenate([np.empty(0), *label_parts]))
 
@@ -185,48 +198,73 @@ def _line_of(path, data_row: int) -> int:
         return reader.line_num
 
 
-def _hash_cells(cells: list[str], cardinality: int) -> np.ndarray:
-    """FNV-1a bucket per cell, hashing each distinct token of the chunk once."""
-    tokens = list(set(cells))
-    encoded = [(token or MISSING_TOKEN).encode("utf-8") for token in tokens]
-    memo = dict(zip(tokens, fnv1a_buckets(encoded, cardinality).tolist()))
-    return np.fromiter(map(memo.__getitem__, cells), np.int64, len(cells))
+def _hash_chunk(cells: list[str], width: int, columns: list[int], cards: np.ndarray) -> np.ndarray:
+    """FNV-1a bucket of every referenced cell, hashed in one pass over one
+    UTF-8 buffer of all the chunk's cells; an empty cell reads as
+    MISSING_TOKEN, which ends the buffer."""
+    buf = ("".join(cells) + MISSING_TOKEN).encode("utf-8")
+    sized = cells if buf.isascii() else [cell.encode("utf-8") for cell in cells]
+    lengths = np.fromiter(map(len, sized), np.int64, len(cells))
+    starts = (np.cumsum(lengths) - lengths).reshape(-1, width)[:, columns]
+    lengths = lengths.reshape(-1, width)[:, columns]
+    empty = lengths == 0
+    starts[empty], lengths[empty] = len(buf) - len(MISSING_TOKEN), len(MISSING_TOKEN)
+    return fnv1a_buckets(buf, starts, lengths, cards)
 
 
-def fnv1a_buckets(tokens: list[bytes], cardinality: int) -> np.ndarray:
-    """``hash_token`` of every token at once, in wrapping uint64 arithmetic.
+FNV_TAIL_SPANS = 16  # so few spans end faster in Python ints than by numpy calls
 
-    The tokens are sorted longest first and padded to the longest, so byte
-    position p updates only the leading tokens that are longer than p.
+
+def fnv1a_buckets(buf: bytes, starts: np.ndarray, lengths: np.ndarray, cardinality) -> np.ndarray:
+    """``hash_token(buf[s : s + n], cardinality)`` for every start s and
+    length n at once, in wrapping uint64 arithmetic; ``cardinality``
+    broadcasts against ``starts``, so each column may take its own.
+
+    The spans are sorted longest first, so byte position p updates only the
+    leading spans longer than p, and the cost follows the bytes hashed. Once
+    only the FNV_TAIL_SPANS longest are left, they end byte by byte in Python
+    ints, which for so few is cheaper than a numpy call per position.
     """
-    at_least("cardinality", cardinality, 1)
-    lengths = np.fromiter(map(len, tokens), np.int64, len(tokens))
-    order = np.argsort(-lengths, kind="stable")
-    padded = np.array([tokens[i] for i in order], dtype=bytes)
-    width = padded.dtype.itemsize
-    columns = np.ascontiguousarray(padded.view(np.uint8).reshape(-1, width).T)
-    longer = np.searchsorted(-lengths[order], -np.arange(width), side="left")
-    h = np.full(len(tokens), FNV_OFFSET, dtype=np.uint64)
-    for column, k in zip(columns, longer):
-        h[:k] ^= column[:k]
+    at_least("cardinality", int(np.min(cardinality)), 1)
+    data = np.frombuffer(buf, np.uint8)
+    lengths = np.ravel(lengths)
+    order = np.argsort(-lengths)
+    at = np.ravel(starts).take(order)  # each span's next byte
+    tail = order[:FNV_TAIL_SPANS]
+    ends = (at[: tail.size] + lengths.take(tail)).tolist()
+    cut = int(lengths[order[tail.size]]) if lengths.size > tail.size else 0  # byte positions more spans than the tail reach
+    longer = np.searchsorted(-lengths.take(order), -np.arange(cut), side="left").tolist()
+    h = np.full(lengths.size, FNV_OFFSET, dtype=np.uint64)
+    for k in longer:
+        h[:k] ^= data.take(at[:k])
         h[:k] *= np.uint64(FNV_PRIME)
-    buckets = np.empty(len(tokens), dtype=np.int64)
-    buckets[order] = h % np.uint64(cardinality)
-    return buckets
+        at[:k] += 1
+    for i, end in enumerate(ends):
+        value = int(h[i])
+        for byte in buf[at[i] : end]:
+            value = (value ^ byte) * FNV_PRIME & _MASK64
+        h[i] = value
+    hashes = np.empty(np.shape(starts), np.uint64)
+    hashes.reshape(-1)[order] = h
+    return np.remainder(hashes, np.asarray(cardinality, np.uint64), out=hashes).view(np.int64)
 
 
-def _bucket_cells(cells: list[str], cardinality: int) -> np.ndarray:
-    """Cells taken as literal bucket ids: a cell is one only if it is a run
-    of ASCII digits. Any other cell reads as -1, an id past int64 as
-    ``cardinality``."""
-    joined = "".join(cells)
-    # on ASCII text bytes.isdigit gives str.isdigit's answer, ten times faster
-    if joined.isascii() and joined.encode().isdigit():
-        try:  # fails on an empty cell or an id past int64
-            return np.fromiter(map(int, cells), np.int64, len(cells))
-        except (ValueError, OverflowError):
-            pass
-    return np.array([min(int(c), cardinality) if c.isascii() and c.isdigit() else -1 for c in cells], np.int64)
+def _bucket_cells(cells: list[str], width: int, columns: list[int], cards: np.ndarray) -> np.ndarray:
+    """Cells taken as literal bucket ids, column by column: a cell is one
+    only if it is a run of ASCII digits. Any other cell reads as -1, an id
+    past int64 as its column's cardinality."""
+    part = np.empty((len(cells) // width, len(columns)), np.int64)
+    for j, column in enumerate(cells[c::width] for c in columns):
+        joined = "".join(column)
+        # on ASCII text bytes.isdigit gives str.isdigit's answer, ten times faster
+        if joined.isascii() and joined.encode().isdigit():
+            try:  # fails on an empty cell or an id past int64
+                part[:, j] = np.fromiter(map(int, column), np.int64, len(column))
+                continue
+            except (ValueError, OverflowError):
+                pass
+        part[:, j] = [min(int(c), cards[j]) if c.isascii() and c.isdigit() else -1 for c in column]
+    return part
 
 
 def load_table(path, schema: DatasetSchema) -> EncodedDataset:
@@ -235,7 +273,7 @@ def load_table(path, schema: DatasetSchema) -> EncodedDataset:
     Missing/empty cells become the "__MISSING__" sentinel. The label column
     must hold the literal strings "0" or "1". Row order is preserved.
     """
-    return _read_csv(path, schema, _hash_cells)
+    return _read_csv(path, schema, _hash_chunk)
 
 
 def save_table(ds: EncodedDataset, path) -> None:

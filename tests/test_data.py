@@ -57,6 +57,12 @@ class TestHashToken:
 EDGE_TOKENS = ["", "a", "a\0", "\0", "abc\0\0", "é", "日本語", "x" * 40, "y" * 39 + "\0", "a,b"]
 
 
+def joined_spans(tokens: list[bytes]) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """The tokens as one buffer, with each token's start and length in it."""
+    lengths = np.array([len(t) for t in tokens], dtype=np.int64)
+    return b"".join(tokens), np.cumsum(lengths) - lengths, lengths
+
+
 class TestFnv1aBuckets:
     """The vectorised hash must equal hash_token, the scalar reference."""
 
@@ -66,14 +72,23 @@ class TestFnv1aBuckets:
         tokens += [bytes(rng.integers(0, 256, rng.integers(0, 45)).tolist()) for _ in range(2000)]
         for d in [1, 7, 100_000, 2**63 - 1]:
             expected = [hash_token(t, d) for t in tokens]
-            assert fnv1a_buckets(tokens, d).tolist() == expected
+            assert fnv1a_buckets(*joined_spans(tokens), d).tolist() == expected
+
+    def test_spans_in_any_order_with_a_cardinality_per_column(self):
+        # a (rows, fields) block of spans, some repeated and out of buffer order
+        tokens = [t.encode("utf-8") for t in EDGE_TOKENS] + [b"z" * 300]
+        buf, starts, lengths = joined_spans(tokens)
+        pick = np.random.default_rng(1).integers(0, len(tokens), (40, 3))
+        cards = [50, 1, 2**63 - 1]
+        got = fnv1a_buckets(buf, starts[pick], lengths[pick], np.array(cards))
+        assert got.tolist() == [[hash_token(tokens[k], d) for k, d in zip(row, cards)] for row in pick]
 
     def test_empty_list(self):
-        assert fnv1a_buckets([], 5).tolist() == []
+        assert fnv1a_buckets(*joined_spans([]), 5).tolist() == []
 
     def test_bad_cardinality(self):
         with pytest.raises(ValueError, match="^cardinality must be >= 1, got 0$"):
-            fnv1a_buckets([b"x"], 0)
+            fnv1a_buckets(*joined_spans([b"x"]), 0)
 
 
 SCHEMA = DatasetSchema(
@@ -155,6 +170,30 @@ class TestLoadTable:
             for a, b in zip(sites, devices)
         ]
         assert ds.indices.tolist() == expected
+
+    def test_every_cell_hashes_as_scalar_across_chunk_boundaries(self, tmp_path, monkeypatch):
+        # three reader rows a chunk: a quoted newline and comma, a blank line
+        # opening a chunk whose feature cells are all empty, a short row, a
+        # 10,000-character token beside 1-byte ones and one multi-byte token
+        # in an ASCII chunk, under a header in another order than the schema
+        monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 3)
+        long = "q" * 10_000
+        path = tmp_path / "t.csv"
+        path.write_text(
+            'device,click,junk,site\nd1,0,j,"a\nb,c"\nx,1,,s\ny,0,j,t\n\n,1,j,\n,0,,\n,1,z,\n'
+            f"d,0\n{long},1,j,a\nb,0,j,c\n日本語,1,j,s\ne,0,j,f\n",
+            encoding="utf-8",
+        )
+        rows = [
+            ("a\nb,c", "d1", 0), ("s", "x", 1), ("t", "y", 0), ("", "", 1), ("", "", 0), ("", "", 1),
+            ("", "d", 0), ("a", long, 1), ("c", "b", 0), ("s", "日本語", 1), ("f", "e", 0),
+        ]
+        ds = load_table(path, SCHEMA)
+        assert ds.indices.tolist() == [
+            [hash_token(site or "__MISSING__", 50), hash_token(device or "__MISSING__", 30)]
+            for site, device, _ in rows
+        ]
+        assert ds.labels.tolist() == [float(click) for _, _, click in rows]
 
     def test_indices_below_cardinality(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -373,6 +412,15 @@ class TestLoadSyntheticCsv:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(ValueError, match=r"column 'f1', data row 15 \(line 16\)"):
             load_synthetic_csv(path, ds.schema)
+
+
+@pytest.mark.parametrize("reader", [load_table, load_synthetic_csv], ids=["hashed", "encoded"])
+def test_row_longer_than_the_header_is_an_error(tmp_path, reader):
+    # an unquoted comma inside a token would otherwise shift the row's cells
+    path = tmp_path / "t.csv"
+    path.write_text('site,device,click\n1,2,0\n\n"3\n",4,1\n5,6,1,7\n')
+    with pytest.raises(ValueError, match=r"^data row 3 \(line 6\) has 4 cells; the header has 3$"):
+        reader(path, SCHEMA)
 
 
 def _save_table_row_by_row(ds, path):

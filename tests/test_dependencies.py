@@ -2,8 +2,9 @@
 package names a standard-library module or numpy. And every name comes
 from its module: ``from moectr import X`` only imports a module X. The
 package's modules import each other without a cycle, and each check has
-one home: a message is raised at one site, and a lower bound is checked
-by ``numerics.at_least``."""
+one home: a message is raised at one site, a lower bound is checked by
+``numerics.at_least``, and ``FNV_PRIME`` is read only by the scalar hash
+reference and the one vectorised hash."""
 
 import ast
 import sys
@@ -201,3 +202,41 @@ def test_guard_sees_a_lower_bound_rule_passed_as_a_string():
         '_seed = checked(int, lambda s: s >= 0, "seeds must be >= 0")\n',
     }
     assert lower_bound_rules(sources) == ["config.py:4"]
+
+
+# FNV_PRIME's readers: the scalar reference and the one vectorised hash
+FNV_HOMES = REFERENCE_FUNCTIONS | {("data.py", "fnv1a_buckets")}
+
+
+def fnv_prime_readers(sources: dict[str, str]) -> list[str]:
+    """Sites outside FNV_HOMES that read FNV_PRIME: by name, as a module's
+    attribute, or by importing it (under any alias)."""
+    sites = []
+    for filename, source in sources.items():
+        tree = ast.parse(source, filename=filename)
+        skipped = exempt_nodes(tree, filename, FNV_HOMES)
+        sites.extend(
+            f"{filename}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in skipped
+            and (
+                isinstance(node, ast.Name) and node.id == "FNV_PRIME" and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr == "FNV_PRIME"
+                or isinstance(node, ast.ImportFrom) and any(a.name == "FNV_PRIME" for a in node.names)
+            )
+        )
+    return sites
+
+
+def test_fnv_prime_is_read_by_the_reference_and_the_vectorised_hash_only():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert fnv_prime_readers(sources) == []
+
+
+def test_guard_sees_a_third_reader_of_the_fnv_prime():
+    sources = {
+        "data.py": "FNV_PRIME = 3\n\ndef hash_token(t):\n    return t * FNV_PRIME\n\n"
+        "def fnv1a_buckets(b):\n    return b * FNV_PRIME\n\ndef _hash_column(c):\n    return c * FNV_PRIME\n",
+        "cli.py": "from .data import FNV_PRIME as P\nfrom . import data\n\ndef h(x):\n    return x * data.FNV_PRIME\n",
+    }
+    assert fnv_prime_readers(sources) == ["data.py:10", "cli.py:1", "cli.py:5"]
