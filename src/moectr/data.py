@@ -167,6 +167,7 @@ def _read_csv(path, schema: DatasetSchema, encode) -> EncodedDataset:
             if (counts < width).any():
                 rows = [row + [""] * (width - len(row)) for row in rows]
             cells = list(itertools.chain.from_iterable(rows))
+            del chunk, rows  # the flat list now holds the chunk's text
             raw = np.array(cells[position[schema.label_column] :: width], dtype=str)
             bad = np.flatnonzero((raw != "0") & (raw != "1"))
             if bad.size:
@@ -183,8 +184,8 @@ def _read_csv(path, schema: DatasetSchema, encode) -> EncodedDataset:
                     f"bucket id in [0, {fld.cardinality})"
                 )
             index_parts.append(part)
-            done += len(rows)
-            del chunk, rows, cells  # free this chunk's text before the next is read
+            done += len(cells) // width
+            del cells  # free this chunk's text before the next is read
     indices = np.concatenate([np.empty((0, schema.num_fields), np.int64), *index_parts])
     return EncodedDataset(schema, indices, np.concatenate([np.empty(0), *label_parts]))
 
@@ -212,38 +213,25 @@ def _hash_chunk(cells: list[str], width: int, columns: list[int], cards: np.ndar
     return fnv1a_buckets(buf, starts, lengths, cards)
 
 
-FNV_TAIL_SPANS = 16  # so few spans end faster in Python ints than by numpy calls
-
-
 def fnv1a_buckets(buf: bytes, starts: np.ndarray, lengths: np.ndarray, cardinality) -> np.ndarray:
     """``hash_token(buf[s : s + n], cardinality)`` for every start s and
     length n at once, in wrapping uint64 arithmetic; ``cardinality``
     broadcasts against ``starts``, so each column may take its own.
 
     The spans are sorted longest first, so byte position p updates only the
-    leading spans longer than p, and the cost follows the bytes hashed. Once
-    only the FNV_TAIL_SPANS longest are left, they end byte by byte in Python
-    ints, which for so few is cheaper than a numpy call per position.
+    leading spans longer than p.
     """
     at_least("cardinality", int(np.min(cardinality)), 1)
     data = np.frombuffer(buf, np.uint8)
     lengths = np.ravel(lengths)
     order = np.argsort(-lengths)
     at = np.ravel(starts).take(order)  # each span's next byte
-    tail = order[:FNV_TAIL_SPANS]
-    ends = (at[: tail.size] + lengths.take(tail)).tolist()
-    cut = int(lengths[order[tail.size]]) if lengths.size > tail.size else 0  # byte positions more spans than the tail reach
-    longer = np.searchsorted(-lengths.take(order), -np.arange(cut), side="left").tolist()
+    longer = np.searchsorted(-lengths.take(order), -np.arange(lengths.max(initial=0)), side="left")
     h = np.full(lengths.size, FNV_OFFSET, dtype=np.uint64)
-    for k in longer:
+    for k in longer.tolist():
         h[:k] ^= data.take(at[:k])
         h[:k] *= np.uint64(FNV_PRIME)
         at[:k] += 1
-    for i, end in enumerate(ends):
-        value = int(h[i])
-        for byte in buf[at[i] : end]:
-            value = (value ^ byte) * FNV_PRIME & _MASK64
-        h[i] = value
     hashes = np.empty(np.shape(starts), np.uint64)
     hashes.reshape(-1)[order] = h
     return np.remainder(hashes, np.asarray(cardinality, np.uint64), out=hashes).view(np.int64)
