@@ -6,18 +6,28 @@ File format: UTF-8 CSV, first line header, one label column holding literal
 "0"/"1", every other referenced column treated as a categorical token and
 hashed into its field's bucket range. Empty cells map to the sentinel token
 "__MISSING__" and are hashed like any other token. A row may hold fewer
-cells than the header (the rest read as empty) but not more. Each chunk of
-rows is hashed in one FNV-1a pass over a byte buffer of all its cells.
+cells than the header (the rest read as empty) but not more.
+
+Both readers turn each chunk of CSV_CHUNK_ROWS lines into one layout: a
+byte buffer and the start and length of every cell of every row. A chunk
+with no '"' and no '\r' line end outside '\r\n' is tokenised from its
+bytes with numpy, no Python string per cell. ``csv.reader``, the only path
+that reads quoted cells, parses the header line and, from the first chunk
+that holds such a byte (or a header that does), the rest of the file. Then
+load_table hashes each layout in one FNV-1a pass over its buffer and
+load_synthetic_csv folds it into decimal bucket ids.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Collection
+from typing import Collection, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -128,25 +138,35 @@ class Batch:
         return self.rows.shape[0]
 
 
-CSV_CHUNK_ROWS = 4096  # rows held as text at once while reading or writing
+CSV_CHUNK_ROWS = 4096  # lines held at once while reading, rows while writing
+
+
+class _Chunk(NamedTuple):
+    """The layout of one chunk of data rows: cell j of row i is the UTF-8
+    text ``buf[starts[i, j] : starts[i, j] + lengths[i, j]]``, and row i is
+    data row ``done + i + 1``, ending on line ``lines[i]``. The cells a short
+    row lacks are empty."""
+
+    buf: bytes
+    starts: np.ndarray  # (rows, width) int64
+    lengths: np.ndarray  # (rows, width) int64
+    lines: np.ndarray  # (rows,) int64
+    done: int  # data rows before this chunk
 
 
 def _read_csv(path, schema: DatasetSchema, encode) -> EncodedDataset:
-    """Shared body of the two readers: header check, then per chunk of rows
-    the row-length and label checks and one ``encode(cells, width, columns,
-    cards)``, where ``cells`` holds the chunk's rows one after another,
-    ``width`` cells each. It returns the (rows, fields) bucket ids of the
-    cells at ``columns``, -1 where a cell is not one.
-
-    Blank lines are skipped, a short row's missing cells read as empty and a
-    row longer than the header is an error.
-    """
+    """Shared body of the two readers: header check, then per chunk the
+    label check and one ``encode(buf, starts, lengths, cards)`` over the
+    chunk's layout cut to the (rows, fields) cells of the schema's fields.
+    It returns their bucket ids, -1 where a cell is not one."""
     index_parts, label_parts = [], []
-    done = 0  # data rows read before the current chunk
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        width = len(header)
+    with open(path, "rb") as fh:
+        chunks = _chunks(fh)
+        header = next(chunks)
+        try:
+            "".join(header).encode("utf-8")
+        except UnicodeEncodeError as err:
+            raise ValueError(f"invalid UTF-8 in the header of {path}") from err
         position = {name: j for j, name in enumerate(header)}
         for col in schema.field_names + [schema.label_column]:
             if col not in position:
@@ -156,61 +176,193 @@ def _read_csv(path, schema: DatasetSchema, encode) -> EncodedDataset:
                     f"column {col!r} appears {header.count(col)} times in the header of {path}"
                 )
         columns = [position[name] for name in schema.field_names]
+        label = position[schema.label_column]
         cards = np.array(schema.cardinalities, dtype=np.int64)
-        while chunk := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
-            rows = [row for row in chunk if row]
-            counts = np.fromiter(map(len, rows), np.int64, len(rows))
-            if (counts > width).any():
-                i = int(np.argmax(counts > width))
-                line = _line_of(path, done + i + 1)
-                raise ValueError(f"data row {done + i + 1} (line {line}) has {counts[i]} cells; the header has {width}")
-            if (counts < width).any():
-                rows = [row + [""] * (width - len(row)) for row in rows]
-            cells = list(itertools.chain.from_iterable(rows))
-            del chunk, rows  # the flat list now holds the chunk's text
-            raw = np.array(cells[position[schema.label_column] :: width], dtype=str)
-            bad = np.flatnonzero((raw != "0") & (raw != "1"))
+        for chunk in chunks:
+            one_byte = chunk.lengths[:, label] == 1
+            raw = np.zeros(len(chunk.lines), np.uint8)
+            raw[one_byte] = np.frombuffer(chunk.buf, np.uint8).take(chunk.starts[one_byte, label])
+            bad = np.flatnonzero((raw != ord("0")) & (raw != ord("1")))
             if bad.size:
-                raise ValueError(f"invalid label at line {_line_of(path, done + bad[0] + 1)}")
-            label_parts.append((raw == "1").astype(np.float64))
-            part = encode(cells, width, columns, cards)
+                raise ValueError(f"invalid label at line {chunk.lines[bad[0]]}")
+            label_parts.append((raw == ord("1")).astype(np.float64))
+            part = encode(chunk.buf, chunk.starts[:, columns], chunk.lengths[:, columns], cards)
             bad = np.argwhere(((part < 0) | (part >= cards)).T)  # field by field
             if bad.size:
                 j, i = bad[0].tolist()
-                fld, row_no = schema.fields[j], done + i + 1
+                start, length = chunk.starts[i, columns[j]], chunk.lengths[i, columns[j]]
                 raise ValueError(
-                    f"column {fld.name!r}, data row {row_no} (line "
-                    f"{_line_of(path, row_no)}): {cells[i * width + columns[j]]!r} is not a "
-                    f"bucket id in [0, {fld.cardinality})"
+                    f"column {schema.fields[j].name!r}, data row {chunk.done + i + 1} (line "
+                    f"{chunk.lines[i]}): {chunk.buf[start : start + length].decode()!r} is not a "
+                    f"bucket id in [0, {schema.fields[j].cardinality})"
                 )
             index_parts.append(part)
-            done += len(cells) // width
-            del cells  # free this chunk's text before the next is read
     indices = np.concatenate([np.empty((0, schema.num_fields), np.int64), *index_parts])
     return EncodedDataset(schema, indices, np.concatenate([np.empty(0), *label_parts]))
 
 
-def _line_of(path, data_row: int) -> int:
-    """Line on which the given 1-based data row ends (for error messages)."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        rows = (row for row in itertools.islice(reader, 1, None) if row)
-        next(itertools.islice(rows, data_row - 1, None))
-        return reader.line_num
+def _chunks(fh) -> Iterator:
+    """Yield the header of a CSV file opened in binary mode, then its data
+    rows in chunks of CSV_CHUNK_ROWS lines. ``csv.reader`` parses the header
+    line alone, and chunks are tokenised from their bytes up to the first
+    that needs ``csv.reader``: from there, or from the start if the header
+    needs it, the rest of the file goes through ``csv.reader``."""
+    first = fh.readline()
+    at = done = line = 0  # where csv.reader starts, and the data rows and lines before it
+    if not _needs_csv_reader(first):
+        header = next(csv.reader([first.removeprefix(codecs.BOM_UTF8).decode("utf-8", "surrogateescape")]), [])
+        yield header
+        line = 1
+        while True:
+            at = fh.tell()
+            lines = list(itertools.islice(fh, CSV_CHUNK_ROWS))
+            if not lines:
+                return
+            buf = b"".join(lines)
+            if _needs_csv_reader(buf):
+                break
+            chunk = _tokenise(buf, len(header), done, line)
+            yield chunk
+            done += len(chunk.lines)
+            line += len(lines)
+    fh.seek(at)
+    # bytes that are not UTF-8 read as lone surrogates, so that their row can be named
+    with io.TextIOWrapper(fh, "utf-8" if line else "utf-8-sig", "surrogateescape", newline="") as text:
+        reader = csv.reader(text)
+        if not line:
+            header = next(reader, [])
+            yield header
+        yield from _reader_chunks(reader, len(header), done, line)
 
 
-def _hash_chunk(cells: list[str], width: int, columns: list[int], cards: np.ndarray) -> np.ndarray:
-    """FNV-1a bucket of every referenced cell, hashed in one pass over one
-    UTF-8 buffer of all the chunk's cells; an empty cell reads as
-    MISSING_TOKEN, which ends the buffer."""
-    buf = ("".join(cells) + MISSING_TOKEN).encode("utf-8")
-    sized = cells if buf.isascii() else [cell.encode("utf-8") for cell in cells]
-    lengths = np.fromiter(map(len, sized), np.int64, len(cells))
-    starts = (np.cumsum(lengths) - lengths).reshape(-1, width)[:, columns]
-    lengths = lengths.reshape(-1, width)[:, columns]
+def _needs_csv_reader(buf: bytes) -> bool:
+    """Whether ``buf`` holds a quote or a '\\r' line end not followed by
+    '\\n', which only ``csv.reader`` reads."""
+    if b'"' in buf:
+        return True
+    if b"\r" not in buf:
+        return False
+    data = np.frombuffer(buf, np.uint8)
+    after = data.take(np.flatnonzero(data == ord("\r")) + 1, mode="clip")  # a final '\r' reads itself
+    return bool((after != ord("\n")).any())
+
+
+def _tokenise(buf: bytes, width: int, done: int, line: int) -> _Chunk:
+    """The layout of whole lines that hold no quote and no lone '\\r', the
+    first of them line ``line + 1``, found with numpy: a cell ends at each
+    ',' and each '\\n' (or the '\\r' before it), and a line of one empty
+    cell is blank."""
+    if not buf.endswith(b"\n"):
+        buf += b"\n"
+    data = np.frombuffer(buf, np.uint8)
+    ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    last = np.flatnonzero(data.take(ends) == ord("\n"))  # each line's last cell
+    if b"\r" in buf:  # each '\r' comes just before a '\n'
+        ends[last] -= data.take(ends[last] - 1) == ord("\r")
+    lengths = ends - starts
+    counts = np.diff(last, prepend=-1)  # cells per line
+    blank = (counts == 1) & (lengths.take(last) == 0)
+    kept = np.flatnonzero(~blank)  # the line of each row
+
+    def fail(cell: int, reason: str):
+        i = int(np.searchsorted(last, cell))  # the line holding the cell
+        _bad_row(done + int(np.count_nonzero(~blank[:i])) + 1, line + 1 + i, reason)
+
+    limit = csv.field_size_limit()
+    for cell in np.flatnonzero(lengths > limit).tolist():  # its bytes bound its characters
+        if len(buf[starts[cell] : ends[cell]].decode("utf-8", "surrogateescape")) > limit:
+            fail(cell, f"field larger than field limit ({limit})")
+    lines = line + 1 + kept
+    _check_widths(counts.take(kept), width, done, lines)
+    if not buf.isascii():
+        try:
+            buf.decode("utf-8")
+        except UnicodeDecodeError as err:
+            fail(int(np.searchsorted(ends, err.start, side="right")), "invalid UTF-8")
+    if (counts == width).all():  # no short row and, as width > 1, no blank line
+        return _Chunk(buf, starts.reshape(-1, width), lengths.reshape(-1, width), lines, done)
+    line_of = np.repeat(np.arange(len(counts)), counts)
+    row = (np.cumsum(~blank) - 1).take(line_of)
+    column = np.arange(len(lengths)) - (last - counts + 1).take(line_of)
+    in_row = ~blank.take(line_of)
+    grid_starts, grid_lengths = np.zeros((2, len(kept), width), np.int64)
+    grid_starts[row[in_row], column[in_row]] = starts[in_row]
+    grid_lengths[row[in_row], column[in_row]] = lengths[in_row]
+    return _Chunk(buf, grid_starts, grid_lengths, lines, done)
+
+
+def _reader_chunks(reader, width: int, done: int, line: int) -> Iterator[_Chunk]:
+    """The layout of each chunk of rows ``reader`` reads, its cells joined
+    into one buffer; line ``line + reader.line_num`` is the reader's."""
+    while True:
+        rows, lines, records = [], [], 0
+        try:
+            for records, row in enumerate(itertools.islice(reader, CSV_CHUNK_ROWS), 1):
+                if row:
+                    rows.append(row)
+                    lines.append(line + reader.line_num)
+        except csv.Error as err:
+            _bad_row(done + len(rows) + 1, line + reader.line_num, str(err))
+        if records == 0:
+            return
+        counts = np.fromiter(map(len, rows), np.int64, len(rows))
+        lines = np.array(lines, np.int64)
+        _check_widths(counts, width, done, lines)
+        if (counts < width).any():
+            rows = [row + [""] * (width - len(row)) for row in rows]
+        cells = list(itertools.chain.from_iterable(rows))
+        text = "".join(cells)
+        try:
+            buf = text.encode("utf-8")
+        except UnicodeEncodeError as err:
+            cell = int(np.searchsorted(np.cumsum([len(c) for c in cells]), err.start, side="right"))
+            _bad_row(done + cell // width + 1, lines[cell // width], "invalid UTF-8")
+        sized = cells if len(buf) == len(text) else [cell.encode("utf-8") for cell in cells]
+        lengths = np.fromiter(map(len, sized), np.int64, len(cells))
+        starts = np.cumsum(lengths) - lengths
+        yield _Chunk(buf, starts.reshape(-1, width), lengths.reshape(-1, width), lines, done)
+        done += len(rows)
+
+
+def _check_widths(counts: np.ndarray, width: int, done: int, lines: np.ndarray) -> None:
+    """Raise unless each row, of ``counts`` cells, has at most ``width``."""
+    too_long = np.flatnonzero(counts > width)
+    if too_long.size:
+        i = too_long[0]
+        raise ValueError(f"data row {done + i + 1} (line {lines[i]}) has {counts[i]} cells; the header has {width}")
+
+
+def _bad_row(row: int, line: int, reason: str) -> NoReturn:
+    raise ValueError(f"data row {row} (line {line}): {reason}")
+
+
+def _hash_cells(buf: bytes, starts: np.ndarray, lengths: np.ndarray, cards: np.ndarray) -> np.ndarray:
+    """FNV-1a bucket of every cell; an empty cell reads as MISSING_TOKEN,
+    which ends the hashed buffer."""
     empty = lengths == 0
-    starts[empty], lengths[empty] = len(buf) - len(MISSING_TOKEN), len(MISSING_TOKEN)
-    return fnv1a_buckets(buf, starts, lengths, cards)
+    starts = np.where(empty, len(buf), starts)
+    lengths = np.where(empty, len(MISSING_TOKEN), lengths)
+    return fnv1a_buckets(buf + MISSING_TOKEN.encode(), starts, lengths, cards)
+
+
+def _longest_first(buf: bytes, starts: np.ndarray, lengths: np.ndarray):
+    """The order that sorts the spans ``buf[s : s + n]`` (start s, length n)
+    longest first, and a walk over their bytes: for byte position p = 0, 1,
+    ... it yields the number k of spans longer than p and the byte at p of
+    each of the k leading spans in that order."""
+    data = np.frombuffer(buf, np.uint8)
+    lengths = np.ravel(lengths)
+    order = np.argsort(-lengths)
+    at = np.ravel(starts).take(order)  # each span's next byte
+    longer = np.searchsorted(-lengths.take(order), -np.arange(lengths.max(initial=0)), side="left")
+
+    def walk():
+        for k in longer.tolist():
+            yield k, data.take(at[:k])
+            at[:k] += 1
+
+    return order, walk()
 
 
 def fnv1a_buckets(buf: bytes, starts: np.ndarray, lengths: np.ndarray, cardinality) -> np.ndarray:
@@ -222,37 +374,36 @@ def fnv1a_buckets(buf: bytes, starts: np.ndarray, lengths: np.ndarray, cardinali
     leading spans longer than p.
     """
     at_least("cardinality", int(np.min(cardinality)), 1)
-    data = np.frombuffer(buf, np.uint8)
-    lengths = np.ravel(lengths)
-    order = np.argsort(-lengths)
-    at = np.ravel(starts).take(order)  # each span's next byte
-    longer = np.searchsorted(-lengths.take(order), -np.arange(lengths.max(initial=0)), side="left")
-    h = np.full(lengths.size, FNV_OFFSET, dtype=np.uint64)
-    for k in longer.tolist():
-        h[:k] ^= data.take(at[:k])
+    order, walk = _longest_first(buf, starts, lengths)
+    h = np.full(order.size, FNV_OFFSET, dtype=np.uint64)
+    for k, byte in walk:
+        h[:k] ^= byte
         h[:k] *= np.uint64(FNV_PRIME)
-        at[:k] += 1
     hashes = np.empty(np.shape(starts), np.uint64)
     hashes.reshape(-1)[order] = h
     return np.remainder(hashes, np.asarray(cardinality, np.uint64), out=hashes).view(np.int64)
 
 
-def _bucket_cells(cells: list[str], width: int, columns: list[int], cards: np.ndarray) -> np.ndarray:
-    """Cells taken as literal bucket ids, column by column: a cell is one
-    only if it is a run of ASCII digits. Any other cell reads as -1, an id
-    past int64 as its column's cardinality."""
-    part = np.empty((len(cells) // width, len(columns)), np.int64)
-    for j, column in enumerate(cells[c::width] for c in columns):
-        joined = "".join(column)
-        # on ASCII text bytes.isdigit gives str.isdigit's answer, ten times faster
-        if joined.isascii() and joined.encode().isdigit():
-            try:  # fails on an empty cell or an id past int64
-                part[:, j] = np.fromiter(map(int, column), np.int64, len(column))
-                continue
-            except (ValueError, OverflowError):
-                pass
-        part[:, j] = [min(int(c), cards[j]) if c.isascii() and c.isdigit() else -1 for c in column]
-    return part
+def decimal_ids(buf: bytes, starts: np.ndarray, lengths: np.ndarray, cardinality) -> np.ndarray:
+    """Every span ``buf[s : s + n]`` read as a decimal bucket id, folded
+    over the same longest-first walk as fnv1a_buckets: -1 where a span is
+    empty or holds a byte that is not an ASCII digit, and ``cardinality``
+    (which broadcasts against ``starts``) where the id is at or past it,
+    however many digits it has. Leading zeros read as their value."""
+    order, walk = _longest_first(buf, starts, lengths)
+    cap = np.broadcast_to(np.asarray(cardinality, np.uint64), np.shape(starts)).ravel().take(order)
+    top = (cap + np.uint64(9)) // np.uint64(10)  # from here on, ten times the id is past cap
+    ids = np.zeros(order.size, np.uint64)
+    digits = np.ravel(lengths).take(order) > 0
+    for k, byte in walk:
+        byte = byte - np.uint8(ord("0"))  # any other byte wraps past 9
+        digits[:k] &= byte <= 9
+        ids[:k] = np.minimum(np.minimum(ids[:k], top[:k]) * np.uint64(10) + byte, cap[:k])
+    ids = ids.view(np.int64)
+    ids[~digits] = -1
+    out = np.empty(np.shape(starts), np.int64)
+    out.reshape(-1)[order] = ids
+    return out
 
 
 def load_table(path, schema: DatasetSchema) -> EncodedDataset:
@@ -261,7 +412,7 @@ def load_table(path, schema: DatasetSchema) -> EncodedDataset:
     Missing/empty cells become the "__MISSING__" sentinel. The label column
     must hold the literal strings "0" or "1". Row order is preserved.
     """
-    return _read_csv(path, schema, _hash_chunk)
+    return _read_csv(path, schema, _hash_cells)
 
 
 def save_table(ds: EncodedDataset, path) -> None:
@@ -282,7 +433,7 @@ def save_table(ds: EncodedDataset, path) -> None:
 
 def load_synthetic_csv(path, schema: DatasetSchema) -> EncodedDataset:
     """Read a CSV written by save_table, taking cells as literal bucket ids."""
-    return _read_csv(path, schema, _bucket_cells)
+    return _read_csv(path, schema, decimal_ids)
 
 
 def check_split(fractions) -> tuple[float, float, float]:

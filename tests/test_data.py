@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from moectr.data import (
     DatasetSchema,
     EncodedDataset,
     FeatureField,
+    decimal_ids,
     fnv1a_buckets,
     gen_synthetic,
     hash_token,
@@ -89,6 +91,46 @@ class TestFnv1aBuckets:
     def test_bad_cardinality(self):
         with pytest.raises(ValueError, match="^cardinality must be >= 1, got 0$"):
             fnv1a_buckets(*joined_spans([b"x"]), 0)
+
+
+def digit_strings(rng, count: int, low: int, high: int) -> list[str]:
+    """``count`` random runs of ASCII digits, each of ``low`` to ``high`` - 1
+    digits, leading zeros included."""
+    return ["".join(rng.choice(list("0123456789"), rng.integers(low, high))) for _ in range(count)]
+
+
+class TestDecimalIds:
+    """The decimal fold must equal int(token), saturated at the cardinality."""
+
+    def test_matches_int_with_leading_zeros(self):
+        tokens = ["0", "00", "007", "0" * 18] + digit_strings(np.random.default_rng(7), 2000, 1, 19)
+        got = decimal_ids(*joined_spans([t.encode() for t in tokens]), 2**63 - 1)
+        assert got.tolist() == [int(t) for t in tokens]
+
+    def test_rejects_every_bad_bucket_id_cell(self):
+        # the cells the encoded reader must reject, at their cardinality of 30
+        mark = TestLoadSyntheticCsv.test_bad_bucket_id_names_column_and_row.pytestmark[0]
+        cells = [cell for cell, _ in mark.args[1]]
+        got = decimal_ids(*joined_spans([c.encode() for c in cells]), 30)
+        assert [v for v in got.tolist() if 0 <= v < 30] == []
+
+    def test_saturates_on_ids_past_int64(self):
+        cap = 2**63 - 1
+        tokens = [str(cap - 1), str(cap), str(cap + 1), "9" * 19, "0" * 25 + "42", str(10**40 + 5)]
+        tokens += digit_strings(np.random.default_rng(3), 500, 19, 60)
+        got = decimal_ids(*joined_spans([t.encode() for t in tokens]), cap)
+        assert got.tolist() == [min(int(t), cap) for t in tokens]
+
+    def test_a_cardinality_per_column(self):
+        tokens = [b"0", b"9", b"10", b"099", b"100", b"", b"5a"]
+        buf, starts, lengths = joined_spans(tokens)
+        pick = np.random.default_rng(2).integers(0, len(tokens), (30, 2))
+        got = decimal_ids(buf, starts[pick], lengths[pick], np.array([10, 100]))
+        want = [
+            [min(int(tokens[k]), d) if tokens[k].isdigit() else -1 for k, d in zip(row, [10, 100])]
+            for row in pick
+        ]
+        assert got.tolist() == want
 
 
 SCHEMA = DatasetSchema(
@@ -443,6 +485,154 @@ def test_byte_order_mark_is_not_part_of_the_header(tmp_path, reader):
     assert got.schema == want.schema
     assert got.indices.tobytes() == want.indices.tobytes()
     assert got.labels.tobytes() == want.labels.tobytes()
+
+
+READERS = pytest.mark.parametrize("reader", [load_table, load_synthetic_csv], ids=["hashed", "encoded"])
+QUOTED = pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+
+
+@READERS
+@QUOTED
+def test_field_past_the_csv_field_limit_names_its_row(tmp_path, reader, quoted):
+    cell = "7" * 131_073
+    if quoted:
+        cell = f'"{cell}"'
+    path = tmp_path / "t.csv"
+    path.write_text(f"site,device,click\n1,2,0\n\n3,{cell},1\n")
+    with pytest.raises(ValueError, match=r"^data row 2 \(line 4\): field larger than field limit \(131072\)$"):
+        reader(path, SCHEMA)
+
+
+@READERS
+@QUOTED
+def test_field_limit_counts_characters_not_bytes(tmp_path, reader, quoted):
+    # 65,537 two-byte characters: within the limit, so the bad label is what fails
+    cell = "é" * 65_537
+    if quoted:
+        cell = f'"{cell}"'
+    path = tmp_path / "t.csv"
+    path.write_text(f"site,device,click\n1,{cell},x\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^invalid label at line 2$"):
+        reader(path, SCHEMA)
+
+
+@READERS
+@QUOTED
+def test_invalid_utf8_names_its_row(tmp_path, reader, quoted):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"site,device,click\n1,2,0\n\n3," + (b'"\xff"' if quoted else b"\xff") + b",1\n")
+    with pytest.raises(ValueError, match=r"^data row 2 \(line 4\): invalid UTF-8$"):
+        reader(path, SCHEMA)
+
+
+@READERS
+def test_invalid_utf8_in_the_header_is_an_error(tmp_path, reader):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"site,device,click,\xff\n1,2,0,3\n")
+    with pytest.raises(ValueError, match=f"^invalid UTF-8 in the header of {re.escape(str(path))}$"):
+        reader(path, SCHEMA)
+
+
+# one table, written so that each reading path takes some of it: both readers
+# must load every version to the same arrays and fail with the same message
+HEADER = ["click", "a", "b", "site", "device"]
+HASHED = DatasetSchema((FeatureField("site", 2**63 - 1), FeatureField("device", 97)), "click")
+ENCODED = DatasetSchema((FeatureField("a", 1000), FeatureField("b", 50)), "click")
+
+
+def generated_rows(n: int = 25) -> list[list[str]]:
+    """Encoded ids with leading zeros in a and b, the comma-free edge tokens
+    in site and device, and device empty in every third row."""
+    tokens = [t for t in EDGE_TOKENS if "," not in t]
+    return [
+        [str(r % 2), f"{7 * r:0{1 + r % 4}d}", f"{r:02d}", tokens[r % len(tokens)], "" if r % 3 == 0 else tokens[2 * r % len(tokens)]]
+        for r in range(n)
+    ]
+
+
+def file_versions(rows: list[list[str]]) -> dict[str, tuple[str, list[int]]]:
+    """Each version's text and the line on which each of its data rows ends."""
+    table = [HEADER] + rows
+    straight = list(range(2, len(table) + 1))
+
+    def joined(part, end="\n"):
+        return "".join(",".join(row) + end for row in part)
+
+    quote_all = io.StringIO()
+    csv.writer(quote_all, quoting=csv.QUOTE_ALL).writerows(table)
+    last = rows[-1]
+    versions = {
+        "lf": (joined(table), straight),
+        "crlf": (joined(table, "\r\n"), straight),
+        "quote-all": (quote_all.getvalue(), straight),
+        "bom": ("\ufeff" + joined(table), straight),
+        "lone-cr": (joined(table[:9]) + joined(table[9:10], "\r") + joined(table[10:]), straight),
+        "quote-in-last-chunk": (joined(table[:-1]) + ",".join(last[:3] + [f'"{last[3]}"'] + last[4:]) + "\n", straight),
+    }
+    text, lines = joined([HEADER]), []
+    for r, row in enumerate(rows):  # blank lines, and short rows that drop their empty ends
+        if r % 4 == 0:
+            text += "\r\n" if r % 8 == 0 else "\n\n"
+        while row[-1] == "":
+            row = row[:-1]
+        text += ",".join(row) + "\n"
+        lines.append(text.count("\n"))
+    versions["blank-and-short"] = (text, lines)
+    return versions
+
+
+def write_version(path, text: str) -> None:
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+
+
+@pytest.mark.parametrize("chunk_rows", [3, 7, 4096])
+def test_every_version_reads_to_the_same_arrays(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(data, "CSV_CHUNK_ROWS", chunk_rows)
+    rows = generated_rows()
+    want = {
+        load_table: [[hash_token(r[3] or "__MISSING__", 2**63 - 1), hash_token(r[4] or "__MISSING__", 97)] for r in rows],
+        load_synthetic_csv: [[int(r[1]), int(r[2])] for r in rows],
+    }
+    labels = np.array([float(r[0]) for r in rows]).tobytes()
+    for version, (text, _) in file_versions(rows).items():
+        path = tmp_path / f"{version}.csv"
+        write_version(path, text)
+        for reader, schema in ((load_table, HASHED), (load_synthetic_csv, ENCODED)):
+            ds = reader(path, schema)
+            assert ds.indices.tobytes() == np.array(want[reader], np.int64).tobytes(), (version, reader.__name__)
+            assert ds.labels.tobytes() == labels, (version, reader.__name__)
+
+
+def _set(column: int, value: str):
+    def edit(row):
+        row[column] = value
+        return row
+    return edit
+
+
+BOTH = (load_table, load_synthetic_csv)
+FAULTS = {  # an edit of data row 11, the readers it fails, and the message
+    "label": (_set(0, "2"), BOTH, "invalid label at line {line}"),
+    "bucket-id": (_set(1, "7x"), (load_synthetic_csv,), "column 'a', data row 11 (line {line}): '7x' is not a bucket id in [0, 1000)"),
+    "long-row": (lambda row: row + ["z"], BOTH, "data row 11 (line {line}) has 6 cells; the header has 5"),
+    "utf-8": (_set(3, "s\udcff"), BOTH, "data row 11 (line {line}): invalid UTF-8"),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [3, 7, 4096])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_every_version_fails_with_the_same_message(tmp_path, monkeypatch, chunk_rows, fault):
+    monkeypatch.setattr(data, "CSV_CHUNK_ROWS", chunk_rows)
+    edit, readers, message = FAULTS[fault]
+    rows = generated_rows()
+    rows[10] = edit(rows[10])
+    for version, (text, lines) in file_versions(rows).items():
+        path = tmp_path / f"{version}.csv"
+        write_version(path, text)
+        for reader in readers:
+            with pytest.raises(ValueError) as err:
+                reader(path, HASHED if reader is load_table else ENCODED)
+            assert str(err.value) == message.format(line=lines[10]), (version, reader.__name__)
 
 
 class TestSaveTable:
