@@ -9,13 +9,13 @@ hashed into its field's bucket range. Empty cells map to the sentinel token
 cells than the header (the rest read as empty) but not more.
 
 Both readers turn each chunk of CSV_CHUNK_ROWS lines into one layout: a
-byte buffer and the start and length of every cell of every row. A chunk
-with no '"' and no '\r' line end outside '\r\n' is tokenised from its
-bytes with numpy, no Python string per cell. ``csv.reader``, the only path
-that reads quoted cells, parses the header line and, from the first chunk
-that holds such a byte (or a header that does), the rest of the file. Then
-load_table hashes each layout in one FNV-1a pass over its buffer and
-load_synthetic_csv folds it into decimal bucket ids.
+byte buffer and the start and length of every cell of every row. numpy
+finds the cells from the chunk's bytes, no Python string per cell, unless
+it meets a '"' or a '\r' not followed by '\n'; ``csv.reader``, the only
+path that reads quoted cells, parses the header line and, from such a
+chunk (or header), the rest of the file. One step turns either's cells
+into rows. Then load_table hashes each layout in one FNV-1a pass over its
+buffer and load_synthetic_csv folds it into decimal bucket ids.
 """
 
 from __future__ import annotations
@@ -161,42 +161,45 @@ def _read_csv(path, schema: DatasetSchema, encode) -> EncodedDataset:
     It returns their bucket ids, -1 where a cell is not one."""
     index_parts, label_parts = [], []
     with open(path, "rb") as fh:
-        chunks = _chunks(fh)
-        header = next(chunks)
         try:
-            "".join(header).encode("utf-8")
-        except UnicodeEncodeError as err:
-            raise ValueError(f"invalid UTF-8 in the header of {path}") from err
-        position = {name: j for j, name in enumerate(header)}
-        for col in schema.field_names + [schema.label_column]:
-            if col not in position:
-                raise ValueError(f"missing column {col!r} in {path}")
-            if header.count(col) > 1:
-                raise ValueError(
-                    f"column {col!r} appears {header.count(col)} times in the header of {path}"
-                )
-        columns = [position[name] for name in schema.field_names]
-        label = position[schema.label_column]
-        cards = np.array(schema.cardinalities, dtype=np.int64)
-        for chunk in chunks:
-            one_byte = chunk.lengths[:, label] == 1
-            raw = np.zeros(len(chunk.lines), np.uint8)
-            raw[one_byte] = np.frombuffer(chunk.buf, np.uint8).take(chunk.starts[one_byte, label])
-            bad = np.flatnonzero((raw != ord("0")) & (raw != ord("1")))
-            if bad.size:
-                raise ValueError(f"invalid label at line {chunk.lines[bad[0]]}")
-            label_parts.append((raw == ord("1")).astype(np.float64))
-            part = encode(chunk.buf, chunk.starts[:, columns], chunk.lengths[:, columns], cards)
-            bad = np.argwhere(((part < 0) | (part >= cards)).T)  # field by field
-            if bad.size:
-                j, i = bad[0].tolist()
-                start, length = chunk.starts[i, columns[j]], chunk.lengths[i, columns[j]]
-                raise ValueError(
-                    f"column {schema.fields[j].name!r}, data row {chunk.done + i + 1} (line "
-                    f"{chunk.lines[i]}): {chunk.buf[start : start + length].decode()!r} is not a "
-                    f"bucket id in [0, {schema.fields[j].cardinality})"
-                )
-            index_parts.append(part)
+            chunks = _chunks(fh)
+            try:
+                header = next(chunks)
+                "".join(header).encode("utf-8")
+            except csv.Error as err:
+                raise ValueError(f"{err} in the header") from err
+            except UnicodeEncodeError as err:
+                raise ValueError("invalid UTF-8 in the header") from err
+            position = {name: j for j, name in enumerate(header)}
+            for col in schema.field_names + [schema.label_column]:
+                if col not in position:
+                    raise ValueError(f"missing column {col!r}")
+                if header.count(col) > 1:
+                    raise ValueError(f"column {col!r} appears {header.count(col)} times in the header")
+            columns = [position[name] for name in schema.field_names]
+            label = position[schema.label_column]
+            cards = np.array(schema.cardinalities, dtype=np.int64)
+            for chunk in chunks:
+                one_byte = chunk.lengths[:, label] == 1
+                raw = np.zeros(len(chunk.lines), np.uint8)
+                raw[one_byte] = np.frombuffer(chunk.buf, np.uint8).take(chunk.starts[one_byte, label])
+                bad = np.flatnonzero((raw != ord("0")) & (raw != ord("1")))
+                if bad.size:
+                    raise ValueError(f"invalid label at line {chunk.lines[bad[0]]}")
+                label_parts.append((raw == ord("1")).astype(np.float64))
+                part = encode(chunk.buf, chunk.starts[:, columns], chunk.lengths[:, columns], cards)
+                bad = np.argwhere(((part < 0) | (part >= cards)).T)  # field by field
+                if bad.size:
+                    j, i = bad[0].tolist()
+                    start, length = chunk.starts[i, columns[j]], chunk.lengths[i, columns[j]]
+                    raise ValueError(
+                        f"column {schema.fields[j].name!r}, data row {chunk.done + i + 1} (line "
+                        f"{chunk.lines[i]}): {chunk.buf[start : start + length].decode()!r} is not a "
+                        f"bucket id in [0, {schema.fields[j].cardinality})"
+                    )
+                index_parts.append(part)
+        except ValueError as err:
+            reraise_naming(path, err)
     indices = np.concatenate([np.empty((0, schema.num_fields), np.int64), *index_parts])
     return EncodedDataset(schema, indices, np.concatenate([np.empty(0), *label_parts]))
 
@@ -205,11 +208,12 @@ def _chunks(fh) -> Iterator:
     """Yield the header of a CSV file opened in binary mode, then its data
     rows in chunks of CSV_CHUNK_ROWS lines. ``csv.reader`` parses the header
     line alone, and chunks are tokenised from their bytes up to the first
-    that needs ``csv.reader``: from there, or from the start if the header
-    needs it, the rest of the file goes through ``csv.reader``."""
+    that only ``csv.reader`` reads: from there, or from the start if the
+    header holds a quote or a '\\r' that does not end it, the rest of the
+    file goes through ``csv.reader``."""
     first = fh.readline()
     at = done = line = 0  # where csv.reader starts, and the data rows and lines before it
-    if not _needs_csv_reader(first):
+    if b'"' not in first and b"\r" not in first.removesuffix(b"\r\n"):
         header = next(csv.reader([first.removeprefix(codecs.BOM_UTF8).decode("utf-8", "surrogateescape")]), [])
         yield header
         line = 1
@@ -218,10 +222,9 @@ def _chunks(fh) -> Iterator:
             lines = list(itertools.islice(fh, CSV_CHUNK_ROWS))
             if not lines:
                 return
-            buf = b"".join(lines)
-            if _needs_csv_reader(buf):
+            chunk = _tokenise(b"".join(lines), len(header), done, line)
+            if chunk is None:
                 break
-            chunk = _tokenise(buf, len(header), done, line)
             yield chunk
             done += len(chunk.lines)
             line += len(lines)
@@ -235,61 +238,37 @@ def _chunks(fh) -> Iterator:
         yield from _reader_chunks(reader, len(header), done, line)
 
 
-def _needs_csv_reader(buf: bytes) -> bool:
-    """Whether ``buf`` holds a quote or a '\\r' line end not followed by
-    '\\n', which only ``csv.reader`` reads."""
+def _tokenise(buf: bytes, width: int, done: int, line: int) -> _Chunk | None:
+    """The layout of whole lines, the first of them line ``line + 1``, found
+    with numpy: a cell ends at each ',' and each '\\n' (or the '\\r' before
+    it), and a line of one empty cell is blank. None if they hold a quote
+    or a '\\r' not followed by '\\n', which only ``csv.reader`` reads."""
     if b'"' in buf:
-        return True
-    if b"\r" not in buf:
-        return False
-    data = np.frombuffer(buf, np.uint8)
-    after = data.take(np.flatnonzero(data == ord("\r")) + 1, mode="clip")  # a final '\r' reads itself
-    return bool((after != ord("\n")).any())
-
-
-def _tokenise(buf: bytes, width: int, done: int, line: int) -> _Chunk:
-    """The layout of whole lines that hold no quote and no lone '\\r', the
-    first of them line ``line + 1``, found with numpy: a cell ends at each
-    ',' and each '\\n' (or the '\\r' before it), and a line of one empty
-    cell is blank."""
+        return None
     if not buf.endswith(b"\n"):
         buf += b"\n"
     data = np.frombuffer(buf, np.uint8)
+    crlf = b"\r" in buf
+    if crlf and (data.take(np.flatnonzero(data == ord("\r")) + 1) != ord("\n")).any():  # buf ends in '\n'
+        return None
     ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
     starts = np.concatenate([[0], ends[:-1] + 1])
     last = np.flatnonzero(data.take(ends) == ord("\n"))  # each line's last cell
-    if b"\r" in buf:  # each '\r' comes just before a '\n'
+    if crlf:
         ends[last] -= data.take(ends[last] - 1) == ord("\r")
     lengths = ends - starts
     counts = np.diff(last, prepend=-1)  # cells per line
     blank = (counts == 1) & (lengths.take(last) == 0)
+    if blank.any():
+        in_row = np.repeat(~blank, counts)
+        starts, lengths = starts[in_row], lengths[in_row]
     kept = np.flatnonzero(~blank)  # the line of each row
-
-    def fail(cell: int, reason: str):
-        i = int(np.searchsorted(last, cell))  # the line holding the cell
-        _bad_row(done + int(np.count_nonzero(~blank[:i])) + 1, line + 1 + i, reason)
-
+    counts, lines = counts.take(kept), line + 1 + kept
     limit = csv.field_size_limit()
     for cell in np.flatnonzero(lengths > limit).tolist():  # its bytes bound its characters
-        if len(buf[starts[cell] : ends[cell]].decode("utf-8", "surrogateescape")) > limit:
-            fail(cell, f"field larger than field limit ({limit})")
-    lines = line + 1 + kept
-    _check_widths(counts.take(kept), width, done, lines)
-    if not buf.isascii():
-        try:
-            buf.decode("utf-8")
-        except UnicodeDecodeError as err:
-            fail(int(np.searchsorted(ends, err.start, side="right")), "invalid UTF-8")
-    if (counts == width).all():  # no short row and, as width > 1, no blank line
-        return _Chunk(buf, starts.reshape(-1, width), lengths.reshape(-1, width), lines, done)
-    line_of = np.repeat(np.arange(len(counts)), counts)
-    row = (np.cumsum(~blank) - 1).take(line_of)
-    column = np.arange(len(lengths)) - (last - counts + 1).take(line_of)
-    in_row = ~blank.take(line_of)
-    grid_starts, grid_lengths = np.zeros((2, len(kept), width), np.int64)
-    grid_starts[row[in_row], column[in_row]] = starts[in_row]
-    grid_lengths[row[in_row], column[in_row]] = lengths[in_row]
-    return _Chunk(buf, grid_starts, grid_lengths, lines, done)
+        if len(buf[starts[cell] : starts[cell] + lengths[cell]].decode("utf-8", "surrogateescape")) > limit:
+            _bad_cell(cell, counts, lines, done, f"field larger than field limit ({limit})")
+    return _layout(buf, starts, lengths, counts, lines, width, done)
 
 
 def _reader_chunks(reader, width: int, done: int, line: int) -> Iterator[_Chunk]:
@@ -306,31 +285,46 @@ def _reader_chunks(reader, width: int, done: int, line: int) -> Iterator[_Chunk]
             _bad_row(done + len(rows) + 1, line + reader.line_num, str(err))
         if records == 0:
             return
-        counts = np.fromiter(map(len, rows), np.int64, len(rows))
-        lines = np.array(lines, np.int64)
-        _check_widths(counts, width, done, lines)
-        if (counts < width).any():
-            rows = [row + [""] * (width - len(row)) for row in rows]
         cells = list(itertools.chain.from_iterable(rows))
         text = "".join(cells)
-        try:
-            buf = text.encode("utf-8")
-        except UnicodeEncodeError as err:
-            cell = int(np.searchsorted(np.cumsum([len(c) for c in cells]), err.start, side="right"))
-            _bad_row(done + cell // width + 1, lines[cell // width], "invalid UTF-8")
-        sized = cells if len(buf) == len(text) else [cell.encode("utf-8") for cell in cells]
+        # a lone surrogate (a byte that is not UTF-8) encodes to three bytes that no
+        # decoder takes, where its own byte could form UTF-8 with bytes past a quote
+        buf = text.encode("utf-8", "surrogatepass")
+        sized = cells if len(buf) == len(text) else [cell.encode("utf-8", "surrogatepass") for cell in cells]
         lengths = np.fromiter(map(len, sized), np.int64, len(cells))
-        starts = np.cumsum(lengths) - lengths
-        yield _Chunk(buf, starts.reshape(-1, width), lengths.reshape(-1, width), lines, done)
+        counts = np.fromiter(map(len, rows), np.int64, len(rows))
+        yield _layout(buf, np.cumsum(lengths) - lengths, lengths, counts, np.array(lines, np.int64), width, done)
         done += len(rows)
 
 
-def _check_widths(counts: np.ndarray, width: int, done: int, lines: np.ndarray) -> None:
-    """Raise unless each row, of ``counts`` cells, has at most ``width``."""
+def _layout(
+    buf: bytes, starts: np.ndarray, lengths: np.ndarray, counts: np.ndarray, lines: np.ndarray, width: int, done: int
+) -> _Chunk:
+    """The chunk of rows whose cells, ``counts[i]`` of them in row i, are
+    the spans of ``buf`` at ``starts`` of ``lengths`` in order, row i ending
+    on line ``lines[i]``. Raise if a row has more than ``width`` cells or
+    ``buf`` is not UTF-8; the cells a short row lacks are empty."""
     too_long = np.flatnonzero(counts > width)
     if too_long.size:
         i = too_long[0]
         raise ValueError(f"data row {done + i + 1} (line {lines[i]}) has {counts[i]} cells; the header has {width}")
+    if not buf.isascii():
+        try:
+            buf.decode("utf-8")
+        except UnicodeDecodeError as err:  # its first bad byte lies in a cell
+            _bad_cell(int(np.searchsorted(starts, err.start, side="right")) - 1, counts, lines, done, "invalid UTF-8")
+    if (counts == width).all():
+        return _Chunk(buf, starts.reshape(-1, width), lengths.reshape(-1, width), lines, done)
+    filled = np.arange(width) < counts[:, None]
+    grid = np.zeros((2, len(counts), width), np.int64)
+    grid[0][filled], grid[1][filled] = starts, lengths
+    return _Chunk(buf, grid[0], grid[1], lines, done)
+
+
+def _bad_cell(cell: int, counts: np.ndarray, lines: np.ndarray, done: int, reason: str) -> NoReturn:
+    """Raise ``reason`` for the row holding cell ``cell`` of a layout."""
+    i = int(np.searchsorted(np.cumsum(counts), cell, side="right"))
+    _bad_row(done + i + 1, lines[i], reason)
 
 
 def _bad_row(row: int, line: int, reason: str) -> NoReturn:
@@ -514,13 +508,18 @@ def parse_kv_file(path, known: Collection[str] | None = None) -> dict[str, str]:
         return parse_kv_text(fh.read(), known, source=str(path))
 
 
+def reraise_naming(source, err: ValueError) -> NoReturn:
+    """Raise ``err`` again as ``<source>: <reason>``."""
+    raise ValueError(f"{source}: {err}") from err
+
+
 @contextmanager
 def naming_key(source: str, key: str):
     """Re-raise a rejected value as ``<source>: key '<key>': <reason>``."""
     try:
         yield
     except ValueError as err:
-        raise ValueError(f"{source}: key {key!r}: {err}") from err
+        reraise_naming(f"{source}: key {key!r}", err)
 
 
 @dataclass

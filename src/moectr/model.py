@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .data import DatasetSchema, FeatureField
+from .data import DatasetSchema, FeatureField, reraise_naming
 from .embedding import EmbeddingBank, EmbeddingTable, init_bank, lookup, lookup_gating
 from .experts import Expert, ExpertConfig, make_expert
 from .gating import aggregate_experts, build_gate, gate_weights
@@ -325,6 +325,6 @@ def load_model(path) -> ModelBundle:
             if fh.read(1):
                 raise ValueError("trailing bytes after the last parameter block")
     except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
+        reraise_naming(path, err)
     _check_finite(path, named_params(model))
     return model

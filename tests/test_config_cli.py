@@ -408,6 +408,19 @@ class TestCli:
         assert not any(line.startswith("epoch") for line in capsys.readouterr().out.splitlines())
         assert not model_path.exists()
 
+    def test_bad_row_in_a_held_out_file_names_the_file(self, tmp_path, synth_csv):
+        csv_path, _ = synth_csv
+        header, first, second, *rest = csv_path.read_bytes().split(b"\n")
+        valid, test = tmp_path / "valid.csv", tmp_path / "test.csv"
+        valid.write_bytes(b"\n".join([header, first, b"\xff" + second, *rest]))
+        test.write_bytes(csv_path.read_bytes())
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(_held_out_config_text(csv_path, valid=valid, test=test))
+        model_path = tmp_path / "model.bin"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(valid))}: data row 2 \(line 3\): invalid UTF-8$"):
+            main(["train", "--config", str(cfg_path), "--out", str(model_path)])
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("command", ["eval", "cec-report"])
     @pytest.mark.parametrize("rows", ["one-class", "header-only"])
     def test_eval_commands_need_both_classes_naming_the_file(self, tmp_path, synth_csv, command, rows):

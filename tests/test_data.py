@@ -173,7 +173,7 @@ class TestLoadTable:
         path.write_text(f"{header}\na,b,1,0\n")
         repeated = header.split(",")[2]
         for reader in (load_table, load_synthetic_csv):
-            with pytest.raises(ValueError, match=rf"column '{repeated}' appears 2 times .*{path.name}"):
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: column '{repeated}' appears 2 times in the header$"):
                 reader(path, SCHEMA)
 
     def test_extra_columns_ignored(self, tmp_path):
@@ -327,6 +327,12 @@ class TestGenSynthetic:
         with pytest.raises(ValueError):
             gen_synthetic(1, 10, 2, 100, seed=0)
 
+    def test_two_fields_draw_no_triple_term(self):
+        ds, params = gen_synthetic(2, [5, 7], 3, 50, seed=6, c0=0.5)
+        assert not any(v.any() for v in params.v)
+        pair = (params.u[0].take(ds.indices[:, 0], axis=0) * params.u[1].take(ds.indices[:, 1], axis=0)).sum(axis=1)
+        np.testing.assert_allclose(params.logits(ds.indices), 0.5 + pair, rtol=1e-12, atol=1e-12)
+
     def test_latent_dim_below_one_rejected(self):
         with pytest.raises(ValueError, match="latent_dim must be >= 1, got 0"):
             gen_synthetic(3, 10, 0, 100, seed=0)
@@ -461,7 +467,7 @@ def test_row_longer_than_the_header_is_an_error(tmp_path, reader):
     # an unquoted comma inside a token would otherwise shift the row's cells
     path = tmp_path / "t.csv"
     path.write_text('site,device,click\n1,2,0\n\n"3\n",4,1\n5,6,1,7\n')
-    with pytest.raises(ValueError, match=r"^data row 3 \(line 6\) has 4 cells; the header has 3$"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: data row 3 \(line 6\) has 4 cells; the header has 3$"):
         reader(path, SCHEMA)
 
 
@@ -499,7 +505,7 @@ def test_field_past_the_csv_field_limit_names_its_row(tmp_path, reader, quoted):
         cell = f'"{cell}"'
     path = tmp_path / "t.csv"
     path.write_text(f"site,device,click\n1,2,0\n\n3,{cell},1\n")
-    with pytest.raises(ValueError, match=r"^data row 2 \(line 4\): field larger than field limit \(131072\)$"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: data row 2 \(line 4\): field larger than field limit \(131072\)$"):
         reader(path, SCHEMA)
 
 
@@ -512,7 +518,7 @@ def test_field_limit_counts_characters_not_bytes(tmp_path, reader, quoted):
         cell = f'"{cell}"'
     path = tmp_path / "t.csv"
     path.write_text(f"site,device,click\n1,{cell},x\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="^invalid label at line 2$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: invalid label at line 2$"):
         reader(path, SCHEMA)
 
 
@@ -521,7 +527,7 @@ def test_field_limit_counts_characters_not_bytes(tmp_path, reader, quoted):
 def test_invalid_utf8_names_its_row(tmp_path, reader, quoted):
     path = tmp_path / "t.csv"
     path.write_bytes(b"site,device,click\n1,2,0\n\n3," + (b'"\xff"' if quoted else b"\xff") + b",1\n")
-    with pytest.raises(ValueError, match=r"^data row 2 \(line 4\): invalid UTF-8$"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: data row 2 \(line 4\): invalid UTF-8$"):
         reader(path, SCHEMA)
 
 
@@ -529,7 +535,32 @@ def test_invalid_utf8_names_its_row(tmp_path, reader, quoted):
 def test_invalid_utf8_in_the_header_is_an_error(tmp_path, reader):
     path = tmp_path / "t.csv"
     path.write_bytes(b"site,device,click,\xff\n1,2,0,3\n")
-    with pytest.raises(ValueError, match=f"^invalid UTF-8 in the header of {re.escape(str(path))}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: invalid UTF-8 in the header$"):
+        reader(path, SCHEMA)
+
+
+@READERS
+@pytest.mark.parametrize(
+    "cell", [b'"\xe2"\x82\xac', b'"' + b"7" * 131_000 + b"\xff" * 40 + b'"'], ids=["split-by-a-quote", "long-and-bad"]
+)
+def test_bad_bytes_in_a_quoted_cell_are_invalid_utf8(tmp_path, reader, cell):
+    # the quote csv.reader removes must not join bytes into a character, and a
+    # byte that is not UTF-8 is one character of the field limit
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"site,device,click\n1," + cell + b",0\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: data row 1 \(line 2\): invalid UTF-8$"):
+        reader(path, SCHEMA)
+
+
+@READERS
+@QUOTED
+def test_header_cell_past_the_csv_field_limit_is_an_error(tmp_path, reader, quoted):
+    cell = "d" * 131_073
+    if quoted:
+        cell = f'"{cell}"'
+    path = tmp_path / "t.csv"
+    path.write_text(f"site,{cell},click\n1,2,0\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: field larger than field limit \(131072\) in the header$"):
         reader(path, SCHEMA)
 
 
@@ -563,6 +594,8 @@ def file_versions(rows: list[list[str]]) -> dict[str, tuple[str, list[int]]]:
     last = rows[-1]
     versions = {
         "lf": (joined(table), straight),
+        "no-final-newline": (joined(table)[:-1], straight),
+        "final-lone-cr": (joined(table)[:-1] + "\r", straight),
         "crlf": (joined(table, "\r\n"), straight),
         "quote-all": (quote_all.getvalue(), straight),
         "bom": ("\ufeff" + joined(table), straight),
@@ -632,7 +665,7 @@ def test_every_version_fails_with_the_same_message(tmp_path, monkeypatch, chunk_
         for reader in readers:
             with pytest.raises(ValueError) as err:
                 reader(path, HASHED if reader is load_table else ENCODED)
-            assert str(err.value) == message.format(line=lines[10]), (version, reader.__name__)
+            assert str(err.value) == f"{path}: " + message.format(line=lines[10]), (version, reader.__name__)
 
 
 class TestSaveTable:
