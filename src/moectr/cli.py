@@ -23,20 +23,27 @@ from .parallel import describe
 from .trainer import check_both_classes, evaluate, run_warnings, train_loop
 
 
-def _check_outputs(*outputs: tuple[str, str]) -> None:
+def _check_outputs(inputs: tuple[str | None, ...], *outputs: tuple[str, str]) -> None:
     """Fail before any work when an (option, path) output could not be
-    written: the path is a directory, or its directory does not exist."""
+    written (an empty path, a directory, a missing directory) or would
+    overwrite one of the command's ``inputs`` (``os.path.samefile``)."""
     for option, path in outputs:
         folder = os.path.dirname(path) or "."
+        if not path:
+            raise ValueError(f"{option}: empty path")
         if os.path.isdir(path):
             raise ValueError(f"{option} {path}: is a directory")
         if not os.path.isdir(folder):
             raise ValueError(f"{option} {path}: directory {folder} does not exist")
+        if os.path.exists(path):
+            for source in filter(None, inputs):  # None: an optional input left unset
+                if os.path.exists(source) and os.path.samefile(path, source):
+                    raise ValueError(f"{option} {path}: is the input {source}")
 
 
 def _cmd_train(args) -> int:
-    _check_outputs(("--out", args.out))
     cfg = RunConfig.from_file(args.config)
+    _check_outputs((args.config, cfg.train_path, cfg.valid_path, cfg.test_path), ("--out", args.out))
     model = cfg.build()
     train_ds, valid_ds, test_ds = cfg.load_datasets()
     print(
@@ -85,7 +92,7 @@ def _metrics_record(metrics, corr) -> dict:
 
 
 def _cmd_eval(args) -> int:
-    _check_outputs(("--report", args.report))
+    _check_outputs((args.model, args.data), ("--report", args.report))
     metrics, corr = _evaluate(args)
     record = _metrics_record(metrics, corr)
     with open(args.report, "w", encoding="utf-8") as fh:
@@ -96,7 +103,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_cec_report(args) -> int:
-    _check_outputs(("--csv", args.csv))
+    _check_outputs((args.model, args.data), ("--csv", args.csv))
     _, corr = _evaluate(args)
     if not corr.pairs:
         print("model has a single expert; no pairs to report", file=sys.stderr)
@@ -109,7 +116,7 @@ def _cmd_cec_report(args) -> int:
 
 def _cmd_gen_synth(args) -> int:
     sidecar = args.out + ".params"
-    _check_outputs(("--out", args.out), ("--out sidecar", sidecar))
+    _check_outputs((args.spec,), ("--out", args.out), ("--out sidecar", sidecar))
     spec = SynthSpec.from_file(args.spec)
     ds, params = gen_synthetic(
         spec.num_fields,

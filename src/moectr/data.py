@@ -503,9 +503,14 @@ def parse_kv_text(text: str, known: Collection[str] | None = None, source: str =
 
 
 def parse_kv_file(path, known: Collection[str] | None = None) -> dict[str, str]:
-    """parse_kv_text over a file; errors name the path."""
-    with open(path, encoding="utf-8-sig") as fh:
-        return parse_kv_text(fh.read(), known, source=str(path))
+    """parse_kv_text over a UTF-8 file, less a leading byte-order mark; errors name the path."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as err:
+        reraise_naming(path, ValueError(f"invalid UTF-8 at byte {err.start}"))
+    return parse_kv_text(text, known, source=str(path))
 
 
 def reraise_naming(source, err: ValueError) -> NoReturn:

@@ -49,21 +49,14 @@ class EmbeddingTable(Module):
 
 @dataclass
 class EmbeddingBank:
-    mode: str  # "se" | "me"
+    mode: str  # "se" | "me", as the bank was built; echoed in the model file
     tables: list[EmbeddingTable]  # length 1 (se) or M (me)
+    table_of: tuple[int, ...]  # expert m reads tables[table_of[m]]
     gating_table: EmbeddingTable
 
     def __post_init__(self):  # one row plan per batch serves every table
         if any(not np.array_equal(t.offsets, self.gating_table.offsets) for t in self.tables):
             raise ValueError("every embedding table needs the gating table's field offsets")
-
-    def table_for_expert(self, m: int) -> int:
-        """Physical table index backing expert m (se maps every m to 0)."""
-        if self.mode == "se":
-            return 0
-        if m >= len(self.tables):
-            raise ValueError(f"expert index {m} out of range")
-        return m
 
 
 def _init_table(schema: DatasetSchema, dim: int, rng: np.random.Generator) -> EmbeddingTable:
@@ -84,21 +77,19 @@ def init_bank(
 ) -> EmbeddingBank:
     """Build the bank with uniform [-1/sqrt(d), 1/sqrt(d)] entries.
 
-    Each table draws from its own child of the seed, so "me" tables start
+    This is the one place the mode becomes the expert-to-table map. Each
+    table draws from its own child of the seed, so "me" tables start
     pairwise different while the whole bank is reproducible.
     """
     at_least("num_experts", num_experts, 1)
     at_least("embedding dims", min(dim, gate_dim), 1)
-    n_tables = 1 if one_of(mode, BANK_MODES) == "se" else num_experts
+    table_of = (0,) * num_experts if one_of(mode, BANK_MODES) == "se" else tuple(range(num_experts))
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    children = seed.spawn(n_tables + 1)
-    tables = [
-        _init_table(schema, dim, np.random.default_rng(children[t]))
-        for t in range(n_tables)
-    ]
-    gating = _init_table(schema, gate_dim, np.random.default_rng(children[-1]))
-    return EmbeddingBank(mode=mode, tables=tables, gating_table=gating)
+    *children, gating_child = seed.spawn(len(set(table_of)) + 1)
+    tables = [_init_table(schema, dim, np.random.default_rng(child)) for child in children]
+    gating = _init_table(schema, gate_dim, np.random.default_rng(gating_child))
+    return EmbeddingBank(mode, tables, table_of, gating)
 
 
 def _gather(table: EmbeddingTable, indices: np.ndarray) -> np.ndarray:
@@ -124,9 +115,11 @@ def _gather(table: EmbeddingTable, indices: np.ndarray) -> np.ndarray:
 
 
 def lookup(bank: EmbeddingBank, expert: int, batch_indices: np.ndarray) -> np.ndarray:
-    """Expert ``expert``'s input from its table (``table_for_expert``): output
+    """Expert ``expert``'s input from table ``table_of[expert]``: output
     row i is [emb(field 0), emb(field 1), ...] for sample i, in schema order."""
-    return _gather(bank.tables[bank.table_for_expert(expert)], batch_indices)
+    if not 0 <= expert < len(bank.table_of):
+        raise ValueError(f"expert index {expert} out of range")
+    return _gather(bank.tables[bank.table_of[expert]], batch_indices)
 
 
 def lookup_gating(bank: EmbeddingBank, batch_indices: np.ndarray) -> np.ndarray:

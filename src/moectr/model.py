@@ -38,10 +38,6 @@ class ModelBundle:
     seed: int
 
     @property
-    def mode(self) -> str:  # "se" | "me", as the bank was built
-        return self.bank.mode
-
-    @property
     def num_experts(self) -> int:
         return len(self.experts)
 
@@ -148,16 +144,13 @@ class FullCache:
 
 
 def _expert_inputs(model: ModelBundle, indices: np.ndarray) -> list[np.ndarray]:
-    """e^(m) per expert. Each physical table is gathered once; experts that
-    share it (every expert in "se") read the same array, which none writes to."""
+    """e^(m) per expert. Each table is gathered once; experts that share it
+    (every expert in "se") read the same array, which none writes to."""
     gathered: dict[int, np.ndarray] = {}
-    embeds = []
-    for m in range(model.num_experts):
-        t = model.bank.table_for_expert(m)
+    for m, t in enumerate(model.bank.table_of):
         if t not in gathered:
             gathered[t] = lookup(model.bank, m, indices)
-        embeds.append(gathered[t])
-    return embeds
+    return [gathered[t] for t in model.bank.table_of]
 
 
 def _head(model: ModelBundle, indices: np.ndarray, outputs: list[np.ndarray]):
@@ -213,7 +206,7 @@ def _config_echo(model: ModelBundle) -> dict:
             "fields": [[f.name, f.cardinality] for f in model.schema.fields],
             "label": model.schema.label_column,
         },
-        "mode": model.mode,
+        "mode": model.bank.mode,
         "experts": [asdict(e.config) for e in model.experts],
         "loss": asdict(model.loss),
         "embed_dim": model.bank.tables[0].dim,

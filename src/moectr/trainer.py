@@ -110,7 +110,7 @@ def batch_objective(
     table_parts: list[list[SparseGrad]] = [[] for _ in model.bank.tables]
     for m, (grads_m, d_e) in enumerate(map_experts(model, labels.size, expert_backward)):
         expert_grads.append(grads_m)
-        table_parts[model.bank.table_for_expert(m)].append(SparseGrad.from_dense_rows(indices, d_e, plan))
+        table_parts[model.bank.table_of[m]].append(SparseGrad.from_dense_rows(indices, d_e, plan))
 
     dense: dict[str, np.ndarray] = {}
     module_grads = [*expert_grads, gate_grads, tower_grads]  # dense_modules order

@@ -468,7 +468,7 @@ class TestCli:
         assert not model_path.exists()
 
     @pytest.mark.parametrize("command,option", [("train", "--out"), ("eval", "--report"), ("cec-report", "--csv"), ("gen-synth", "--out")])
-    @pytest.mark.parametrize("bad", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("bad", ["missing-directory", "directory", "empty", "an-input"])
     def test_unwritable_output_fails_before_any_work(self, tmp_path, synth_csv, capsys, command, option, bad):
         csv_path, _ = synth_csv
         cfg_path = tmp_path / "run.cfg"
@@ -483,14 +483,23 @@ class TestCli:
         if bad == "directory":
             out.mkdir()
             message = f"{option} {out}: is a directory"
-        else:
+        elif bad == "missing-directory":
             out = out / "result"
             message = f"{option} {out}: directory {out.parent} does not exist"
+        elif bad == "empty":
+            out = ""
+            message = f"{option}: empty path"
+        else:  # one input per command, so each kind of input is overwritten once
+            out = {"train": cfg_path, "eval": csv_path, "cec-report": model_path, "gen-synth": spec}[command]
+            message = f"{option} {out}: is the input {out}"
         files = sorted(tmp_path.rglob("*"))
+        before = Path(out).read_bytes() if bad == "an-input" else None
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             main([command, *inputs[command], option, str(out)])
         assert not any(line.startswith("epoch") for line in capsys.readouterr().out.splitlines())
         assert sorted(tmp_path.rglob("*")) == files
+        if before is not None:
+            assert Path(out).read_bytes() == before
 
     def test_gen_synth_sidecar_that_is_a_directory_fails_before_writing(self, tmp_path):
         spec = tmp_path / "spec.cfg"
@@ -511,6 +520,19 @@ class TestCli:
         assert (tmp_path / "synth.csv.params").exists()
         header = out.read_text().split("\n", 1)[0]
         assert header == "f0,f1,f2,label"
+
+    @pytest.mark.parametrize("reader", ["train", "gradcheck", "gen-synth", "sidecar"])
+    def test_key_value_file_that_is_not_utf8_names_the_file(self, tmp_path, reader):
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"\xef\xbb\xbfseed = 3\n\xba\n")  # the offset counts the byte-order mark
+        read = {
+            "train": lambda: main(["train", "--config", str(path), "--out", str(tmp_path / "out.bin")]),
+            "gradcheck": lambda: main(["gradcheck", "--config", str(path)]),
+            "gen-synth": lambda: main(["gen-synth", "--spec", str(path), "--out", str(tmp_path / "out.csv")]),
+            "sidecar": lambda: load_synthetic_params(path),
+        }[reader]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: invalid UTF-8 at byte 12$"):
+            read()
 
     def test_gradcheck_config_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "gc.cfg"

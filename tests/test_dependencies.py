@@ -3,14 +3,17 @@ package names a standard-library module or numpy. And every name comes
 from its module: ``from moectr import X`` only imports a module X. The
 package's modules import each other without a cycle, and each check has
 one home: a message is raised at one site, a lower bound is checked by
-``numerics.at_least``, and ``FNV_PRIME`` is read only by the scalar hash
-reference and the one vectorised hash."""
+``numerics.at_least``, ``FNV_PRIME`` is read only by the scalar hash
+reference and the one vectorised hash, and only ``embedding.init_bank``
+compares against an embedding-mode name."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+from moectr.embedding import BANK_MODES
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "moectr"
@@ -240,3 +243,49 @@ def test_guard_sees_a_third_reader_of_the_fnv_prime():
         "cli.py": "from .data import FNV_PRIME as P\nfrom . import data\n\ndef h(x):\n    return x * data.FNV_PRIME\n",
     }
     assert fnv_prime_readers(sources) == ["data.py:10", "cli.py:1", "cli.py:5"]
+
+
+# the one home of the se/me rule: init_bank turns the mode into the expert-to-table map
+MODE_HOME = {("embedding.py", "init_bank")}
+MODE_NAMES = set(BANK_MODES)
+
+
+def _names_a_mode(node: ast.AST) -> bool:
+    """A mode name as a constant, or inside a tuple, list or set of them."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(map(_names_a_mode, node.elts))
+    return isinstance(node, ast.Constant) and node.value in MODE_NAMES
+
+
+def mode_comparisons(sources: dict[str, str]) -> list[str]:
+    """Sites outside MODE_HOME that compare against a mode name: with a
+    comparison operator (``==``, ``in``, ...) or as a ``match`` case."""
+    sites = []
+    for filename, source in sources.items():
+        tree = ast.parse(source, filename=filename)
+        skipped = exempt_nodes(tree, filename, MODE_HOME)
+        sites.extend(
+            f"{filename}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in skipped
+            and (
+                isinstance(node, ast.Compare) and any(map(_names_a_mode, [node.left, *node.comparators]))
+                or isinstance(node, ast.MatchValue) and _names_a_mode(node.value)
+            )
+        )
+    return sites
+
+
+def test_mode_names_are_compared_in_init_bank_only():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert mode_comparisons(sources) == []
+
+
+def test_guard_sees_a_mode_comparison_outside_init_bank():
+    sources = {
+        "embedding.py": 'def init_bank(mode):\n    return mode == "se"\n\n'
+        'def table_for_expert(bank, m):\n    return 0 if bank.mode == "se" else m\n',
+        "model.py": 'def f(mode):\n    if mode in ("me", "xx"):\n        return 1\n    match mode:\n'
+        '        case "se":\n            return 2\n    return "me"\n',
+    }
+    assert mode_comparisons(sources) == ["embedding.py:5", "model.py:2", "model.py:5"]

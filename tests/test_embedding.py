@@ -89,7 +89,7 @@ class TestLookup:
                 np.array([[3.0, 4.0], [8.0, 8.0], [0.0, 0.0]]),
             ]
         )
-        bank = EmbeddingBank(mode="se", tables=[table], gating_table=table)
+        bank = EmbeddingBank(mode="se", tables=[table], table_of=(0,), gating_table=table)
         out = lookup(bank, 0, np.array([[0, 0]]))
         np.testing.assert_array_equal(out, [[1.0, 2.0, 3.0, 4.0]])
 
@@ -104,10 +104,19 @@ class TestLookup:
         idx = np.array([[1, 2], [3, 0]])
         assert not np.array_equal(lookup(bank, 0, idx), lookup(bank, 1, idx))
 
-    def test_me_out_of_range_expert(self):
-        bank = init_bank(SCHEMA, "me", 2, 2, 2, seed=2)
-        with pytest.raises(ValueError, match="out of range"):
-            lookup(bank, 5, np.array([[0, 0]]))
+    @pytest.mark.parametrize("mode", ["se", "me"])
+    @pytest.mark.parametrize("expert", [-1, 2])
+    def test_out_of_range_expert(self, mode, expert):
+        bank = init_bank(SCHEMA, mode, 2, 2, 2, seed=2)
+        with pytest.raises(ValueError, match=f"^expert index {expert} out of range$"):
+            lookup(bank, expert, np.array([[0, 0]]))
+
+    def test_one_expert_draws_the_same_bank_in_both_modes(self):
+        # one table either way, so both modes spawn the same seed children
+        se, me = (init_bank(SCHEMA, mode, 1, 2, 3, seed=4) for mode in ("se", "me"))
+        assert se.table_of == me.table_of == (0,)
+        for a, b in zip([*se.tables, se.gating_table], [*me.tables, me.gating_table], strict=True):
+            assert a.weight.tobytes() == b.weight.tobytes()
 
     def test_negative_row_rejected(self):
         bank = init_bank(SCHEMA, "me", 2, 2, 2, seed=0)
@@ -171,7 +180,7 @@ class TestGatherMatchesFancyIndex:
         bank = init_bank(self.SCHEMA, mode, 3, 4, 3, seed=seed)
         for idx in self._batches(seed):
             for m in range(3):
-                table = bank.tables[bank.table_for_expert(m)]
+                table = bank.tables[bank.table_of[m]]
                 out = lookup(bank, m, idx)
                 assert out.shape == (idx.shape[0], idx.shape[1] * 4)
                 assert out.tobytes() == self._reference(table, idx).tobytes()
@@ -323,7 +332,7 @@ def _bank_grads(bank: EmbeddingBank, idx: np.ndarray, rng) -> list[SparseGrad]:
 
     parts: list[list[SparseGrad]] = [[] for _ in bank.tables]
     for m in range(4):
-        t = bank.table_for_expert(m)
+        t = bank.table_of[m]
         parts[t].append(part(bank.tables[t]))
     return [*map(SparseGrad.concat, parts), part(bank.gating_table)]
 
@@ -374,7 +383,7 @@ class TestRowPlan:
         table = _table([np.zeros((4, 2)), np.zeros((3, 2))])
         other = _table([np.zeros((4, 2)), np.zeros((5, 2))])
         with pytest.raises(ValueError, match="gating table's field offsets"):
-            EmbeddingBank(mode="se", tables=[other], gating_table=table)
+            EmbeddingBank(mode="se", tables=[other], table_of=(0,), gating_table=table)
 
     @pytest.mark.parametrize("mode", ["se", "me"])
     def test_one_plan_per_training_step(self, monkeypatch, mode):

@@ -774,7 +774,7 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.loss == model.loss
-        assert loaded.mode == model.mode
+        assert loaded.bank.mode == model.bank.mode
         assert loaded.schema == model.schema
         assert [e.config for e in loaded.experts] == [e.config for e in model.experts]
 
@@ -1210,7 +1210,7 @@ def _relu_sites(model, idx):
     g = row_softmax(hidden @ gate.weights[1].T + gate.biases[1])
     outputs = []
     for m, expert in enumerate(model.experts):
-        e = rows(model.bank.tables[model.bank.table_for_expert(m)])
+        e = rows(model.bank.tables[model.bank.table_of[m]])
         x0 = e.reshape(len(idx), expert.num_fields, expert.embed_dim)
         if expert.kind == "dnn":
             core = expert.core
