@@ -5,7 +5,7 @@ Run:  PYTHONPATH=src python3 demos/01_losses_and_metrics.py
 
 import numpy as np
 
-from moectr.losses import decorrelation_total, total_objective
+from moectr.losses import LossConfig, decorrelation_total
 from moectr.metrics import auc, cec, pearson_matrix
 
 rng = np.random.default_rng(0)
@@ -15,7 +15,7 @@ col = np.array([[1.0], [2.0], [3.0]])
 decor, _ = decorrelation_total([col, col.copy()], "corr")
 print(f"identical single-column outputs (N=3): loss = {decor}  (equals N-1)")
 print("the 1/(|B|-1) factor in the objective cancels that growth:")
-print(f"  alpha=0.7 -> penalty term = {total_objective(0.0, decor, 0.7, 3) :.6f}")
+print(f"  alpha=0.7 -> penalty term = {LossConfig(alpha=0.7).weight(3) * decor :.6f}")
 
 x = rng.normal(size=(200, 4))
 y = rng.normal(size=(200, 4))

@@ -17,7 +17,7 @@ from .data import load_synthetic_csv, load_table, naming_key, parse_kv_file, par
 from .embedding import BANK_MODES
 from .experts import ExpertConfig
 from .losses import LossConfig
-from .model import ModelBundle, build_model
+from .model import ModelBundle, build_model, check_experts
 from .numerics import GRADCHECK_H, GRADCHECK_TOL, at_least, finite_positive, one_of
 from .trainer import TrainConfig
 
@@ -194,12 +194,15 @@ class RunConfig:
     def _from_kv(cls, kv: dict[str, str], source: str) -> "RunConfig":
         """Apply the keys; a config that names fields builds its schema
         here, so a bad field list fails at load naming the key and source,
-        and so do a test file without a valid file and a split of a train
-        file that a valid file leaves whole."""
+        and so do an expert list that the loss location rules out, a test
+        file without a valid file and a split of a train file that a valid
+        file leaves whole."""
         cfg = _apply_keys(cls(), RUN_KEYS, kv, source)
         if cfg.fields:
             with naming_key(source, "fields"):
                 cfg.schema()
+        with naming_key(source, "loss_location"):
+            check_experts(cfg.expert_configs(), cfg.loss)
         if cfg.test_path is not None and cfg.valid_path is None:
             with naming_key(source, "test"):
                 raise ValueError("needs a 'valid' entry; without one the 'train' file is split")

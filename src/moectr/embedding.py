@@ -57,6 +57,8 @@ class EmbeddingBank:
     def __post_init__(self):  # one row plan per batch serves every table
         if any(not np.array_equal(t.offsets, self.gating_table.offsets) for t in self.tables):
             raise ValueError("every embedding table needs the gating table's field offsets")
+        if set(self.table_of) != set(range(len(self.tables))):
+            raise ValueError(f"expert-to-table map {self.table_of} must read each of the {len(self.tables)} table(s)")
 
 
 def _init_table(schema: DatasetSchema, dim: int, rng: np.random.Generator) -> EmbeddingTable:

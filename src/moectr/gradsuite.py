@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import DatasetSchema, FeatureField
 from .experts import ExpertConfig
-from .losses import LOSS_LOCATIONS, LossConfig
+from .losses import LOSS_LOCATIONS, PAIR_FORMS, LossConfig
 from .model import build_model, named_params
 from .numerics import GRADCHECK_H, GRADCHECK_TOL, GradCheckReport
 from .trainer import KinkCrossed, gradcheck_model, kink_sites
@@ -42,7 +42,6 @@ ALL_KINDS = (
     ExpertConfig(kind="cin", out_dim=MICRO_OUT, cin_maps=(3, 2)),
 )
 MODES = ("me", "se")
-FORMS = ("corr", "cov_l1", "cov_l2")
 
 
 @dataclass
@@ -58,7 +57,7 @@ def suite_cases() -> list[SuiteCase]:
     """Every (mode, form, location) cell at alpha = 0.7, then BCE alone
     (alpha = 0) per mode; each case is named ``<mode> <form>@<location>``."""
     cells = [
-        (mode, LossConfig(form, 0.7, loc)) for mode in MODES for form in FORMS for loc in LOSS_LOCATIONS
+        (mode, LossConfig(form, 0.7, loc)) for mode in MODES for form in PAIR_FORMS for loc in LOSS_LOCATIONS
     ]
     cells += [(mode, LossConfig("corr", 0.0, "output")) for mode in MODES]
     return [

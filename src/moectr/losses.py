@@ -1,12 +1,12 @@
-"""Training losses: binary cross-entropy, cross-expert de-correlation in its
-correlation form and two covariance ablations, and the combined objective.
+"""Training losses: binary cross-entropy, and cross-expert de-correlation in
+its correlation form and two covariance ablations.
 
 decorrelation_total computes every pair loss of M same-shape (N, d) expert
 outputs from one cross-expert Gram, with exact gradients w.r.t. each
 output; one pair's loss is the call on two outputs. The correlation form
 standardizes columns with the unbiased std, which makes the value on two
-identical single-column inputs exactly N - 1; the combined objective's
-1/(|B|-1) factor cancels that growth.
+identical single-column inputs exactly N - 1. The objective is BCE plus
+LossConfig.weight(|B|) = alpha / (|B|-1) times the sum; that cancels the N - 1.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import numpy as np
 
 from .numerics import cross_gram, gram_blocks, one_of, standardize_backward
 
-LOSS_FORMS = ("corr", "cov_l1", "cov_l2", "none")
+PAIR_FORMS = ("corr", "cov_l1", "cov_l2")
+LOSS_FORMS = (*PAIR_FORMS, "none")
 LOSS_LOCATIONS = ("input", "intermediate", "output")
 
 BCE_EPS = 1e-7
@@ -39,10 +40,12 @@ class LossConfig:
     def active(self) -> bool:
         return self.form != "none" and self.alpha > 0.0
 
-    def check_batch(self, rows: int) -> None:
-        """An active loss divides by rows - 1 (total_objective), so a batch needs two rows."""
+    def weight(self, rows: int) -> float:
+        """The de-correlation term's coefficient on a batch of ``rows``:
+        alpha / (rows - 1), or 0.0 when the loss is off."""
         if self.active and rows < 2:
             raise ValueError(f"batch too small for de-correlation: a batch would have {rows} row(s)")
+        return self.alpha / (rows - 1) if self.active else 0.0
 
 
 def bce(y_hat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -74,9 +77,9 @@ def decorrelation_total(
     Returns (total, per-expert gradient list). One expert means no pairs
     and a zero total.
     """
-    one_of(form, LOSS_FORMS)
+    one_of(form, PAIR_FORMS)
     m = len(outputs)
-    if form == "none" or m < 2:
+    if m < 2:
         return 0.0, [np.zeros_like(np.asarray(o, dtype=np.float64)) for o in outputs]
     z, std, g = cross_gram(outputs, standardize=form == "corr")
     blocks = gram_blocks(g, outputs)
@@ -99,12 +102,3 @@ def decorrelation_total(
     total = float(norms[np.triu_indices(m, 1)].sum()) / (d * d)
     return total, np.hsplit(d_x, m)
 
-
-def total_objective(
-    bce_value: float, decor_value: float, alpha: float, batch_size: int
-) -> float:
-    """L = BCE + alpha * decor / (|B| - 1); with alpha > 0 the caller has
-    already rejected a batch of one (LossConfig.check_batch)."""
-    if alpha == 0.0:
-        return bce_value
-    return bce_value + alpha * decor_value / (batch_size - 1)

@@ -42,6 +42,20 @@ class ModelBundle:
         return len(self.experts)
 
 
+def check_experts(expert_configs: list[ExpertConfig], loss: LossConfig) -> None:
+    """A nonempty expert list sharing one out_dim; an intermediate loss
+    location needs crossnets only, with equal cross layer counts."""
+    if not expert_configs:
+        raise ValueError("expert list must be nonempty")
+    if len({c.out_dim for c in expert_configs}) != 1:
+        raise ValueError("all experts must share out_dim")
+    if loss.location == "intermediate":
+        if any(c.kind != "crossnet" for c in expert_configs):
+            raise ValueError("intermediate loss location requires crossnet experts only")
+        if len({c.cross_layers for c in expert_configs}) != 1:
+            raise ValueError("intermediate loss location requires equal cross layer counts")
+
+
 def build_model(
     schema: DatasetSchema,
     mode: str,
@@ -60,20 +74,7 @@ def build_model(
     shared vs multi embedding is the bank mode. The widths and the seed have
     no defaults here: a run's come from its RunConfig and TrainConfig.
     """
-    if not expert_configs:
-        raise ValueError("expert list must be nonempty")
-    out_dims = {c.out_dim for c in expert_configs}
-    if len(out_dims) != 1:
-        raise ValueError("all experts must share out_dim")
-    if loss.location == "intermediate":
-        if any(c.kind != "crossnet" for c in expert_configs):
-            raise ValueError(
-                "intermediate loss location requires crossnet experts only"
-            )
-        if len({c.cross_layers for c in expert_configs}) != 1:
-            raise ValueError(
-                "intermediate loss location requires equal cross layer counts"
-            )
+    check_experts(expert_configs, loss)
     if gate_dim is None:
         gate_dim = embed_dim
     m = len(expert_configs)
@@ -86,7 +87,7 @@ def build_model(
     gate = build_gate(
         gate_dim * schema.num_fields, gate_hidden, m, np.random.default_rng(children[m + 1])
     )
-    tower = Mlp.build(out_dims.pop(), tower_hidden, 1, np.random.default_rng(children[m + 2]))
+    tower = Mlp.build(expert_configs[0].out_dim, tower_hidden, 1, np.random.default_rng(children[m + 2]))
     return ModelBundle(
         schema=schema,
         bank=bank,

@@ -14,7 +14,7 @@ import numpy as np
 from .data import EncodedDataset, make_batches
 from .embedding import EmbeddingTable, RowPlan, SparseGrad, apply_sparse_to_table, plan_rows
 from .gating import gating_backward
-from .losses import bce, decorrelation_total, total_objective
+from .losses import bce, decorrelation_total
 from .metrics import CorrelationReport, EvalMetrics, auc, cec_report
 from .model import FullCache, ModelBundle, dense_modules, forward_chunks, forward_full, loss_targets, named_params, table_modules
 from .nnet import prefixed
@@ -59,19 +59,17 @@ def forward_objective(
     layer's output across experts (crossnet only, enforced at build time);
     model.loss_targets picks the matrix sets.
     """
-    loss = model.loss
-    batch = int(labels.size)
-    loss.check_batch(batch)
+    weight = model.loss.weight(labels.size)
     fc = forward_full(model, indices)
     bce_val, d_yhat = bce(fc.y_hat, labels)
     decor_val = 0.0
     extra: list[list[np.ndarray]] = []  # per target set, per expert
-    if loss.active:
+    if weight:
         for mats in loss_targets(model, fc):
-            value, grads = decorrelation_total(mats, loss.form)
+            value, grads = decorrelation_total(mats, model.loss.form)
             decor_val += value
             extra.append(grads)
-    total = total_objective(bce_val, decor_val, loss.alpha if loss.active else 0.0, batch)
+    total = bce_val + weight * decor_val
     return StepLosses(total=total, bce=bce_val, decorrelation=decor_val), fc, d_yhat, extra
 
 
@@ -79,12 +77,13 @@ def batch_objective(
     model: ModelBundle, indices: np.ndarray, labels: np.ndarray
 ) -> tuple[StepLosses, BatchGrads, FullCache]:
     """forward_objective, then the full backward pass, with each
-    de-correlation grad injected at its loss location. The experts'
-    backward passes may run on the expert pool (see parallel); their
-    embedding grads are packed here, in expert order, on one row plan."""
+    de-correlation grad times LossConfig.weight injected at its loss
+    location. The experts' backward passes may run on the expert pool (see
+    parallel); their embedding grads are packed here, in expert order, on
+    one row plan."""
     losses, fc, d_yhat, extra = forward_objective(model, indices, labels)
     loss = model.loss
-    coef = loss.alpha / (labels.size - 1) if loss.active else 0.0
+    weight = loss.weight(labels.size)
 
     p = fc.y_hat
     d_logits = (d_yhat * p * (1.0 - p)).reshape(-1, 1)
@@ -97,12 +96,12 @@ def batch_objective(
         d_o = d_outputs[m]
         injections = {}
         if extra and loss.location == "output":
-            d_o = d_o + coef * extra[0][m]
+            d_o = d_o + weight * extra[0][m]
         elif extra and loss.location == "intermediate":  # crossnet only, by build_model
-            injections = {"layer_grads": [coef * grads[m] for grads in extra]}
+            injections = {"layer_grads": [weight * grads[m] for grads in extra]}
         grads_m, d_e = model.experts[m].backward(fc.expert_caches[m], d_o, **injections)
         if extra and loss.location == "input":
-            d_e = d_e + coef * extra[0][m]
+            d_e = d_e + weight * extra[0][m]
         return grads_m, d_e
 
     plan = plan_rows(model.bank.gating_table.offsets, np.arange(indices.shape[1]), indices)
@@ -274,7 +273,7 @@ def train_loop(
     if len(train_ds) == 0 or len(valid_ds) == 0:
         raise ValueError("train and valid sets must be nonempty")
     check_both_classes(valid_ds, "validation")
-    model.loss.check_batch(len(train_ds) % config.batch_size or config.batch_size)  # the smallest batch
+    model.loss.weight(len(train_ds) % config.batch_size or config.batch_size)  # the smallest batch
     adam = Adam(lr=config.learning_rate)
     dense = dict(item for prefix, module in dense_modules(model) for item in module.param_items(prefix))
     undo = RowUndoLog([table.weight for _, table in table_modules(model)])

@@ -17,7 +17,7 @@ from moectr.config import RunConfig
 from moectr.data import gen_synthetic, split_dataset
 from moectr.experts import ExpertConfig
 from moectr.gradsuite import run_suite
-from moectr.losses import LossConfig, decorrelation_total, total_objective
+from moectr.losses import LossConfig, decorrelation_total
 from moectr.metrics import auc, cec, pearson_matrix
 from moectr.model import build_model, load_model, save_model
 from moectr.trainer import TrainConfig, evaluate, train_loop
@@ -98,7 +98,7 @@ class TestCriterion3LossAlgebra:
             decor, _ = decorrelation_total([col, col.copy()], "corr")
             ok = ok and abs(decor - (n - 1)) < 1e-10
             # alpha * decor / (|B|-1) == alpha for that case
-            total = total_objective(0.0, decor, 0.9, n)
+            total = LossConfig(alpha=0.9).weight(n) * decor
             ok = ok and abs(total - 0.9) < 1e-10
         details.append("corr(X,X)=N-1 and alpha-normalization hold")
 

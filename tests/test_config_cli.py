@@ -467,7 +467,22 @@ class TestCli:
             main(["train", "--config", str(cfg_path), "--out", str(model_path)])
         assert not model_path.exists()
 
-    @pytest.mark.parametrize("command,option", [("train", "--out"), ("eval", "--report"), ("cec-report", "--csv"), ("gen-synth", "--out")])
+    @pytest.mark.parametrize(
+        "experts,rule",
+        [("dnn:8, fm", "crossnet experts only"), ("crossnet:2, crossnet:3", "equal cross layer counts")],
+    )
+    def test_intermediate_location_rules_fail_at_load_naming_the_key(self, tmp_path, experts, rule):
+        # the train CSV is absent, so reading it would raise FileNotFoundError instead
+        cfg_path = tmp_path / "run.cfg"
+        text = _train_config_text(tmp_path / "absent.csv").replace("crossnet:2, crossnet:2", experts)
+        cfg_path.write_text(text.replace("loss_location = output", "loss_location = intermediate"))
+        model_path = tmp_path / "model.bin"
+        message = f"{cfg_path}: key 'loss_location': intermediate loss location requires {rule}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            main(["train", "--config", str(cfg_path), "--out", str(model_path)])
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("command,option",[("train", "--out"), ("eval", "--report"), ("cec-report", "--csv"), ("gen-synth", "--out")])
     @pytest.mark.parametrize("bad", ["missing-directory", "directory", "empty", "an-input"])
     def test_unwritable_output_fails_before_any_work(self, tmp_path, synth_csv, capsys, command, option, bad):
         csv_path, _ = synth_csv

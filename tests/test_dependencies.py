@@ -4,8 +4,9 @@ from its module: ``from moectr import X`` only imports a module X. The
 package's modules import each other without a cycle, and each check has
 one home: a message is raised at one site, a lower bound is checked by
 ``numerics.at_least``, ``FNV_PRIME`` is read only by the scalar hash
-reference and the one vectorised hash, and only ``embedding.init_bank``
-compares against an embedding-mode name."""
+reference and the one vectorised hash, only ``embedding.init_bank``
+compares against an embedding-mode name, and only ``losses.LossConfig``
+reads a loss's ``alpha``."""
 
 import ast
 import sys
@@ -114,11 +115,11 @@ LOWER_BOUND_HOME = {("numerics.py", "at_least")}
 
 
 def exempt_nodes(tree: ast.AST, filename: str, exempt) -> set[int]:
-    """ids of every node inside the ``exempt`` (file, function) pairs."""
+    """ids of every node inside the ``exempt`` (file, function or class) pairs."""
     return {
         id(node)
         for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef) and (filename, fn.name) in exempt
+        if isinstance(fn, (ast.FunctionDef, ast.ClassDef)) and (filename, fn.name) in exempt
         for node in ast.walk(fn)
     }
 
@@ -289,3 +290,36 @@ def test_guard_sees_a_mode_comparison_outside_init_bank():
         '        case "se":\n            return 2\n    return "me"\n',
     }
     assert mode_comparisons(sources) == ["embedding.py:5", "model.py:2", "model.py:5"]
+
+
+# the one reader of alpha: LossConfig, whose weight is the de-correlation term's coefficient
+ALPHA_HOME = {("losses.py", "LossConfig")}
+
+
+def alpha_readers(sources: dict[str, str]) -> list[str]:
+    """Sites outside ALPHA_HOME that read an ``alpha`` attribute."""
+    sites = []
+    for filename, source in sources.items():
+        tree = ast.parse(source, filename=filename)
+        skipped = exempt_nodes(tree, filename, ALPHA_HOME)
+        sites.extend(
+            f"{filename}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in skipped
+            and isinstance(node, ast.Attribute) and node.attr == "alpha" and isinstance(node.ctx, ast.Load)
+        )
+    return sites
+
+
+def test_alpha_is_read_by_loss_config_only():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert alpha_readers(sources) == []
+
+
+def test_guard_sees_an_alpha_read_outside_loss_config():
+    sources = {
+        "losses.py": "class LossConfig:\n    def weight(self, rows):\n        return self.alpha / (rows - 1)\n\n\n"
+        "def total(loss, bce, decor):\n    return bce + loss.alpha * decor\n",
+        "trainer.py": "def coef(model, n):\n    return model.loss.alpha / (n - 1) if model.loss.active else 0.0\n",
+    }
+    assert alpha_readers(sources) == ["losses.py:7", "trainer.py:2"]

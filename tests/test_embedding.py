@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -384,6 +386,14 @@ class TestRowPlan:
         other = _table([np.zeros((4, 2)), np.zeros((5, 2))])
         with pytest.raises(ValueError, match="gating table's field offsets"):
             EmbeddingBank(mode="se", tables=[other], table_of=(0,), gating_table=table)
+
+    @pytest.mark.parametrize("table_of,tables", [((1,), 1), ((), 1), ((0, 0), 2)])
+    def test_bank_map_reads_each_table(self, table_of, tables):
+        # a map past the last table, an empty map, and a table no expert reads
+        table = _table([np.zeros((4, 2)), np.zeros((3, 2))])
+        message = f"expert-to-table map {table_of} must read each of the {tables} table(s)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EmbeddingBank(mode="se", tables=[table] * tables, table_of=table_of, gating_table=table)
 
     @pytest.mark.parametrize("mode", ["se", "me"])
     def test_one_plan_per_training_step(self, monkeypatch, mode):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from moectr.losses import (
     LossConfig,
     bce,
     decorrelation_total,
-    total_objective,
 )
 from moectr.numerics import central_diff_gradcheck, standardize_backward, standardize_columns
 
@@ -135,7 +135,7 @@ class TestCovLossPair:
                 assert scaled == pytest.approx(a * a * base, rel=1e-10)
 
     def test_unknown_norm(self):
-        with pytest.raises(ValueError, match="^expected one of corr, cov_l1, cov_l2, none, got 'cov_linf'$"):
+        with pytest.raises(ValueError, match="^expected one of corr, cov_l1, cov_l2, got 'cov_linf'$"):
             decorrelation_total([IDENTITY_COLUMN, IDENTITY_COLUMN], "cov_linf")
 
 
@@ -189,18 +189,26 @@ class TestDecorrelationTotal:
         for got, want in zip(grads, want_grads):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
-    def test_none_form(self):
-        value, grads = decorrelation_total([IDENTITY_COLUMN] * 2, "none")
-        assert value == 0.0
-        assert all(np.all(g == 0) for g in grads)
+    def test_none_form_rejected(self):
+        # "none" switches the loss off in LossConfig; it is not a pair form
+        with pytest.raises(ValueError, match="^expected one of corr, cov_l1, cov_l2, got 'none'$"):
+            decorrelation_total([IDENTITY_COLUMN] * 2, "none")
 
 
-class TestTotalObjective:
-    def test_alpha_zero(self):
-        assert total_objective(0.5, 123.0, 0.0, 1) == 0.5
+class TestWeight:
+    @pytest.mark.parametrize("loss", [LossConfig(alpha=0.0), LossConfig(form="none", alpha=5.0)])
+    @pytest.mark.parametrize("rows", [0, 1, 2, 1000])
+    def test_off_is_zero_at_any_row_count(self, loss, rows):
+        assert loss.weight(rows) == 0.0
 
     def test_plug_in(self):
-        assert total_objective(0.5, 2.0, 1.0, 3) == pytest.approx(1.5)
+        assert LossConfig(alpha=1.0).weight(3) == 0.5
+
+    @pytest.mark.parametrize("rows", [1, 0])
+    def test_active_loss_on_one_row_raises(self, rows):
+        message = f"batch too small for de-correlation: a batch would have {rows} row(s)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LossConfig(form="cov_l2", alpha=0.3).weight(rows)
 
     def test_normalization_cancels_growth(self):
         # identical single-column pair: decor = N - 1, so the penalty term
@@ -209,7 +217,7 @@ class TestTotalObjective:
             col = np.arange(n, dtype=float).reshape(-1, 1)
             decor, _ = decorrelation_total([col, col.copy()], "corr")
             alpha = 0.7
-            value = total_objective(0.0, decor, alpha, n)
+            value = LossConfig(alpha=alpha).weight(n) * decor
             assert value == pytest.approx(alpha, abs=1e-10)
 
 
