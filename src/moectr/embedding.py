@@ -17,7 +17,9 @@ from .data import DatasetSchema
 from .nnet import Module
 from .numerics import at_least, one_of
 
-BANK_MODES = ("se", "me")
+# the expert-to-table map each mode builds for n experts
+TABLE_MAPS = {"se": lambda n: (0,) * n, "me": lambda n: tuple(range(n))}
+BANK_MODES = tuple(TABLE_MAPS)
 
 
 @dataclass
@@ -59,6 +61,9 @@ class EmbeddingBank:
             raise ValueError("every embedding table needs the gating table's field offsets")
         if set(self.table_of) != set(range(len(self.tables))):
             raise ValueError(f"expert-to-table map {self.table_of} must read each of the {len(self.tables)} table(s)")
+        built = TABLE_MAPS[one_of(self.mode, BANK_MODES)](len(self.table_of))
+        if self.table_of != built:
+            raise ValueError(f"bank mode {self.mode!r} builds the expert-to-table map {built}, not {self.table_of}")
 
 
 def _init_table(schema: DatasetSchema, dim: int, rng: np.random.Generator) -> EmbeddingTable:
@@ -79,13 +84,13 @@ def init_bank(
 ) -> EmbeddingBank:
     """Build the bank with uniform [-1/sqrt(d), 1/sqrt(d)] entries.
 
-    This is the one place the mode becomes the expert-to-table map. Each
+    TABLE_MAPS turns the mode into the expert-to-table map. Each
     table draws from its own child of the seed, so "me" tables start
     pairwise different while the whole bank is reproducible.
     """
     at_least("num_experts", num_experts, 1)
     at_least("embedding dims", min(dim, gate_dim), 1)
-    table_of = (0,) * num_experts if one_of(mode, BANK_MODES) == "se" else tuple(range(num_experts))
+    table_of = TABLE_MAPS[one_of(mode, BANK_MODES)](num_experts)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     *children, gating_child = seed.spawn(len(set(table_of)) + 1)

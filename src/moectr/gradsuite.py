@@ -4,7 +4,8 @@ The suite is generated, not listed: every cell of embedding mode {me, se}
 x pair-loss form {corr, cov_l1, cov_l2} x loss location {output, input,
 intermediate}, plus BCE alone (alpha = 0) per mode, 20 cases. Output, input
 and alpha = 0 cases hold one expert of each kind (M = 4); intermediate
-cases hold three crossnets, the only kind build_model allows there. Each
+cases hold three crossnets, the only kind model.check_experts allows there
+(model.loss_backward routes their grads into each cross layer). Each
 case builds a tiny model (B = 6, F = 3, d = 2), draws a seeded batch, and
 checks the analytic gradient of the total objective for every parameter
 group (embedding tables, gating table, experts, alignment heads, gate MLP,
@@ -32,8 +33,7 @@ MICRO_OUT = 3
 MICRO_BATCH = 6
 MAX_TRIES = 100  # seeds drawn per case before giving up on a draw that crosses no kink
 
-# one micro expert of every kind; intermediate cases hold three crossnets,
-# the only kind build_model allows there
+# one micro expert of every kind; intermediate cases hold three crossnets
 CROSSNET = ExpertConfig(kind="crossnet", out_dim=MICRO_OUT, cross_layers=2)
 ALL_KINDS = (
     ExpertConfig(kind="dnn", out_dim=MICRO_OUT, hidden=(4,), dnn_out=3),

@@ -1,6 +1,7 @@
 """Model assembly: embedding bank + experts + gating + tower as one bundle,
 the full forward pass, the parameter registry (every module under its name
-prefix), the de-correlation loss targets, and versioned binary persistence.
+prefix), the de-correlation loss targets and where their gradients enter
+each expert's backward, and versioned binary persistence.
 """
 
 from __future__ import annotations
@@ -88,15 +89,7 @@ def build_model(
         gate_dim * schema.num_fields, gate_hidden, m, np.random.default_rng(children[m + 1])
     )
     tower = Mlp.build(expert_configs[0].out_dim, tower_hidden, 1, np.random.default_rng(children[m + 2]))
-    return ModelBundle(
-        schema=schema,
-        bank=bank,
-        experts=experts,
-        gate=gate,
-        tower=tower,
-        loss=loss,
-        seed=seed,
-    )
+    return ModelBundle(schema, bank, experts, gate, tower, loss, seed)
 
 
 def table_modules(model: ModelBundle) -> list[tuple[str, EmbeddingTable]]:
@@ -179,6 +172,21 @@ def loss_targets(model: ModelBundle, fc: FullCache) -> list[list[np.ndarray]]:
         layered = (e.layer_outputs(c) for e, c in zip(model.experts, fc.expert_caches))
         return [list(layer) for layer in zip(*layered)]
     return [fc.outputs if model.loss.location == "output" else fc.embeds]
+
+
+def loss_backward(model: ModelBundle, fc: FullCache, m: int, d_out: np.ndarray, decor: list[list[np.ndarray]]):
+    """Expert m's (param grads, d_embeds), with its de-correlation grads
+    ``decor[s][m]`` (already weighted; per target set s, empty when the loss
+    is off) added where loss_targets read them: to d_out ("output"), as the
+    cross layers' layer_grads ("intermediate"), or to d_embeds ("input")."""
+    expert, cache = model.experts[m], fc.expert_caches[m]
+    location = model.loss.location if decor else None
+    if location == "output":
+        d_out = d_out + decor[0][m]
+    if location == "intermediate":  # crossnets only, by check_experts
+        return expert.backward(cache, d_out, layer_grads=[grads[m] for grads in decor])
+    grads_m, d_e = expert.backward(cache, d_out)
+    return grads_m, d_e + decor[0][m] if location == "input" else d_e
 
 
 def forward_chunks(model: ModelBundle, indices: np.ndarray) -> Iterator[tuple[int, np.ndarray, list[np.ndarray]]]:

@@ -1,6 +1,6 @@
-"""End-to-end training: one-batch objective and backward with loss-location
-routing, Adam updates (dense params + lazy embedding rows), the epoch loop
-with early stopping, and evaluation.
+"""End-to-end training: the one-batch objective, which weights the
+de-correlation grads, and its backward, Adam updates (dense params + lazy
+embedding rows), the epoch loop with early stopping, and evaluation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .embedding import EmbeddingTable, RowPlan, SparseGrad, apply_sparse_to_tabl
 from .gating import gating_backward
 from .losses import bce, decorrelation_total
 from .metrics import CorrelationReport, EvalMetrics, auc, cec_report
-from .model import FullCache, ModelBundle, dense_modules, forward_chunks, forward_full, loss_targets, named_params, table_modules
+from .model import FullCache, ModelBundle, dense_modules, forward_chunks, forward_full, loss_backward, loss_targets, named_params, table_modules
 from .nnet import prefixed
 from .numerics import GradCheckReport, at_least, central_diff_gradcheck, cross_gram, finite_positive, first_non_finite, gram_blocks
 from .optim import Adam
@@ -51,13 +51,10 @@ def forward_objective(
     model: ModelBundle, indices: np.ndarray, labels: np.ndarray
 ) -> tuple[StepLosses, FullCache, np.ndarray, list[list[np.ndarray]]]:
     """Forward pass and the total objective, without the backward:
-    (losses, cache, dBCE/dy_hat, de-correlation grads per target set and
-    expert). A finite-difference check needs only losses.total.
-
-    Location routing: "output" regularizes the aligned expert outputs,
-    "input" the per-expert embedding matrices, "intermediate" every cross
-    layer's output across experts (crossnet only, enforced at build time);
-    model.loss_targets picks the matrix sets.
+    (losses, cache, dBCE/dy_hat, de-correlation grads per model.loss_targets
+    set and expert). This is the one place the grads are multiplied by
+    LossConfig.weight; the list is empty when the loss is off. A
+    finite-difference check needs only losses.total.
     """
     weight = model.loss.weight(labels.size)
     fc = forward_full(model, indices)
@@ -68,7 +65,7 @@ def forward_objective(
         for mats in loss_targets(model, fc):
             value, grads = decorrelation_total(mats, model.loss.form)
             decor_val += value
-            extra.append(grads)
+            extra.append([weight * g for g in grads])
     total = bce_val + weight * decor_val
     return StepLosses(total=total, bce=bce_val, decorrelation=decor_val), fc, d_yhat, extra
 
@@ -76,15 +73,12 @@ def forward_objective(
 def batch_objective(
     model: ModelBundle, indices: np.ndarray, labels: np.ndarray
 ) -> tuple[StepLosses, BatchGrads, FullCache]:
-    """forward_objective, then the full backward pass, with each
-    de-correlation grad times LossConfig.weight injected at its loss
-    location. The experts' backward passes may run on the expert pool (see
+    """forward_objective, then the full backward pass; model.loss_backward
+    adds each expert's weighted de-correlation grads at the loss location.
+    The experts' backward passes may run on the expert pool (see
     parallel); their embedding grads are packed here, in expert order, on
     one row plan."""
     losses, fc, d_yhat, extra = forward_objective(model, indices, labels)
-    loss = model.loss
-    weight = loss.weight(labels.size)
-
     p = fc.y_hat
     d_logits = (d_yhat * p * (1.0 - p)).reshape(-1, 1)
     tower_grads, d_h = model.tower.backward(fc.tower_cache, d_logits)
@@ -92,22 +86,11 @@ def batch_objective(
         model.gate, fc.gate_cache, fc.gate_weights, fc.outputs, d_h
     )
 
-    def expert_backward(m: int):
-        d_o = d_outputs[m]
-        injections = {}
-        if extra and loss.location == "output":
-            d_o = d_o + weight * extra[0][m]
-        elif extra and loss.location == "intermediate":  # crossnet only, by build_model
-            injections = {"layer_grads": [weight * grads[m] for grads in extra]}
-        grads_m, d_e = model.experts[m].backward(fc.expert_caches[m], d_o, **injections)
-        if extra and loss.location == "input":
-            d_e = d_e + weight * extra[0][m]
-        return grads_m, d_e
-
     plan = plan_rows(model.bank.gating_table.offsets, np.arange(indices.shape[1]), indices)
     expert_grads = []
     table_parts: list[list[SparseGrad]] = [[] for _ in model.bank.tables]
-    for m, (grads_m, d_e) in enumerate(map_experts(model, labels.size, expert_backward)):
+    backward = map_experts(model, labels.size, lambda m: loss_backward(model, fc, m, d_outputs[m], extra))
+    for m, (grads_m, d_e) in enumerate(backward):
         expert_grads.append(grads_m)
         table_parts[model.bank.table_of[m]].append(SparseGrad.from_dense_rows(indices, d_e, plan))
 

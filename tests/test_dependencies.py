@@ -5,8 +5,9 @@ package's modules import each other without a cycle, and each check has
 one home: a message is raised at one site, a lower bound is checked by
 ``numerics.at_least``, ``FNV_PRIME`` is read only by the scalar hash
 reference and the one vectorised hash, only ``embedding.init_bank``
-compares against an embedding-mode name, and only ``losses.LossConfig``
-reads a loss's ``alpha``."""
+compares against an embedding-mode name, only ``model.py`` (and
+``gradsuite.suite_cases``) against a loss-location name, and only
+``losses.LossConfig`` reads a loss's ``alpha``."""
 
 import ast
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from moectr.embedding import BANK_MODES
+from moectr.losses import LOSS_LOCATIONS
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "moectr"
@@ -246,35 +248,41 @@ def test_guard_sees_a_third_reader_of_the_fnv_prime():
     assert fnv_prime_readers(sources) == ["data.py:10", "cli.py:1", "cli.py:5"]
 
 
-# the one home of the se/me rule: init_bank turns the mode into the expert-to-table map
+# the se/me rule is embedding.TABLE_MAPS, read by init_bank, the one function that may compare modes
 MODE_HOME = {("embedding.py", "init_bank")}
 MODE_NAMES = set(BANK_MODES)
 
 
-def _names_a_mode(node: ast.AST) -> bool:
-    """A mode name as a constant, or inside a tuple, list or set of them."""
+def _names_one_of(node: ast.AST, names: set[str]) -> bool:
+    """One of ``names`` as a constant, or inside a tuple, list or set of them."""
     if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        return any(map(_names_a_mode, node.elts))
-    return isinstance(node, ast.Constant) and node.value in MODE_NAMES
+        return any(_names_one_of(elt, names) for elt in node.elts)
+    return isinstance(node, ast.Constant) and node.value in names
 
 
-def mode_comparisons(sources: dict[str, str]) -> list[str]:
-    """Sites outside MODE_HOME that compare against a mode name: with a
-    comparison operator (``==``, ``in``, ...) or as a ``match`` case."""
+def name_comparisons(sources: dict[str, str], names: set[str], exempt) -> list[str]:
+    """Sites outside the ``exempt`` (file, function) pairs that compare
+    against one of ``names``: with a comparison operator (``==``, ``in``,
+    ...) or as a ``match`` case."""
     sites = []
     for filename, source in sources.items():
         tree = ast.parse(source, filename=filename)
-        skipped = exempt_nodes(tree, filename, MODE_HOME)
+        skipped = exempt_nodes(tree, filename, exempt)
         sites.extend(
             f"{filename}:{node.lineno}"
             for node in ast.walk(tree)
             if id(node) not in skipped
             and (
-                isinstance(node, ast.Compare) and any(map(_names_a_mode, [node.left, *node.comparators]))
-                or isinstance(node, ast.MatchValue) and _names_a_mode(node.value)
+                isinstance(node, ast.Compare) and any(_names_one_of(n, names) for n in [node.left, *node.comparators])
+                or isinstance(node, ast.MatchValue) and _names_one_of(node.value, names)
             )
         )
     return sites
+
+
+def mode_comparisons(sources: dict[str, str]) -> list[str]:
+    """Sites outside MODE_HOME that compare against a mode name."""
+    return name_comparisons(sources, MODE_NAMES, MODE_HOME)
 
 
 def test_mode_names_are_compared_in_init_bank_only():
@@ -290,6 +298,34 @@ def test_guard_sees_a_mode_comparison_outside_init_bank():
         '        case "se":\n            return 2\n    return "me"\n',
     }
     assert mode_comparisons(sources) == ["embedding.py:5", "model.py:2", "model.py:5"]
+
+
+# the loss location is routed in model.py alone: check_experts, loss_targets and
+# loss_backward; gradsuite.suite_cases picks the experts each location allows
+LOCATION_HOME = "model.py"
+LOCATION_EXEMPT = {("gradsuite.py", "suite_cases")}
+
+
+def location_comparisons(sources: dict[str, str]) -> list[str]:
+    """Sites outside LOCATION_HOME and LOCATION_EXEMPT that compare against a loss-location name."""
+    outside = {filename: source for filename, source in sources.items() if filename != LOCATION_HOME}
+    return name_comparisons(outside, set(LOSS_LOCATIONS), LOCATION_EXEMPT)
+
+
+def test_loss_locations_are_compared_in_model_only():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert location_comparisons(sources) == []
+
+
+def test_guard_sees_a_location_comparison_outside_model():
+    sources = {
+        "model.py": 'def loss_targets(loss):\n    return loss.location == "input"\n',
+        "gradsuite.py": 'def suite_cases(loc):\n    return loc == "intermediate"\n\n'
+        'def other(loc):\n    return loc in ("output", "x")\n',
+        "trainer.py": 'def step(loss):\n    match loss.location:\n        case "intermediate":\n            return 1\n'
+        '    return "input"\n',
+    }
+    assert location_comparisons(sources) == ["gradsuite.py:5", "trainer.py:3"]
 
 
 # the one reader of alpha: LossConfig, whose weight is the de-correlation term's coefficient

@@ -395,6 +395,19 @@ class TestRowPlan:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             EmbeddingBank(mode="se", tables=[table] * tables, table_of=table_of, gating_table=table)
 
+    @pytest.mark.parametrize(
+        "mode,table_of,built",
+        [("me", (1, 0), (0, 1)), ("me", (0, 0), (0, 1)), ("se", (0, 1), (0, 0))],
+        ids=["permuted-me", "shared-table-under-me", "two-tables-under-se"],
+    )
+    def test_bank_map_is_the_one_its_mode_builds(self, mode, table_of, built):
+        # init_bank would rebuild another map from the mode on reload: a
+        # permuted map reloads as another model, a shared one not at all
+        table = _table([np.zeros((4, 2)), np.zeros((3, 2))])
+        message = f"bank mode {mode!r} builds the expert-to-table map {built}, not {table_of}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EmbeddingBank(mode=mode, tables=[table] * len(set(table_of)), table_of=table_of, gating_table=table)
+
     @pytest.mark.parametrize("mode", ["se", "me"])
     def test_one_plan_per_training_step(self, monkeypatch, mode):
         model = build_model(

@@ -12,10 +12,11 @@ from moectr import model as model_module
 from moectr import trainer
 
 from moectr.data import DatasetSchema, EncodedDataset, FeatureField, gen_synthetic, make_batches, split_dataset
-from moectr.embedding import EmbeddingTable, SparseGrad, lookup, lookup_gating, plan_rows
+from moectr.embedding import EmbeddingTable, SparseGrad, apply_sparse_to_table, lookup, lookup_gating, plan_rows
 from moectr.experts import EXPERT_KINDS, ExpertConfig
+from moectr.gating import gating_backward
 from moectr.gradsuite import kink_margin, run_case, suite_cases
-from moectr.losses import LossConfig, bce
+from moectr.losses import LossConfig, bce, decorrelation_total
 from moectr.metrics import auc, cec_report
 from moectr.model import (
     MODEL_MAGIC,
@@ -28,6 +29,7 @@ from moectr.model import (
     save_model,
     table_modules,
 )
+from moectr.nnet import prefixed
 from moectr.numerics import GRADCHECK_H, GRADCHECK_TOL, GradCheckReport, row_softmax, sigmoid
 from moectr.optim import ROW_SLOTS_MIN, Adam, AdamState, RowAdamState
 from moectr.parallel import openblas
@@ -476,6 +478,77 @@ class TestTrainStep:
             assert table.weight[outside].tobytes() == old[outside].tobytes(), name
             changed |= (table.weight != old).any(axis=1)
         np.testing.assert_array_equal(np.flatnonzero(changed), grads.plan.keys)
+
+
+def _hand_backward(model, idx, y, inject=True):
+    """batch_objective's gradients built here, not by model.loss_backward:
+    each expert's own backward, with LossConfig.weight(B) times
+    decorrelation_total's grads added by hand where the location reads its
+    matrices (none with ``inject=False``). Returns (dense grads by name,
+    each table's summed grad, shaped like the table, in table_modules order)."""
+    fc = forward_full(model, idx)
+    p = fc.y_hat
+    tower_grads, d_h = model.tower.backward(fc.tower_cache, (bce(p, y)[1] * p * (1.0 - p)).reshape(-1, 1))
+    gate_grads, d_gate, d_outputs = gating_backward(model.gate, fc.gate_cache, fc.gate_weights, fc.outputs, d_h)
+    weight, location = model.loss.weight(y.size), model.loss.location
+    if location == "intermediate":
+        sets = [list(layer) for layer in zip(*(e.layer_outputs(c) for e, c in zip(model.experts, fc.expert_caches)))]
+    else:
+        sets = [fc.outputs if location == "output" else fc.embeds]
+    decor = [[weight * g for g in decorrelation_total(mats, model.loss.form)[1]] for mats in sets] if weight else []
+    dense, d_embeds = {}, []
+    for m, (expert, cache) in enumerate(zip(model.experts, fc.expert_caches)):
+        if not (decor and inject):
+            grads, d_e = expert.backward(cache, d_outputs[m])
+        elif location == "output":
+            grads, d_e = expert.backward(cache, d_outputs[m] + decor[0][m])
+        elif location == "intermediate":
+            grads, d_e = expert.backward(cache, d_outputs[m], layer_grads=[s[m] for s in decor])
+        else:
+            grads, d_e = expert.backward(cache, d_outputs[m])
+            d_e = d_e + decor[0][m]
+        dense.update(prefixed(f"expert.{m}", grads))
+        d_embeds.append(d_e)
+    dense.update({**prefixed("gate", gate_grads), **prefixed("tower", tower_grads)})
+    # each table's entries in the order the step packs them, summed as its scatter sums them
+    n, f = idx.shape
+    rows = idx + model.bank.gating_table.offsets[:-1]
+    summed = [np.zeros_like(table.weight) for _, table in table_modules(model)]
+    for t, d_e in [*zip(model.bank.table_of, d_embeds), (-1, d_gate)]:
+        np.add.at(summed[t], rows, d_e.reshape(n, f, -1))
+    return dense, summed
+
+
+class TestLossLocationRouting:
+    """Each location's de-correlation grads land where its matrices were
+    read, weighted once, byte for byte: no BLAS kernel enters the comparison,
+    since both sides run the same products."""
+
+    @pytest.mark.parametrize("mode", ["me", "se"])
+    @pytest.mark.parametrize("location", ["output", "input", "intermediate", "alpha=0"])
+    def test_grads_equal_a_hand_built_backward(self, mode, location):
+        if location == "intermediate":
+            model = micro_model(LossConfig("corr", 0.5, location), mode=mode, seed=21, kinds=("crossnet",) * 3)
+        else:
+            loss = LossConfig("corr", 0.0) if location == "alpha=0" else LossConfig("corr", 0.5, location)
+            model = all_kinds_model(mode, loss)
+        idx, y = micro_batch(8, seed=22)
+        _, grads, _ = batch_objective(model, idx, y)
+        tables = []
+        for _, table, sparse in grads.tables:
+            tables.append(np.zeros_like(table.weight))
+            apply_sparse_to_table(table, sparse, tables[-1].__setitem__)
+        dense, summed = _hand_backward(model, idx, y)
+        assert grads.dense.keys() == dense.keys()
+        for name, g in grads.dense.items():
+            assert np.array_equal(g, dense[name]), name
+        for t, (got, want) in enumerate(zip(tables, summed, strict=True)):
+            assert np.array_equal(got, want), t
+        # and the injected grads are not vacuous: leaving them out changes the grads
+        plain_dense, plain_summed = _hand_backward(model, idx, y, inject=False)
+        same = all(np.array_equal(g, plain_dense[n]) for n, g in dense.items())
+        same &= all(map(np.array_equal, summed, plain_summed))
+        assert same == (location == "alpha=0")
 
 
 def _tiny_dataset(n=60, seed=0):
