@@ -58,7 +58,7 @@ def _cmd_train(args) -> int:
     for rec in report.epochs:
         print(
             f"epoch {rec.epoch}: train_logloss={rec.train_logloss:.6f} "
-            f"valid_auc={rec.valid_auc:.6f} valid_cec_sum={rec.valid_cec_sum:.6f} "
+            f"valid_auc={rec.valid.auc:.6f} valid_cec_sum={rec.valid_cec.total:.6f} "
             f"({rec.seconds:.1f}s)"
         )
     print(f"best epoch {report.best_epoch}: valid_auc={report.best_valid_auc:.6f}")

@@ -8,7 +8,6 @@ configs/default.cfg for a fully commented example.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -64,18 +63,6 @@ def _bool(value: str) -> bool:
     raise ValueError(f"expected true/false, yes/no or 1/0, got {value!r}")
 
 
-def _checked(parse, ok, rule: str):
-    """``parse``, then reject a value failing ``ok`` as ``<rule>, got <value>``."""
-
-    def checked(value: str):
-        parsed = parse(value)
-        if not ok(parsed):
-            raise ValueError(f"{rule}, got {parsed!r}")
-        return parsed
-
-    return checked
-
-
 def _seed(value: str) -> int:
     return at_least("seed", int(value), 0)
 
@@ -84,8 +71,11 @@ def _dim(value: str) -> int:
     return at_least("dim", int(value), 1)
 
 
-_finite = _checked(float, math.isfinite, "must be a finite number")
-_nonempty = _checked(str, bool, "must not be empty")  # a path or a column name
+def _nonempty(value: str) -> str:
+    """A path or a column name: any text but the empty one."""
+    if not value:
+        raise ValueError("must not be empty, got ''")
+    return value
 
 
 def _expert_specs(value: str) -> tuple[str, ...]:
@@ -132,8 +122,8 @@ SYNTH_KEYS = {
         lambda value: check_synthetic("cardinalities", [int(tok) for tok in value.split(",")]),
     ),
     "latent_dim": ("latent_dim", lambda value: check_synthetic("latent_dim", int(value))),
-    "seed": ("seed", _seed),
-    "c0": ("c0", _finite),
+    "seed": ("seed", lambda value: check_synthetic("seed", int(value))),
+    "c0": ("c0", lambda value: check_synthetic("c0", float(value))),
 }
 GRADCHECK_KEYS = {
     "gradcheck_h": ("h", finite_positive),

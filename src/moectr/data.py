@@ -31,7 +31,7 @@ from typing import Collection, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
-from .numerics import at_least, sigmoid
+from .numerics import at_least, finite, sigmoid
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -64,6 +64,8 @@ class FeatureField:
     cardinality: int
 
     def __post_init__(self):
+        if not self.name:
+            raise ValueError("field name must not be empty")
         at_least(f"field {self.name!r}: cardinality", self.cardinality, 1)
 
 
@@ -558,14 +560,19 @@ class SyntheticParams:
         return self.c0 + pair + triple
 
 
-# gen_synthetic's lower bound per argument; two fields is the fewest with a pair
-SYNTHETIC_MINIMUM = {"num_fields": 2, "num_rows": 1, "latent_dim": 1, "cardinalities": 1}
+# gen_synthetic's lower bound per argument; two fields is the fewest with a
+# pair. A float bound marks a float argument, which must also be finite.
+SYNTHETIC_MINIMUM = {"num_fields": 2, "num_rows": 1, "latent_dim": 1, "cardinalities": 1, "seed": 0,
+                     "c0": -math.inf, "pair_strength": 0.0, "triple_strength": 0.0}
 
 
 def check_synthetic(name: str, value):
     """``value`` of gen_synthetic's argument ``name``, raising unless it (or,
-    for a list of cardinalities, each entry) is at least its minimum."""
-    at_least(name, min(value) if isinstance(value, list) else value, SYNTHETIC_MINIMUM[name])
+    for a list of cardinalities, each entry) is at least its minimum; a
+    float argument is returned as a float."""
+    least = SYNTHETIC_MINIMUM[name]
+    value = finite(name, value) if isinstance(least, float) else value
+    at_least(name, min(value) if isinstance(value, list) else value, least)
     return value
 
 
@@ -594,13 +601,13 @@ def gen_synthetic(
     mechanism ~= triple_strength. Fully deterministic given the seed
     (fixed draw order: U tables, V tables, ids, label noise).
     """
-    check_synthetic("num_fields", num_fields)
-    check_synthetic("num_rows", num_rows)
+    scalars = dict(num_fields=num_fields, num_rows=num_rows, latent_dim=latent_dim, seed=seed, c0=c0,
+                   pair_strength=pair_strength, triple_strength=triple_strength)
+    for name, value in scalars.items():
+        check_synthetic(name, value)
     if isinstance(cardinalities, int):
         cardinalities = [cardinalities] * num_fields
-    check_field_count(cardinalities, num_fields)
-    check_synthetic("latent_dim", latent_dim)
-    check_synthetic("cardinalities", cardinalities)
+    check_synthetic("cardinalities", check_field_count(cardinalities, num_fields))
     rng = np.random.default_rng(seed)
     n_pairs = num_fields * (num_fields - 1) // 2
     n_triples = num_fields * (num_fields - 1) * (num_fields - 2) // 6
@@ -652,15 +659,15 @@ def save_synthetic_params(params: SyntheticParams, path) -> None:
 
 def load_synthetic_params(path) -> SyntheticParams:
     """Inverse of save_synthetic_params. A missing key, a value that is not
-    a number, a count below 1, and a u.<f> or v.<f> that does not hold
-    cardinality.<f> rows of its width are ValueErrors naming the file and
-    the key."""
+    a number, a non-finite c0, u.<f> or v.<f> entry, a count below 1, and a
+    u.<f> or v.<f> that does not hold cardinality.<f> rows of its width are
+    ValueErrors naming the file and the key."""
     kv = parse_kv_file(path)
 
     def count(tok: str) -> int:
         return at_least("count", int(tok), 1)
 
-    def numbers(key: str, parse=float, size: int = 1) -> list:
+    def numbers(key: str, parse=lambda tok: finite("entry", tok), size: int = 1) -> list:
         """The comma-separated values of ``key``, raising unless there are ``size``."""
         if key not in kv:
             raise ValueError(f"{path}: missing key {key!r}")
@@ -671,9 +678,9 @@ def load_synthetic_params(path) -> SyntheticParams:
         return values
 
     latent_dim = numbers("latent_dim", count)[0]
-    params = SyntheticParams(seed=numbers("seed", int)[0], c0=numbers("c0")[0])
+    params = SyntheticParams(seed=numbers("seed", int)[0], c0=numbers("c0", lambda tok: check_synthetic("c0", tok))[0])
     for j in range(numbers("fields", count)[0]):
         card = numbers(f"cardinality.{j}", count)[0]
-        params.u.append(np.array(numbers(f"u.{j}", float, card * latent_dim)).reshape(card, latent_dim))
-        params.v.append(np.array(numbers(f"v.{j}", float, card)))
+        params.u.append(np.array(numbers(f"u.{j}", size=card * latent_dim)).reshape(card, latent_dim))
+        params.v.append(np.array(numbers(f"v.{j}", size=card)))
     return params

@@ -2,10 +2,10 @@
 
 Matrices are plain 2-D ``numpy.ndarray`` objects in double precision. The
 gradient checker here is the verification oracle for every hand-written
-backward pass in the package. ``one_of``, ``at_least`` and
+backward pass in the package. ``one_of``, ``at_least``, ``finite`` and
 ``finite_positive`` are its checks of a value against a vocabulary, a
-named lower bound and the finite numbers above 0, and ``first_non_finite``
-its one walk of named arrays for NaN and inf.
+named lower bound, the finite numbers and the finite numbers above 0, and
+``first_non_finite`` its one walk of named arrays for NaN and inf.
 """
 
 from __future__ import annotations
@@ -30,6 +30,14 @@ def at_least(name: str, value, least):
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
     return value
+
+
+def finite(name: str, value) -> float:
+    """``value`` as a float, raising unless it is a finite number."""
+    number = float(value)
+    if not -np.inf < number < np.inf:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 def finite_positive(value) -> float:

@@ -151,10 +151,8 @@ class EpochRecord:
     epoch: int
     train_logloss: float
     train_objective: float
-    valid_auc: float
-    valid_logloss: float
-    valid_cec_pairs: dict[tuple[int, int], float]
-    valid_cec_sum: float
+    valid: EvalMetrics
+    valid_cec: CorrelationReport
     seconds: float
 
 
@@ -162,7 +160,11 @@ class EpochRecord:
 class TrainReport:
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = -1
-    best_valid_auc: float = float("nan")
+
+    @property
+    def best_valid_auc(self) -> float:
+        """The best epoch's validation AUC; NaN before the first epoch."""
+        return self.epochs[self.best_epoch].valid.auc if self.best_epoch >= 0 else float("nan")
 
 
 def run_warnings(report: TrainReport) -> list[str]:
@@ -246,9 +248,13 @@ def train_loop(
 ) -> TrainReport:
     """Epochs of seeded-shuffle batches with early stopping on valid AUC.
 
-    The epoch shuffle is reseeded as seed + epoch; the best-AUC parameters
-    are restored into the model before returning: the dense ones from a
-    copy taken at the best epoch, the embedding tables from a RowUndoLog.
+    The epoch shuffle is reseeded as seed + epoch. ``report.best_epoch`` is
+    the one record early stopping keeps: epoch 0, then each epoch whose
+    valid AUC is above the best epoch's (a tie is not), and the loop stops
+    once an epoch ends more than ``patience`` epochs after it. The best
+    epoch's parameters are restored into the model before returning: the
+    dense ones from a copy taken at the best epoch, the embedding tables
+    from a RowUndoLog of the rows written since.
     Identical (model seed, config, data) reruns produce identical numeric
     trajectories. A step that raises ValueError is re-raised with its
     epoch and batch in front.
@@ -261,9 +267,6 @@ def train_loop(
     dense = dict(item for prefix, module in dense_modules(model) for item in module.param_items(prefix))
     undo = RowUndoLog([table.weight for _, table in table_modules(model)])
     report = TrainReport()
-    best_auc = -np.inf
-    best_dense: dict[str, np.ndarray] | None = None
-    stale = 0
     for epoch in range(config.epochs):
         tic = time.perf_counter()
         batches = make_batches(train_ds, config.batch_size, shuffle_seed=config.seed + epoch)
@@ -274,7 +277,7 @@ def train_loop(
                 losses, grads, _ = batch_objective(
                     model, train_ds.indices.take(batch.rows, axis=0), train_ds.labels.take(batch.rows)
                 )
-                if best_dense is not None:
+                if report.best_epoch >= 0:
                     undo.save(grads.plan.keys)
                 apply_grads(grads, adam, dense)
             except ValueError as err:
@@ -282,32 +285,19 @@ def train_loop(
             loss_sum += losses.bce * batch.size
             objective_sum += losses.total * batch.size
         metrics, corr = evaluate(model, valid_ds)
-        record = EpochRecord(
-            epoch=epoch,
-            train_logloss=loss_sum / len(train_ds),
-            train_objective=objective_sum / len(train_ds),
-            valid_auc=metrics.auc,
-            valid_logloss=metrics.logloss,
-            valid_cec_pairs=dict(corr.pairs),
-            valid_cec_sum=corr.total,
-            seconds=time.perf_counter() - tic,
+        seconds = time.perf_counter() - tic
+        report.epochs.append(
+            EpochRecord(epoch, loss_sum / len(train_ds), objective_sum / len(train_ds), metrics, corr, seconds)
         )
-        report.epochs.append(record)
-        if metrics.auc > best_auc:
-            best_auc = metrics.auc
+        if report.best_epoch < 0 or metrics.auc > report.best_valid_auc:
             report.best_epoch = epoch
-            report.best_valid_auc = metrics.auc
             best_dense = {name: arr.copy() for name, arr in dense.items()}
             undo.clear()
-            stale = 0
-        else:
-            stale += 1
-            if stale > config.patience:
-                break
-    if best_dense is not None:
-        for name, arr in dense.items():
-            arr[...] = best_dense[name]
-        undo.restore()
+        elif epoch - report.best_epoch > config.patience:
+            break
+    for name, arr in dense.items():
+        arr[...] = best_dense[name]
+    undo.restore()
     return report
 
 

@@ -341,7 +341,7 @@ class TestCli:
     def test_train_warns_after_best_epoch_when_auc_is_not_above_chance(self, tmp_path, synth_csv, capsys, monkeypatch):
         def chance_run(*args):
             report = train_loop(*args)
-            report.best_valid_auc = 0.5
+            report.epochs[report.best_epoch].valid.auc = 0.5
             return report
 
         monkeypatch.setattr(cli, "train_loop", chance_run)
@@ -561,7 +561,7 @@ class TestCli:
         model = cfg.build()
         train_ds, valid_ds, _ = cfg.load_datasets()
         report = train_loop(model, train_ds, valid_ds, cfg.train)
-        assert [(r.valid_cec_pairs, r.valid_cec_sum) for r in report.epochs] == [({}, 0.0)] * 2
+        assert [(r.valid_cec.pairs, r.valid_cec.total) for r in report.epochs] == [({}, 0.0)] * 2
         model_path = tmp_path / "model.bin"
         save_model(model, model_path)
 
@@ -722,6 +722,11 @@ class TestLoadBoundary:
             main(["gen-synth", "--spec", str(spec), "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["a:10, :5", " :5, b:3"])
+    def test_empty_field_name_fails_naming_the_key(self, value):
+        with pytest.raises(ValueError, match="^config: key 'fields': field name must not be empty$"):
+            RunConfig.from_text(f"fields = {value}\n")
+
     @pytest.mark.parametrize("value", ["nan, 0.1, 0.1", "0.8, -inf, 0.1"])
     def test_non_finite_split_fails_naming_the_key(self, value):
         with pytest.raises(ValueError, match="^config: key 'split': fractions must be positive, got "):
@@ -731,5 +736,5 @@ class TestLoadBoundary:
     def test_non_finite_c0_fails_naming_the_key(self, tmp_path, value):
         path = tmp_path / "spec.cfg"
         path.write_text(f"rows = 10\nc0 = {value}\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: key 'c0': must be a finite number, got "):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: key 'c0': c0 must be a finite number, got "):
             SynthSpec.from_file(path)

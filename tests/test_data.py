@@ -342,6 +342,28 @@ class TestGenSynthetic:
         with pytest.raises(ValueError, match=f"cardinalities must be >= 1, got {min(cards)}"):
             gen_synthetic(3, cards, 2, 100, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(pair_strength=float("nan")), "pair_strength must be a finite number, got nan"),
+            (dict(triple_strength=float("nan")), "triple_strength must be a finite number, got nan"),
+            (dict(c0=float("nan")), "c0 must be a finite number, got nan"),
+            (dict(pair_strength=float("inf")), "pair_strength must be a finite number, got inf"),
+            (dict(pair_strength=-1.0), "pair_strength must be >= 0.0, got -1.0"),
+            (dict(seed=-1), "seed must be >= 0, got -1"),
+        ],
+        ids=["nan-pair", "nan-triple", "nan-c0", "inf-pair", "negative-pair", "negative-seed"],
+    )
+    def test_bad_argument_rejected_naming_it(self, kwargs, message):
+        # a NaN or inf strength or c0 used to return all-zero labels
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen_synthetic(3, 5, 2, 200, **{"seed": 1, **kwargs})
+
+    def test_zero_strengths_allowed(self):
+        ds, params = gen_synthetic(3, 5, 2, 200, seed=1, pair_strength=0, triple_strength=0)
+        assert not any(u.any() for u in params.u) and not any(v.any() for v in params.v)
+        np.testing.assert_array_equal(params.logits(ds.indices), 0.0)
+
     def test_indices_in_range(self):
         ds, _ = gen_synthetic(3, [7, 11, 13], 2, 1000, seed=1)
         for j, card in enumerate([7, 11, 13]):
@@ -393,10 +415,13 @@ class TestGenSynthetic:
             (lambda text: text.replace("\ncardinality.0 = 5", "\ncardinality.0 = -5").replace("\nlatent_dim = 2", "\nlatent_dim = -2"),
              "key 'latent_dim': count must be >= 1, got -2"),
             (lambda text: text.replace("\ncardinality.1 = 6", "\ncardinality.1 = 0"), "key 'cardinality.1': count must be >= 1, got 0"),
+            (lambda text: re.sub(r"^c0 = .*$", "c0 = nan", text, flags=re.M), "key 'c0': c0 must be a finite number, got 'nan'"),
+            (lambda text: re.sub(r"^(u\.0 = )[^,]*", r"\1nan", text, flags=re.M), "key 'u.0': entry must be a finite number, got 'nan'"),
+            (lambda text: re.sub(r"^(v\.1 = .*),[^,]*$", r"\1,-inf", text, flags=re.M), "key 'v.1': entry must be a finite number, got '-inf'"),
         ],
         ids=[
             "repeated-key", "no-equals", "missing-key", "seed-not-a-number", "word-in-u", "short-u", "short-v",
-            "wrong-latent-dim", "negative-sizes", "zero-cardinality",
+            "wrong-latent-dim", "negative-sizes", "zero-cardinality", "nan-c0", "nan-in-u", "inf-in-v",
         ],
     )
     def test_bad_params_file_rejected(self, tmp_path, edit, message):
@@ -715,6 +740,10 @@ class TestEncodedDatasetValidation:
         idx = np.array([[50, 0], [0, 0]])
         with pytest.raises(ValueError, match="cardinality"):
             EncodedDataset(SCHEMA, idx, np.zeros(2))
+
+    def test_empty_field_name_rejected(self):
+        with pytest.raises(ValueError, match="^field name must not be empty$"):
+            FeatureField("", 5)
 
     def test_zero_cardinality_field_rejected_naming_it(self):
         with pytest.raises(ValueError, match="^field 'site': cardinality must be >= 1, got 0$"):

@@ -17,7 +17,7 @@ from moectr.experts import EXPERT_KINDS, ExpertConfig
 from moectr.gating import gating_backward
 from moectr.gradsuite import kink_margin, run_case, suite_cases
 from moectr.losses import LossConfig, bce, decorrelation_total
-from moectr.metrics import auc, cec_report
+from moectr.metrics import CorrelationReport, EvalMetrics, auc, cec_report
 from moectr.model import (
     MODEL_MAGIC,
     build_model,
@@ -34,6 +34,7 @@ from moectr.numerics import GRADCHECK_H, GRADCHECK_TOL, GradCheckReport, row_sof
 from moectr.optim import ROW_SLOTS_MIN, Adam, AdamState, RowAdamState
 from moectr.parallel import openblas
 from moectr.trainer import (
+    EpochRecord,
     KinkCrossed,
     RowUndoLog,
     TrainConfig,
@@ -576,6 +577,19 @@ class TestTrainLoop:
         # lr ~ 0 keeps valid AUC flat, so epoch 1 cannot improve on epoch 0
         assert len(report.epochs) <= 3
 
+    @pytest.mark.parametrize("patience,ran,best", [(0, 3, 1), (2, 5, 1), (10, 6, 5)])
+    def test_early_stopping_follows_the_scripted_aucs(self, monkeypatch, patience, ran, best):
+        # a tie is not an improvement: epoch 2's 0.70 leaves epoch 1 the best
+        aucs = [0.60, 0.70, 0.70, 0.65, 0.69, 0.90]
+        scripted = iter(aucs)
+        monkeypatch.setattr(
+            trainer, "evaluate", lambda m, d: (EvalMetrics(next(scripted), 0.5, len(d)), CorrelationReport({}))
+        )
+        ds = _tiny_dataset(64, seed=20)
+        cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=len(aucs), patience=patience, seed=21)
+        report = train_loop(micro_model(seed=22), ds, ds, cfg)
+        assert (len(report.epochs), report.best_epoch, report.best_valid_auc) == (ran, best, aucs[best])
+
     def test_best_params_restored(self):
         ds = _tiny_dataset(80, seed=8)
         tr, va, _ = split_dataset(ds, (0.6, 0.3, 0.1), seed=9)
@@ -584,7 +598,7 @@ class TestTrainLoop:
         report = train_loop(model, tr, va, cfg)
         best = report.epochs[report.best_epoch]
         metrics, _ = evaluate(model, va)
-        assert metrics.auc == best.valid_auc
+        assert metrics.auc == best.valid.auc
 
     def test_empty_dataset_rejected(self):
         ds = _tiny_dataset()
@@ -697,7 +711,11 @@ class TestRunWarnings:
         ],
     )
     def test_chance_auc(self, auc, lines):
-        assert run_warnings(TrainReport(best_epoch=0, best_valid_auc=auc)) == lines
+        record = EpochRecord(0, 0.7, 0.7, EvalMetrics(auc, 0.7, 10), CorrelationReport({}), 0.0)
+        assert run_warnings(TrainReport([record], best_epoch=0)) == lines
+
+    def test_report_before_the_first_epoch_reads_nan(self):
+        assert run_warnings(TrainReport()) == ["warning: best valid AUC nan is not above chance (0.5)"]
 
 
 class TestBestEpochRestore:
