@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .config import GradcheckSpec, RunConfig, SynthSpec
+from .config import RunConfig, gradcheck_arguments, synth_arguments
 from .data import gen_synthetic, load_synthetic_csv, load_table, save_synthetic_params, save_table
 from .gradsuite import run_suite
 from .model import EVAL_BATCH_ROWS, load_model, param_count, save_model
@@ -117,15 +117,7 @@ def _cmd_cec_report(args) -> int:
 def _cmd_gen_synth(args) -> int:
     sidecar = args.out + ".params"
     _check_outputs((args.spec,), ("--out", args.out), ("--out sidecar", sidecar))
-    spec = SynthSpec.from_file(args.spec)
-    ds, params = gen_synthetic(
-        spec.num_fields,
-        spec.cardinalities,
-        spec.latent_dim,
-        spec.rows,
-        spec.seed,
-        c0=spec.c0,
-    )
+    ds, params = gen_synthetic(**synth_arguments(args.spec))
     save_table(ds, args.out)
     save_synthetic_params(params, sidecar)
     rate = float(ds.labels.mean())
@@ -135,9 +127,8 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    spec = GradcheckSpec.from_file(args.config) if args.config else GradcheckSpec()
     failed = 0
-    for name, report in run_suite(h=spec.h, tol=spec.tol):
+    for name, report in run_suite(**(gradcheck_arguments(args.config) if args.config else {})):
         worst = "" if report.passed else " worst={}[{}]".format(*report.worst)
         print(f"{'PASS' if report.passed else 'FAIL'} {name}: max_rel_err={report.max_relative_error:.3e}{worst}")
         failed += not report.passed

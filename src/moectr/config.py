@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 from .data import DatasetSchema, EncodedDataset, FeatureField, check_field_count, check_split, check_synthetic
 from .data import load_synthetic_csv, load_table, naming_key, parse_kv_file, parse_kv_text, split_dataset
@@ -17,7 +18,7 @@ from .embedding import BANK_MODES
 from .experts import ExpertConfig
 from .losses import LossConfig
 from .model import ModelBundle, build_model, check_experts
-from .numerics import GRADCHECK_H, GRADCHECK_TOL, at_least, finite_positive, one_of
+from .numerics import at_least, finite_positive, one_of
 from .trainer import TrainConfig
 
 
@@ -114,16 +115,15 @@ RUN_KEYS = {
     "patience": ("train.patience", int),
     "seed": ("train.seed", int),
 }
+# gen-synth spec key -> (gen_synthetic argument, parser checking the value by
+# gen_synthetic's own rule); gradcheck config key -> (run_suite argument, parser)
 SYNTH_KEYS = {
-    "rows": ("rows", lambda value: check_synthetic("num_rows", int(value))),
-    "fields": ("num_fields", lambda value: check_synthetic("num_fields", int(value))),
-    "cardinality": (
-        "cardinalities",
-        lambda value: check_synthetic("cardinalities", [int(tok) for tok in value.split(",")]),
-    ),
-    "latent_dim": ("latent_dim", lambda value: check_synthetic("latent_dim", int(value))),
-    "seed": ("seed", lambda value: check_synthetic("seed", int(value))),
-    "c0": ("c0", lambda value: check_synthetic("c0", float(value))),
+    key: (name, lambda value, name=name, parse=parse: check_synthetic(name, parse(value)))
+    for key, name, parse in (
+        ("rows", "num_rows", int), ("fields", "num_fields", int),
+        ("cardinality", "cardinalities", lambda value: [int(tok) for tok in value.split(",")]),
+        ("latent_dim", "latent_dim", int), ("seed", "seed", int), ("c0", "c0", float),
+    )
 }
 GRADCHECK_KEYS = {
     "gradcheck_h": ("h", finite_positive),
@@ -244,35 +244,23 @@ class RunConfig:
         return split_dataset(train, self.split, self.split_seed)
 
 
-@dataclass
-class SynthSpec:
-    """Config for the synthetic-data generator command."""
-
-    rows: int = 10000
-    num_fields: int = 6
-    cardinalities: list[int] = field(default_factory=lambda: [100])  # one value applies to every field
-    latent_dim: int = 4
-    seed: int = 0
-    c0: float = 0.0
-
-    @classmethod
-    def from_file(cls, path) -> "SynthSpec":
-        spec = _apply_keys(cls(), SYNTH_KEYS, parse_kv_file(path, SYNTH_KEYS), str(path))
-        if len(spec.cardinalities) == 1:
-            spec.cardinalities = spec.cardinalities * spec.num_fields
-        with naming_key(str(path), "cardinality"):
-            check_field_count(spec.cardinalities, spec.num_fields)
-        return spec
+# the gen-synth command's defaults for gen_synthetic's arguments that have
+# none of their own; one cardinality applies to every field
+SYNTH_DEFAULTS = {"num_rows": 10000, "num_fields": 6, "cardinalities": [100], "latent_dim": 4, "seed": 0}
 
 
-@dataclass
-class GradcheckSpec:
-    """Central-difference step and relative-error tolerance of the micro
-    gradient suite."""
+def synth_arguments(path) -> dict:
+    """gen_synthetic's keyword arguments from a gen-synth spec file:
+    SYNTH_DEFAULTS, then the file's keys."""
+    args = vars(_apply_keys(SimpleNamespace(**SYNTH_DEFAULTS), SYNTH_KEYS, parse_kv_file(path, SYNTH_KEYS), str(path)))
+    if len(args["cardinalities"]) == 1:
+        args["cardinalities"] = args["cardinalities"] * args["num_fields"]
+    with naming_key(str(path), "cardinality"):
+        check_field_count(args["cardinalities"], args["num_fields"])
+    return args
 
-    h: float = GRADCHECK_H
-    tol: float = GRADCHECK_TOL
 
-    @classmethod
-    def from_file(cls, path) -> "GradcheckSpec":
-        return _apply_keys(cls(), GRADCHECK_KEYS, parse_kv_file(path, GRADCHECK_KEYS), str(path))
+def gradcheck_arguments(path) -> dict:
+    """run_suite's keyword arguments that a gradcheck config file sets;
+    run_suite's own defaults stand for the rest."""
+    return vars(_apply_keys(SimpleNamespace(), GRADCHECK_KEYS, parse_kv_file(path, GRADCHECK_KEYS), str(path)))

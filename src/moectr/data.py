@@ -658,29 +658,34 @@ def save_synthetic_params(params: SyntheticParams, path) -> None:
 
 
 def load_synthetic_params(path) -> SyntheticParams:
-    """Inverse of save_synthetic_params. A missing key, a value that is not
-    a number, a non-finite c0, u.<f> or v.<f> entry, a count below 1, and a
-    u.<f> or v.<f> that does not hold cardinality.<f> rows of its width are
-    ValueErrors naming the file and the key."""
+    """Inverse of save_synthetic_params. A missing or unknown key, a value
+    that is not a number or that gen_synthetic's rules (check_synthetic)
+    reject, a non-finite u.<f> or v.<f> entry, and a u.<f> or v.<f> without
+    cardinality.<f> rows of its width are ValueErrors naming the file and key."""
     kv = parse_kv_file(path)
-
-    def count(tok: str) -> int:
-        return at_least("count", int(tok), 1)
+    read: set[str] = set()
 
     def numbers(key: str, parse=lambda tok: finite("entry", tok), size: int = 1) -> list:
         """The comma-separated values of ``key``, raising unless there are ``size``."""
         if key not in kv:
             raise ValueError(f"{path}: missing key {key!r}")
+        read.add(key)
         with naming_key(str(path), key):
             values = [parse(tok) for tok in kv[key].split(",")]
             if len(values) != size:
                 raise ValueError(f"expected {size} numbers, got {len(values)}")
         return values
 
-    latent_dim = numbers("latent_dim", count)[0]
-    params = SyntheticParams(seed=numbers("seed", int)[0], c0=numbers("c0", lambda tok: check_synthetic("c0", tok))[0])
-    for j in range(numbers("fields", count)[0]):
-        card = numbers(f"cardinality.{j}", count)[0]
+    def argument(key: str, name: str, parse=int):
+        """The one value of ``key``, checked as gen_synthetic's argument ``name``."""
+        return numbers(key, lambda tok: check_synthetic(name, parse(tok)))[0]
+
+    latent_dim = argument("latent_dim", "latent_dim")
+    params = SyntheticParams(seed=argument("seed", "seed"), c0=argument("c0", "c0", parse=str))
+    for j in range(argument("fields", "num_fields")):
+        card = argument(f"cardinality.{j}", "cardinalities")
         params.u.append(np.array(numbers(f"u.{j}", size=card * latent_dim)).reshape(card, latent_dim))
         params.v.append(np.array(numbers(f"v.{j}", size=card)))
+    if read != kv.keys():
+        parse_kv_file(path, read)  # fails naming the line of the first key not read
     return params

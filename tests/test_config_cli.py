@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
@@ -12,14 +13,15 @@ from moectr.config import (
     GRADCHECK_KEYS,
     RUN_KEYS,
     SPEC_PARAMETERS,
+    SYNTH_DEFAULTS,
     SYNTH_KEYS,
-    GradcheckSpec,
     RunConfig,
-    SynthSpec,
+    gradcheck_arguments,
     parse_expert_spec,
+    synth_arguments,
 )
 from moectr.data import EncodedDataset, gen_synthetic, load_synthetic_params, parse_kv_text, save_synthetic_params, save_table
-from moectr.gradsuite import suite_cases
+from moectr.gradsuite import run_suite, suite_cases
 from moectr.losses import LossConfig
 from moectr.model import save_model
 from moectr.trainer import TrainConfig, train_loop
@@ -127,7 +129,7 @@ class TestRunConfig:
         spec = tmp_path / "spec.cfg"
         spec.write_text("rows = many\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(spec))}: key 'rows': invalid literal"):
-            SynthSpec.from_file(spec)
+            synth_arguments(spec)
 
     def test_repeated_field_rejected_at_load_naming_it(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -200,34 +202,35 @@ class TestSynthSpec:
     def test_parse(self, tmp_path):
         path = tmp_path / "spec.cfg"
         path.write_text("rows = 100\nfields = 3\ncardinality = 10\nlatent_dim = 2\nseed = 5\n")
-        spec = SynthSpec.from_file(path)
-        assert spec.rows == 100
-        assert spec.num_fields == 3
-        assert spec.cardinalities == [10, 10, 10]
+        spec = synth_arguments(path)
+        assert spec["num_rows"] == 100
+        assert spec["num_fields"] == 3
+        assert spec["cardinalities"] == [10, 10, 10]
+        assert "c0" not in spec  # gen_synthetic's own default stands
 
     def test_per_field_cardinalities(self, tmp_path):
         path = tmp_path / "spec.cfg"
         path.write_text("rows = 10\nfields = 3\ncardinality = 4,5,6\n")
-        assert SynthSpec.from_file(path).cardinalities == [4, 5, 6]
+        assert synth_arguments(path)["cardinalities"] == [4, 5, 6]
 
     def test_cardinality_count_mismatch_rejected_naming_key(self, tmp_path):
         path = tmp_path / "spec.cfg"
         path.write_text("rows = 10\nfields = 3\ncardinality = 5, 6\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: key 'cardinality': 2 values for 3 fields"):
-            SynthSpec.from_file(path)
+            synth_arguments(path)
 
     def test_negative_seed_rejected_naming_key(self, tmp_path):
         path = tmp_path / "spec.cfg"
         path.write_text("rows = 10\nseed = -1\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: key 'seed': seed must be >= 0, got -1"):
-            SynthSpec.from_file(path)
+            synth_arguments(path)
 
     def test_unknown_key_rejected_with_line(self, tmp_path):
-        assert SynthSpec.from_file(REPO_ROOT / "configs" / "synth_small.cfg").rows == 20000
+        assert synth_arguments(REPO_ROOT / "configs" / "synth_small.cfg")["num_rows"] == 20000
         path = tmp_path / "spec.cfg"
         path.write_text("rows = 10\n# comment\ncardinalty = 4\n")
         with pytest.raises(ValueError, match=r"line 3: unknown key 'cardinalty'"):
-            SynthSpec.from_file(path)
+            synth_arguments(path)
 
 
 @pytest.fixture
@@ -536,6 +539,15 @@ class TestCli:
         header = out.read_text().split("\n", 1)[0]
         assert header == "f0,f1,f2,label"
 
+    def test_gen_synth_writes_the_generators_bytes(self, tmp_path):
+        out = tmp_path / "synth.csv"
+        assert main(["gen-synth", "--spec", str(REPO_ROOT / "configs" / "synth_small.cfg"), "--out", str(out)]) == 0
+        ds, params = gen_synthetic(6, [100] * 6, 2, 20000, seed=7, c0=0.0)  # synth_small.cfg's values
+        save_table(ds, tmp_path / "expected.csv")
+        save_synthetic_params(params, tmp_path / "expected.params")
+        assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        assert (tmp_path / "synth.csv.params").read_bytes() == (tmp_path / "expected.params").read_bytes()
+
     @pytest.mark.parametrize("reader", ["train", "gradcheck", "gen-synth", "sidecar"])
     def test_key_value_file_that_is_not_utf8_names_the_file(self, tmp_path, reader):
         path = tmp_path / "m.bin"
@@ -600,7 +612,9 @@ class TestCli:
         calls = []
         monkeypatch.setattr(cli, "run_suite", lambda **kwargs: calls.append(kwargs) or [])
         assert main(["gradcheck", "--config", str(path)]) == 0
-        assert calls == [{"h": 1e-6, "tol": 1e-3}]
+        path.write_text("gradcheck_tol = 1e-3\n")  # run_suite's own default step stands
+        assert main(["gradcheck", "--config", str(path)]) == 0
+        assert calls == [{"h": 1e-6, "tol": 1e-3}, {"tol": 1e-3}]
 
     def test_gradcheck_command(self, capsys):
         assert main(["gradcheck"]) == 0
@@ -610,7 +624,11 @@ class TestCli:
 
 
 BOUNDARY_VALUES = ["nan", "inf", "-inf", "1e999", "-1", "0", "", "-3", "64--32", "8-", "8-0"]
-LOADERS = {"run": (RunConfig, RUN_KEYS), "synth": (SynthSpec, SYNTH_KEYS), "gradcheck": (GradcheckSpec, GRADCHECK_KEYS)}
+LOADERS = {
+    "run": (RunConfig.from_file, RUN_KEYS),
+    "synth": (synth_arguments, SYNTH_KEYS),
+    "gradcheck": (gradcheck_arguments, GRADCHECK_KEYS),
+}
 TEXT = {value: value for value in BOUNDARY_VALUES if value}  # a path or a column name is any non-empty text
 # loader -> key -> {boundary value the key's rule allows: the value it loads
 # as}; every other boundary value must fail at load naming the key
@@ -649,16 +667,19 @@ class TestLoadBoundary:
     @pytest.mark.parametrize("loader,key", KEY_CASES)
     def test_value_loads_or_fails_naming_the_key(self, tmp_path, loader, key, value):
         assert key in LOADS[loader], f"{loader} key {key!r} has no declared expectation"
-        cls, table = LOADERS[loader]
+        load, table = LOADERS[loader]
         path = tmp_path / "test.cfg"
         path.write_text(f"{key} = {value}\n")
         if value not in LOADS[loader][key]:
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: key '{key}': "):
-                cls.from_file(path)
+                load(path)
             return
         part, _, name = table[key][0].rpartition(".")
-        loaded = cls.from_file(path)
-        assert getattr(getattr(loaded, part) if part else loaded, name) == LOADS[loader][key][value]
+        loaded = load(path)
+        if isinstance(loaded, dict):  # a function's keyword arguments
+            assert loaded[name] == LOADS[loader][key][value]
+        else:
+            assert getattr(getattr(loaded, part) if part else loaded, name) == LOADS[loader][key][value]
 
     def test_every_key_has_a_declared_expectation(self):
         assert {loader: set(table) for loader, (_, table) in LOADERS.items()} == {
@@ -678,6 +699,12 @@ class TestLoadBoundary:
         assert {f.name for f in dataclasses.fields(RunConfig)}.isdisjoint(
             f.name for cls in (TrainConfig, LossConfig) for f in dataclasses.fields(cls)
         )
+
+    def test_every_spec_key_targets_an_argument_of_its_function(self):
+        synth = {target for target, _ in SYNTH_KEYS.values()} | set(SYNTH_DEFAULTS)
+        assert synth <= set(inspect.signature(gen_synthetic).parameters)
+        gradcheck = {target for target, _ in GRADCHECK_KEYS.values()}
+        assert gradcheck <= set(inspect.signature(run_suite).parameters)
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_loss_and_train_config_reject_non_finite_values(self, alpha):
@@ -737,4 +764,4 @@ class TestLoadBoundary:
         path = tmp_path / "spec.cfg"
         path.write_text(f"rows = 10\nc0 = {value}\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: key 'c0': c0 must be a finite number, got "):
-            SynthSpec.from_file(path)
+            synth_arguments(path)

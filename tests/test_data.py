@@ -413,15 +413,20 @@ class TestGenSynthetic:
             (lambda text: re.sub(r"^(v\.0 = .*),.*$", r"\1", text, flags=re.M), "key 'v.0': expected 5 numbers, got 4"),
             (lambda text: text.replace("\nlatent_dim = 2", "\nlatent_dim = 3"), "key 'u.0': expected 15 numbers, got 10"),
             (lambda text: text.replace("\ncardinality.0 = 5", "\ncardinality.0 = -5").replace("\nlatent_dim = 2", "\nlatent_dim = -2"),
-             "key 'latent_dim': count must be >= 1, got -2"),
-            (lambda text: text.replace("\ncardinality.1 = 6", "\ncardinality.1 = 0"), "key 'cardinality.1': count must be >= 1, got 0"),
+             "key 'latent_dim': latent_dim must be >= 1, got -2"),
+            (lambda text: text.replace("\ncardinality.1 = 6", "\ncardinality.1 = 0"), "key 'cardinality.1': cardinalities must be >= 1, got 0"),
             (lambda text: re.sub(r"^c0 = .*$", "c0 = nan", text, flags=re.M), "key 'c0': c0 must be a finite number, got 'nan'"),
             (lambda text: re.sub(r"^(u\.0 = )[^,]*", r"\1nan", text, flags=re.M), "key 'u.0': entry must be a finite number, got 'nan'"),
             (lambda text: re.sub(r"^(v\.1 = .*),[^,]*$", r"\1,-inf", text, flags=re.M), "key 'v.1': entry must be a finite number, got '-inf'"),
+            (lambda text: text.replace("\nseed = 21", "\nseed = -1"), "key 'seed': seed must be >= 0, got -1"),
+            (lambda text: text.replace("\nfields = 3", "\nfields = 1"), "key 'fields': num_fields must be >= 2, got 1"),
+            (lambda text: text.replace("\nfields = 3", "\nfields = 2"), "line 12: unknown key 'cardinality.2'"),
+            (lambda text: text + "typo_key = 5\n", "line 15: unknown key 'typo_key'"),
         ],
         ids=[
             "repeated-key", "no-equals", "missing-key", "seed-not-a-number", "word-in-u", "short-u", "short-v",
             "wrong-latent-dim", "negative-sizes", "zero-cardinality", "nan-c0", "nan-in-u", "inf-in-v",
+            "negative-seed", "one-field", "fields-edited-down", "unknown-key",
         ],
     )
     def test_bad_params_file_rejected(self, tmp_path, edit, message):
