@@ -2,11 +2,12 @@
 its correlation form and two covariance ablations.
 
 decorrelation_total computes every pair loss of M same-shape (N, d) expert
-outputs from one cross-expert Gram, with exact gradients w.r.t. each
-output; one pair's loss is the call on two outputs. The correlation form
-standardizes columns with the unbiased std, which makes the value on two
-identical single-column inputs exactly N - 1. The objective is BCE plus
-LossConfig.weight(|B|) = alpha / (|B|-1) times the sum; that cancels the N - 1.
+outputs from one cross-expert Gram and a cache, from which
+decorrelation_backward gives exact gradients w.r.t. each output; one pair's
+loss is the call on two outputs. The correlation form standardizes columns
+with the unbiased std, which makes the value on two identical single-column
+inputs exactly N - 1. The objective is BCE plus LossConfig.weight(|B|) =
+alpha / (|B|-1) times the sum; that cancels the N - 1.
 """
 
 from __future__ import annotations
@@ -61,26 +62,20 @@ def bce(y_hat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def decorrelation_total(
-    outputs: list[np.ndarray], form: str
-) -> tuple[float, list[np.ndarray]]:
-    """Sum of the ``form`` pair loss over all expert pairs p < q.
+def decorrelation_total(outputs: list[np.ndarray], form: str) -> tuple[float, tuple]:
+    """Sum of the ``form`` pair loss over all expert pairs p < q, and the
+    cache decorrelation_backward reads: (Z, its std or None, G_hat, M).
 
     Every pair is a block of one cross-expert Gram G = Z^T Z
     (numerics.cross_gram), so each output is standardized (corr) or
     centered (cov_l1, cov_l2) once. Pair (p, q) contributes the entrywise
-    L2 (corr, cov_l2) or L1 (cov_l1) norm of block G[p, q], over d^2. The
-    gradient w.r.t. Z is the single GEMM Z @ G_hat, where G_hat holds each
-    block's norm gradient and is symmetric with zero diagonal blocks; one
-    standardization or centering adjoint then maps it back to the outputs.
-
-    Returns (total, per-expert gradient list). One expert means no pairs
-    and a zero total.
+    L2 (corr, cov_l2) or L1 (cov_l1) norm of block G[p, q], over d^2.
+    G_hat holds each block's norm gradient; it is symmetric with zero
+    diagonal blocks, so one expert has no pairs, a zero total and zero
+    gradients.
     """
     one_of(form, PAIR_FORMS)
     m = len(outputs)
-    if m < 2:
-        return 0.0, [np.zeros_like(np.asarray(o, dtype=np.float64)) for o in outputs]
     z, std, g = cross_gram(outputs, standardize=form == "corr")
     blocks = gram_blocks(g, outputs)
     d = blocks.shape[-1]
@@ -94,11 +89,17 @@ def decorrelation_total(
         g_blocks = blocks * inv[:, :, None, None]
     off_diagonal = (1.0 - np.eye(m)) / (d * d)
     g_hat = (g_blocks * off_diagonal[:, :, None, None]).swapaxes(1, 2).reshape(g.shape)
+    total = float(norms[np.triu_indices(m, 1)].sum()) / (d * d)
+    return total, (z, std, g_hat, m)
+
+
+def decorrelation_backward(cache: tuple, d_total: float) -> list[np.ndarray]:
+    """Gradient w.r.t. each output, given dL/dtotal = ``d_total``: the one
+    GEMM Z @ G_hat, then the standardization or centering adjoint."""
+    z, std, g_hat, m = cache
     d_z = z @ g_hat
     if std is None:  # centering adjoint: subtract the column mean
         d_x = d_z - d_z.mean(axis=0, keepdims=True)
     else:
         d_x = standardize_backward(d_z, z, std)
-    total = float(norms[np.triu_indices(m, 1)].sum()) / (d * d)
-    return total, np.hsplit(d_x, m)
-
+    return [d_total * part for part in np.hsplit(d_x, m)]

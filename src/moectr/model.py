@@ -20,7 +20,7 @@ from .experts import Expert, ExpertConfig, make_expert
 from .gating import aggregate_experts, build_gate, gate_weights
 from .losses import LossConfig
 from .nnet import Mlp, Module
-from .numerics import first_non_finite, sigmoid
+from .numerics import at_least, first_non_finite, sigmoid
 from .parallel import map_experts
 
 MODEL_MAGIC = b"MOECTRBN"
@@ -45,7 +45,8 @@ class ModelBundle:
 
 def check_experts(expert_configs: list[ExpertConfig], loss: LossConfig) -> None:
     """A nonempty expert list sharing one out_dim; an intermediate loss
-    location needs crossnets only, with equal cross layer counts."""
+    location needs crossnets only, with one cross layer count of at least 1
+    (each cross layer is a loss target set)."""
     if not expert_configs:
         raise ValueError("expert list must be nonempty")
     if len({c.out_dim for c in expert_configs}) != 1:
@@ -55,6 +56,7 @@ def check_experts(expert_configs: list[ExpertConfig], loss: LossConfig) -> None:
             raise ValueError("intermediate loss location requires crossnet experts only")
         if len({c.cross_layers for c in expert_configs}) != 1:
             raise ValueError("intermediate loss location requires equal cross layer counts")
+        at_least("cross layer count at the intermediate loss location", expert_configs[0].cross_layers, 1)
 
 
 def build_model(

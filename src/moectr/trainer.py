@@ -1,5 +1,5 @@
-"""End-to-end training: the one-batch objective, which weights the
-de-correlation grads, and its backward, Adam updates (dense params + lazy
+"""End-to-end training: the one-batch objective and its backward, which
+weights the de-correlation grads, Adam updates (dense params + lazy
 embedding rows), the epoch loop with early stopping, and evaluation.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 from .data import EncodedDataset, make_batches
 from .embedding import EmbeddingTable, RowPlan, SparseGrad, apply_sparse_to_table, plan_rows
 from .gating import gating_backward
-from .losses import bce, decorrelation_total
+from .losses import bce, decorrelation_backward, decorrelation_total
 from .metrics import CorrelationReport, EvalMetrics, auc, cec_report
 from .model import FullCache, ModelBundle, dense_modules, forward_chunks, forward_full, loss_backward, loss_targets, named_params, table_modules
 from .nnet import prefixed
@@ -49,36 +49,35 @@ class BatchGrads:
 
 def forward_objective(
     model: ModelBundle, indices: np.ndarray, labels: np.ndarray
-) -> tuple[StepLosses, FullCache, np.ndarray, list[list[np.ndarray]]]:
+) -> tuple[StepLosses, FullCache, np.ndarray, list[tuple]]:
     """Forward pass and the total objective, without the backward:
-    (losses, cache, dBCE/dy_hat, de-correlation grads per model.loss_targets
-    set and expert). This is the one place the grads are multiplied by
-    LossConfig.weight; the list is empty when the loss is off. A
-    finite-difference check needs only losses.total.
+    (losses, cache, dBCE/dy_hat, one decorrelation_total cache per
+    model.loss_targets set, none when the loss is off). A finite-difference
+    check needs only losses.total.
     """
     weight = model.loss.weight(labels.size)
     fc = forward_full(model, indices)
     bce_val, d_yhat = bce(fc.y_hat, labels)
-    decor_val = 0.0
-    extra: list[list[np.ndarray]] = []  # per target set, per expert
-    if weight:
-        for mats in loss_targets(model, fc):
-            value, grads = decorrelation_total(mats, model.loss.form)
-            decor_val += value
-            extra.append([weight * g for g in grads])
+    decor_val, caches = 0.0, []
+    for mats in loss_targets(model, fc) if weight else []:
+        value, cache = decorrelation_total(mats, model.loss.form)
+        decor_val += value
+        caches.append(cache)
     total = bce_val + weight * decor_val
-    return StepLosses(total=total, bce=bce_val, decorrelation=decor_val), fc, d_yhat, extra
+    return StepLosses(total=total, bce=bce_val, decorrelation=decor_val), fc, d_yhat, caches
 
 
 def batch_objective(
     model: ModelBundle, indices: np.ndarray, labels: np.ndarray
 ) -> tuple[StepLosses, BatchGrads, FullCache]:
-    """forward_objective, then the full backward pass; model.loss_backward
-    adds each expert's weighted de-correlation grads at the loss location.
-    The experts' backward passes may run on the expert pool (see
-    parallel); their embedding grads are packed here, in expert order, on
-    one row plan."""
-    losses, fc, d_yhat, extra = forward_objective(model, indices, labels)
+    """forward_objective, then the full backward pass: LossConfig.weight is
+    each de-correlation total's upstream gradient, and model.loss_backward
+    adds each expert's weighted grads at the loss location. The experts'
+    backward passes may run on the expert pool (see parallel); their
+    embedding grads are packed here, in expert order, on one row plan."""
+    losses, fc, d_yhat, caches = forward_objective(model, indices, labels)
+    weight = model.loss.weight(labels.size)
+    extra = [decorrelation_backward(cache, weight) for cache in caches]
     p = fc.y_hat
     d_logits = (d_yhat * p * (1.0 - p)).reshape(-1, 1)
     tower_grads, d_h = model.tower.backward(fc.tower_cache, d_logits)

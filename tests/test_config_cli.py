@@ -192,6 +192,11 @@ class TestRunConfig:
         assert (cfg.mode, cfg.loss.form, cfg.loss.location) == ("se", "cov_l2", "input")
         assert [c.kind for c in cfg.expert_configs()] == ["fm", "dnn"]
 
+    @pytest.mark.parametrize("off", ["alpha = 0", "loss_form = none"])
+    def test_batch_of_one_loads_with_the_loss_off(self, off):
+        # with the loss on, the train command rejects it before reading data
+        assert RunConfig.from_text(f"batch_size = 1\n{off}\n").train.batch_size == 1
+
     @pytest.mark.parametrize("key", ["gate_hidden", "tower_hidden"])
     def test_zero_width_rejected_naming_the_width(self, key):
         with pytest.raises(ValueError, match=f"^config: key '{key}': expected integers >= 1 joined by single '-', got '8-0'$"):
@@ -263,6 +268,20 @@ def _train_config_text(csv_path):
         "patience = 5\n"
         "seed = 3\n"
     )
+
+
+def _train_at_intermediate_fails(tmp_path, experts, rule):
+    """``train`` on _train_config_text with ``experts`` at the intermediate
+    location fails at load naming the key; the train CSV is absent, so
+    reading it would raise FileNotFoundError instead."""
+    cfg_path = tmp_path / "run.cfg"
+    text = _train_config_text(tmp_path / "absent.csv").replace("crossnet:2, crossnet:2", experts)
+    cfg_path.write_text(text.replace("loss_location = output", "loss_location = intermediate"))
+    model_path = tmp_path / "model.bin"
+    message = f"{cfg_path}: key 'loss_location': {rule}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        main(["train", "--config", str(cfg_path), "--out", str(model_path)])
+    assert not model_path.exists()
 
 
 def _held_out_config_text(csv_path, **held_out):
@@ -454,10 +473,11 @@ class TestCli:
             ("loss_location", "foo", "^{cfg}: key 'loss_location': expected one of input, intermediate, output, got 'foo'$"),
             ("embed_dim", 0, "^{cfg}: key 'embed_dim': dim must be >= 1, got 0$"),
             ("lr", "inf", "^{cfg}: key 'lr': must be a finite number > 0, got inf$"),
+            ("batch_size", 1, r"^{cfg}: key 'batch_size': batch too small for de-correlation: a batch would have 1 row\(s\)$"),
         ],
         ids=[
             "epochs-0", "patience--1", "split-over-1", "experts-bad-width", "mode", "loss_form", "loss_location", "embed_dim-0",
-            "lr-inf",
+            "lr-inf", "batch_size-1",
         ],
     )
     def test_train_rejects_untrainable_config_before_reading_data(self, tmp_path, key, value, message):
@@ -475,15 +495,12 @@ class TestCli:
         [("dnn:8, fm", "crossnet experts only"), ("crossnet:2, crossnet:3", "equal cross layer counts")],
     )
     def test_intermediate_location_rules_fail_at_load_naming_the_key(self, tmp_path, experts, rule):
-        # the train CSV is absent, so reading it would raise FileNotFoundError instead
-        cfg_path = tmp_path / "run.cfg"
-        text = _train_config_text(tmp_path / "absent.csv").replace("crossnet:2, crossnet:2", experts)
-        cfg_path.write_text(text.replace("loss_location = output", "loss_location = intermediate"))
-        model_path = tmp_path / "model.bin"
-        message = f"{cfg_path}: key 'loss_location': intermediate loss location requires {rule}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            main(["train", "--config", str(cfg_path), "--out", str(model_path)])
-        assert not model_path.exists()
+        _train_at_intermediate_fails(tmp_path, experts, f"intermediate loss location requires {rule}")
+
+    def test_intermediate_location_needs_a_cross_layer(self, tmp_path):
+        # 0-layer crossnets give the loss no target set: an alpha > 0 run would train without it
+        rule = "cross layer count at the intermediate loss location must be >= 1, got 0"
+        _train_at_intermediate_fails(tmp_path, "crossnet:0, crossnet:0", rule)
 
     @pytest.mark.parametrize("command,option",[("train", "--out"), ("eval", "--report"), ("cec-report", "--csv"), ("gen-synth", "--out")])
     @pytest.mark.parametrize("bad", ["missing-directory", "directory", "empty", "an-input"])

@@ -6,8 +6,9 @@ one home: a message is raised at one site, a lower bound is checked by
 ``numerics.at_least``, ``FNV_PRIME`` is read only by the scalar hash
 reference and the one vectorised hash, only ``embedding.init_bank``
 compares against an embedding-mode name, only ``model.py`` (and
-``gradsuite.suite_cases``) against a loss-location name, and only
-``losses.LossConfig`` reads a loss's ``alpha``."""
+``gradsuite.suite_cases``) against a loss-location name, only
+``losses.LossConfig`` reads a loss's ``alpha``, and only
+``trainer.batch_objective`` calls ``decorrelation_backward``."""
 
 import ast
 import sys
@@ -359,3 +360,42 @@ def test_guard_sees_an_alpha_read_outside_loss_config():
         "trainer.py": "def coef(model, n):\n    return model.loss.alpha / (n - 1) if model.loss.active else 0.0\n",
     }
     assert alpha_readers(sources) == ["losses.py:7", "trainer.py:2"]
+
+
+# the one caller of decorrelation_backward: the step's backward, never the
+# forward-only objective that a finite-difference check evaluates
+DECOR_BACKWARD_HOME = {("trainer.py", "batch_objective")}
+
+
+def decorrelation_backward_callers(sources: dict[str, str]) -> list[str]:
+    """Sites outside DECOR_BACKWARD_HOME that call decorrelation_backward,
+    by name or as a module's attribute."""
+    sites = []
+    for filename, source in sources.items():
+        tree = ast.parse(source, filename=filename)
+        skipped = exempt_nodes(tree, filename, DECOR_BACKWARD_HOME)
+        sites.extend(
+            f"{filename}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in skipped
+            and isinstance(node, ast.Call)
+            and (
+                isinstance(node.func, ast.Name) and node.func.id == "decorrelation_backward"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "decorrelation_backward"
+            )
+        )
+    return sites
+
+
+def test_decorrelation_backward_is_called_by_batch_objective_only():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert decorrelation_backward_callers(sources) == []
+
+
+def test_guard_sees_a_decorrelation_backward_call_outside_batch_objective():
+    sources = {
+        "trainer.py": "def forward_objective(cache, w):\n    return decorrelation_backward(cache, w)\n\n\n"
+        "def batch_objective(cache, w):\n    return decorrelation_backward(cache, w)\n",
+        "gradsuite.py": "from . import losses\n\n\ndef check(cache):\n    return losses.decorrelation_backward(cache, 1.0)\n",
+    }
+    assert decorrelation_backward_callers(sources) == ["trainer.py:2", "gradsuite.py:5"]

@@ -7,6 +7,7 @@ import pytest
 from moectr.losses import (
     LossConfig,
     bce,
+    decorrelation_backward,
     decorrelation_total,
 )
 from moectr.numerics import central_diff_gradcheck, standardize_backward, standardize_columns
@@ -104,7 +105,7 @@ class TestCorrLossPair:
     def test_constant_columns_zero_gradient(self):
         x = np.column_stack([np.ones(4), np.arange(4, dtype=float)])
         y = np.random.default_rng(3).normal(size=(4, 2))
-        _, (d_x, _) = decorrelation_total([x, y], "corr")
+        d_x, _ = decorrelation_backward(decorrelation_total([x, y], "corr")[1], 1.0)
         np.testing.assert_array_equal(d_x[:, 0], np.zeros(4))
 
 
@@ -148,7 +149,7 @@ class TestPairLossGradients:
             d = int(rng.integers(1, 5))
             x = rng.normal(size=(n, d))
             y = rng.normal(size=(n, d))
-            _, (d_x, d_y) = decorrelation_total([x, y], form)
+            d_x, d_y = decorrelation_backward(decorrelation_total([x, y], form)[1], 1.0)
             rep = central_diff_gradcheck(
                 lambda: decorrelation_total([x, y], form)[0], {"x": x, "y": y}, {"x": d_x, "y": d_y}
             )
@@ -157,9 +158,13 @@ class TestPairLossGradients:
 
 class TestDecorrelationTotal:
     def test_single_expert_zero(self):
-        value, grads = decorrelation_total([np.ones((3, 2))], "corr")
-        assert value == 0.0
-        assert len(grads) == 1
+        # no pairs: the generic path gives a zero total and zero gradients
+        out = np.random.default_rng(7).normal(size=(3, 2))
+        for form in ("corr", "cov_l1", "cov_l2"):
+            value, cache = decorrelation_total([out], form)
+            assert value == 0.0
+            (grad,) = decorrelation_backward(cache, 5.0)
+            np.testing.assert_array_equal(grad, np.zeros_like(out))
 
     def test_three_identical_experts(self):
         value, _ = decorrelation_total([IDENTITY_COLUMN] * 3, "corr")
@@ -184,10 +189,18 @@ class TestDecorrelationTotal:
                 want_total += value
                 want_grads[p] += d_p
                 want_grads[q] += d_q
-        total, grads = decorrelation_total(outs, form)
+        total, cache = decorrelation_total(outs, form)
+        grads = decorrelation_backward(cache, 1.0)
         assert total == pytest.approx(want_total, rel=1e-12)
         for got, want in zip(grads, want_grads):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("form", ["corr", "cov_l1", "cov_l2"])
+    def test_backward_scales_by_the_upstream_gradient(self, form):
+        rng = np.random.default_rng(12)
+        _, cache = decorrelation_total([rng.normal(size=(5, 2)) for _ in range(3)], form)
+        for got, unit in zip(decorrelation_backward(cache, 0.35), decorrelation_backward(cache, 1.0), strict=True):
+            assert got.tobytes() == (0.35 * unit).tobytes()
 
     def test_none_form_rejected(self):
         # "none" switches the loss off in LossConfig; it is not a pair form

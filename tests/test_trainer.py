@@ -16,7 +16,7 @@ from moectr.embedding import EmbeddingTable, SparseGrad, apply_sparse_to_table, 
 from moectr.experts import EXPERT_KINDS, ExpertConfig
 from moectr.gating import gating_backward
 from moectr.gradsuite import kink_margin, run_case, suite_cases
-from moectr.losses import LossConfig, bce, decorrelation_total
+from moectr.losses import LossConfig, bce, decorrelation_backward, decorrelation_total
 from moectr.metrics import CorrelationReport, EvalMetrics, auc, cec_report
 from moectr.model import (
     MODEL_MAGIC,
@@ -387,6 +387,24 @@ class TestTrainStep:
             wins += last < first
         assert wins >= 9
 
+    @pytest.mark.parametrize("location", ["output", "input", "intermediate"])
+    @pytest.mark.parametrize("form", ["corr", "cov_l1", "cov_l2"])
+    def test_one_expert_active_loss_is_bce_alone(self, form, location):
+        # one expert has no pairs: the loss adds a zero total and zero grads
+        idx, y = micro_batch(8, seed=23)
+        steps = [
+            batch_objective(micro_model(LossConfig(form, alpha, location), seed=24, kinds=("crossnet",)), idx, y)
+            for alpha in (5.0, 0.0)
+        ]
+        (losses, grads, _), (off_losses, off, _) = steps
+        assert losses.decorrelation == 0.0
+        assert losses.total == losses.bce == off_losses.total
+        assert grads.dense.keys() == off.dense.keys()
+        for name, g in grads.dense.items():
+            assert np.array_equal(g, off.dense[name]), name
+        for (prefix, _, got), (_, _, want) in zip(grads.tables, off.tables, strict=True):
+            assert np.array_equal(got.vecs, want.vecs), prefix
+
     @pytest.mark.parametrize("rows", [1, 0])
     def test_batch_of_one_rejected_when_active(self, rows):
         model = micro_model(LossConfig(form="corr", alpha=0.5), seed=14)
@@ -484,9 +502,10 @@ class TestTrainStep:
 def _hand_backward(model, idx, y, inject=True):
     """batch_objective's gradients built here, not by model.loss_backward:
     each expert's own backward, with LossConfig.weight(B) times
-    decorrelation_total's grads added by hand where the location reads its
-    matrices (none with ``inject=False``). Returns (dense grads by name,
-    each table's summed grad, shaped like the table, in table_modules order)."""
+    decorrelation_backward's unit-weight grads added by hand where the
+    location reads its matrices (none with ``inject=False``). Returns (dense
+    grads by name, each table's summed grad, shaped like the table, in
+    table_modules order)."""
     fc = forward_full(model, idx)
     p = fc.y_hat
     tower_grads, d_h = model.tower.backward(fc.tower_cache, (bce(p, y)[1] * p * (1.0 - p)).reshape(-1, 1))
@@ -496,7 +515,8 @@ def _hand_backward(model, idx, y, inject=True):
         sets = [list(layer) for layer in zip(*(e.layer_outputs(c) for e, c in zip(model.experts, fc.expert_caches)))]
     else:
         sets = [fc.outputs if location == "output" else fc.embeds]
-    decor = [[weight * g for g in decorrelation_total(mats, model.loss.form)[1]] for mats in sets] if weight else []
+    caches = [decorrelation_total(mats, model.loss.form)[1] for mats in sets] if weight else []
+    decor = [[weight * g for g in decorrelation_backward(cache, 1.0)] for cache in caches]
     dense, d_embeds = {}, []
     for m, (expert, cache) in enumerate(zip(model.experts, fc.expert_caches)):
         if not (decor and inject):
@@ -1457,6 +1477,34 @@ class TestOneForwardPerCheck:
         monkeypatch.setattr(trainer, "forward_full", counted)
         assert trainer.gradcheck_model(model, idx, y, h=GRADCHECK_H, tol=GRADCHECK_TOL).passed
         assert len(calls) == 1 + 2 * param_count(model)
+
+    @pytest.mark.parametrize(
+        "name,sets",
+        [("me corr@output", 1), ("se cov_l1@input", 1), ("me cov_l2@intermediate", 2), ("se corr@output (alpha=0)", 0)],
+    )
+    def test_decorrelation_backward_runs_for_the_base_step_only(self, monkeypatch, name, sets):
+        # each gradcheck_model call: one decorrelation_backward per loss target
+        # set for its base batch_objective, and none in the objective that
+        # central_diff_gradcheck evaluates
+        events = []
+        backward, check = trainer.decorrelation_backward, trainer.central_diff_gradcheck
+
+        def counted_backward(cache, d_total):
+            events.append("backward")
+            return backward(cache, d_total)
+
+        def bracketed_check(*args, **kwargs):
+            events.append("check")
+            try:
+                return check(*args, **kwargs)
+            finally:
+                events.append("done")
+
+        monkeypatch.setattr(trainer, "decorrelation_backward", counted_backward)
+        monkeypatch.setattr(trainer, "central_diff_gradcheck", bracketed_check)
+        assert run_case(next(c for c in suite_cases() if c.name == name)).passed
+        draw = ["backward"] * sets + ["check", "done"]
+        assert events and events == draw * (len(events) // len(draw))
 
     def test_cached_kink_signs_equal_a_fresh_forward(self, monkeypatch):
         compared = []
